@@ -25,7 +25,7 @@ from . import family as fam
 from . import limits as lim
 from .audits import render_table, run_audits
 from .family import AuditMismatch, FamilyParams
-from .geom import curvature_report, page_pope_chart, rescaled_chart
+from .geom import SCALAR_COLUMNS, CurvatureCheckError, SingularMetric, page_pope_chart, point_scalars, rescaled_chart
 from .laurent import LaurentPoly
 
 USAGE_ERROR = 2
@@ -35,6 +35,10 @@ AUDIT_ERROR = 3
 
 class UsageError(ValueError):
     pass
+
+
+class VerificationFailure(Exception):
+    """A sampled point failed the conditioning guard or a curvature check."""
 
 
 def _rat(text: str) -> Fraction:
@@ -136,15 +140,30 @@ def cmd_family(args) -> int:
 # -- verify --------------------------------------------------------------
 
 
-def _sample_points(chart_kind: str, rng, count: int, lower: float, upper: float):
-    pts = []
-    for _ in range(count):
-        radial = rng.uniform(lower, upper)
-        psi = rng.uniform(0.05, 2 * math.pi - 0.05)
-        disk_r = 0.9 * math.sqrt(rng.uniform(0.0, 1.0))
-        ang = rng.uniform(0.0, 2 * math.pi)
-        pts.append((radial, psi, disk_r * math.cos(ang), disk_r * math.sin(ang)))
-    return pts
+def _sample_points(rng, count: int, lower: float, upper: float) -> np.ndarray:
+    """count chart points (radial, psi, u, v) as one (count, 4) draw.
+
+    Each row takes four consecutive doubles from the stream: the radial
+    coordinate in [lower, upper), psi, and a disk radius and angle for
+    (u, v) inside the disk of radius 0.9.
+    """
+    draw = rng.uniform((lower, 0.05, 0.0, 0.0), (upper, 2 * math.pi - 0.05, 1.0, 2 * math.pi), size=(count, 4))
+    disk_r = 0.9 * np.sqrt(draw[:, 2])
+    draw[:, 2], draw[:, 3] = disk_r * np.cos(draw[:, 3]), disk_r * np.sin(draw[:, 3])
+    return draw
+
+
+def _radial_window(r1: float) -> tuple[float, float]:
+    """Radial sampling window of the page-pope chart: [r1 + 0.1, max(10, r1 + 1)]."""
+    return r1 + 0.1, max(10.0, r1 + 1.0)
+
+
+def _scan(chart, points, lam: float) -> np.ndarray:
+    """Per-point SCALAR_COLUMNS; a singular metric or a failed check is a verification failure."""
+    try:
+        return point_scalars(chart, points, lam)
+    except (SingularMetric, CurvatureCheckError) as exc:
+        raise VerificationFailure(str(exc)) from exc
 
 
 def cmd_verify(args) -> int:
@@ -157,9 +176,7 @@ def cmd_verify(args) -> int:
             raise UsageError("the chart verification covers n = 1")
         chart = page_pope_chart(params)
         lam_check = args.Lambda_check if args.Lambda_check is not None else float(params.Lambda)
-        r1f = float(params.r1)
-        points = _sample_points("page-pope", rng, args.points, r1f + 0.1, 10.0)
-        label = chart.label
+        points = _sample_points(rng, args.points, *_radial_window(float(params.r1)))
     else:
         rho1_sq = _resolve_rho1_sq(args)
         profile = lim.rescaled_profile(1, args.profile_lambda, rho1_sq)
@@ -167,19 +184,14 @@ def cmd_verify(args) -> int:
         lam_check = args.Lambda_check if args.Lambda_check is not None else 0.0
         rho1f = profile.rho1
         lower, upper = (1.1 * rho1f, 5.0 * rho1f) if rho1f > 0 else (0.5, 3.0)
-        points = _sample_points("rescaled", rng, args.points, lower, upper)
-        label = chart.label
+        points = _sample_points(rng, args.points, lower, upper)
+    label = chart.label
 
-    worst = None
-    rows = []
-    for pt in points:
-        rep = curvature_report(chart, pt, lam=lam_check)
-        rows.append(rep)
-        if worst is None or rep.einstein_residual > worst.einstein_residual:
-            worst = rep
-    max_res = worst.einstein_residual
-    max_bianchi = max(r.bianchi_max for r in rows)
-    max_sym = max(r.symmetry_max for r in rows)
+    columns = _scan(chart, points, lam_check)
+    worst = int(np.argmax(columns[:, 0]))
+    worst_point = tuple(points[worst].tolist())
+    max_res = float(columns[worst, 0])
+    max_bianchi, max_sym = columns[:, 2:].max(axis=0).tolist()
     ok = max_res <= args.tol
 
     if args.format == "json":
@@ -193,15 +205,15 @@ def cmd_verify(args) -> int:
             "max_bianchi": max_bianchi,
             "max_symmetry": max_sym,
             "pass": ok,
-            "worst_point": list(worst.point),
+            "worst_point": list(worst_point),
         }
         _write_output(json.dumps(payload, indent=2) + "\n", args.output)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow([*chart.coords, "einstein_residual", "scalar", "bianchi_max", "symmetry_max"])
-        for rep in rows:
-            writer.writerow([_fmt(x) for x in rep.point] + [_fmt(rep.einstein_residual), _fmt(rep.scalar), _fmt(rep.bianchi_max), _fmt(rep.symmetry_max)])
+        writer.writerow([*chart.coords, *SCALAR_COLUMNS])
+        for row in np.hstack([points, columns]).tolist():
+            writer.writerow([_fmt(x) for x in row])
         _write_output(buf.getvalue(), args.output)
     else:
         lines = [
@@ -210,7 +222,7 @@ def cmd_verify(args) -> int:
             f"max einstein residual: {max_res!r} (tol {args.tol!r})",
             f"max bianchi: {max_bianchi!r}",
             f"max symmetry: {max_sym!r}",
-            "PASS" if ok else f"FAIL at point {worst.point}",
+            "PASS" if ok else f"FAIL at point {worst_point}",
         ]
         _write_output("\n".join(lines) + "\n", args.output)
     return 0 if ok else VERIFY_ERROR
@@ -287,6 +299,8 @@ def _sweep_params(args, value) -> FamilyParams:
 def cmd_sweep(args) -> int:
     if args.param in ("r1", "t") and args.r1 is not None:
         raise UsageError(f"--r1 conflicts with sweeping {args.param}")
+    if args.verify and args.points < 1:
+        raise UsageError("--points must be >= 1")
     values = _sweep_values(args)
     header = ["r1", "c", "alpha", "beta_sq_derived", "berger_coeff", "z_scale"]
     if args.verify:
@@ -314,8 +328,8 @@ def cmd_sweep(args) -> int:
                 raise UsageError("--verify inside a sweep covers n = 1 only")
             chart = page_pope_chart(params)
             rng = np.random.default_rng(args.seed * 100003 + idx)
-            pts = _sample_points("page-pope", rng, args.points, float(params.r1) + 0.1, 10.0)
-            row.append(max(curvature_report(chart, pt, lam=float(params.Lambda)).einstein_residual for pt in pts))
+            pts = _sample_points(rng, args.points, *_radial_window(float(params.r1)))
+            row.append(float(_scan(chart, pts, float(params.Lambda))[:, 0].max()))
         rows.append(row)
 
     if args.format == "json":
@@ -448,6 +462,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except VerificationFailure as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
     except (AuditMismatch, lim.AuditError) as exc:
         print(f"audit mismatch: {exc}", file=sys.stderr)
         return AUDIT_ERROR

@@ -28,6 +28,7 @@ area form omega of ghat in the rotationally symmetric gauge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -79,22 +80,28 @@ class ChartMetric:
         return np.array([[e.value if isinstance(e, Jet2) else float(e) for e in row] for row in rows])
 
 
-def metric_derivatives_jet(chart: ChartMetric, point):
-    """(G, dG, ddG) from one jet evaluation of the metric components."""
+def metric_derivatives_jet(chart: ChartMetric, points):
+    """(G, dG, ddG) from one jet evaluation of the metric components.
+
+    points has shape B + (d,): one point, or N points for B = (N,).  The
+    results have shapes B + (d, d), B + (d, d, d) and B + (d, d, d, d).
+    """
     d = chart.dim
-    rows = chart.metric(seed_point(point, d))
-    G = np.zeros((d, d))
-    dG = np.zeros((d, d, d))
-    ddG = np.zeros((d, d, d, d))
+    pts = np.asarray(points, dtype=float)
+    batch = pts.shape[:-1]
+    rows = chart.metric(seed_point(pts, d))
+    G = np.zeros(batch + (d, d))
+    dG = np.zeros(batch + (d, d, d))
+    ddG = np.zeros(batch + (d, d, d, d))
     for i in range(d):
         for j in range(d):
             e = rows[i][j]
             if isinstance(e, Jet2):
-                G[i, j] = e.value
-                dG[:, i, j] = e.grad
-                ddG[:, :, i, j] = e.hess
+                G[..., i, j] = e.value
+                dG[..., :, i, j] = e.grad
+                ddG[..., :, :, i, j] = e.hess
             else:
-                G[i, j] = float(e)
+                G[..., i, j] = float(e)
     return G, dG, ddG
 
 
@@ -142,66 +149,118 @@ def metric_derivatives_fd(chart: ChartMetric, point, step: float):
     return G, dG, ddG
 
 
-def _inverse(G: np.ndarray) -> np.ndarray:
+def _point_at(points, i: int) -> tuple:
+    """Point i of a (d,) or (N, d) point array, as a tuple of floats."""
+    pts = np.asarray(points, dtype=float)
+    return tuple(pts.reshape(-1, pts.shape[-1])[i].tolist())
+
+
+def _inverse(G: np.ndarray, points=None) -> np.ndarray:
+    """Inverse of every metric in the batch, guarded point by point.
+
+    The first point in batch order whose condition number is not finite or
+    exceeds 1e12 raises SingularMetric naming that point.
+    """
+    finite = np.isfinite(G).all(axis=(-2, -1))
+    cond = np.where(finite, np.linalg.cond(np.where(finite[..., None, None], G, np.eye(G.shape[-1]))), np.inf)
+    bad = np.flatnonzero(~(cond <= 1e12))
+    if bad.size:
+        i = int(bad[0])
+        where = "" if points is None else f" at {_point_at(points, i)}"
+        raise SingularMetric(f"metric condition number {np.ravel(cond)[i]:.3g}{where}")
     try:
-        cond = np.linalg.cond(G)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularMetric(f"metric condition number {cond:.3g}")
         return np.linalg.inv(G)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(str(exc)) from exc
 
 
-def assemble_curvature(G, dG, ddG):
-    """Christoffel, lowered Riemann, Ricci and scalar from component data."""
-    Ginv = _inverse(G)
-    T = dG + np.einsum("jil->ijl", dG) - np.einsum("lij->ijl", dG)
-    Gamma = 0.5 * np.einsum("kl,ijl->kij", Ginv, T)
-    dGinv = -np.einsum("ka,mab,bl->mkl", Ginv, dG, Ginv)
-    dT = ddG + np.einsum("mjil->mijl", ddG) - np.einsum("mlij->mijl", ddG)
-    dGamma = 0.5 * (np.einsum("mkl,ijl->mkij", dGinv, T) + np.einsum("kl,mijl->mkij", Ginv, dT))
-    riem_up = (
-        np.einsum("mans->asmn", dGamma)
-        - np.einsum("nams->asmn", dGamma)
-        + np.einsum("amb,bns->asmn", Gamma, Gamma)
-        - np.einsum("anb,bms->asmn", Gamma, Gamma)
-    )
-    # lowered tensor in the constant-curvature convention K(g_il g_jk - g_ik g_jl)
-    r_low = np.einsum("ia,ajlk->ijkl", G, riem_up)
-    ricci = np.einsum("msmn->sn", riem_up)
-    scal = float(np.einsum("sn,sn->", Ginv, ricci))
+def _sum(terms):
+    """Left-to-right sum of arrays.
+
+    Contractions are written as explicit sums of elementwise products, so
+    each point's result has one fixed rounding order whatever the batch it
+    was evaluated in (a batched einsum may reorder its inner loops).
+    """
+    return functools.reduce(np.add, terms)
+
+
+def _christoffel(Ginv, dG):
+    """(Gamma^k_ij, T_ijl) with T_ijl = d_i g_jl + d_j g_il - d_l g_ij = 2 Gamma_l,ij."""
+    T = dG + np.einsum("...jil->...ijl", dG) - np.einsum("...lij->...ijl", dG)
+    d = Ginv.shape[-1]
+    return 0.5 * _sum(Ginv[..., :, l, None, None] * T[..., None, :, :, l] for l in range(d)), T
+
+
+def assemble_curvature(G, dG, ddG, points=None):
+    """Christoffel, lowered Riemann, Ricci and scalar from component data.
+
+    Every array carries a leading batch shape B (G is B + (d, d)); points,
+    when given, names the offending point if a metric is singular.  The
+    lowered tensor comes straight from the second derivatives and the
+    Christoffel symbols, with W_abce = (d_a d_b g_ce + d_c d_e g_ab)/2 +
+    g_zy Gamma^z_ab Gamma^y_ce and R_ijkl = W_jlik - W_jkil, which is the
+    constant-curvature convention K(g_il g_jk - g_ik g_jl).
+    """
+    d = G.shape[-1]
+    Ginv = _inverse(G, points)
+    Gamma, T = _christoffel(Ginv, dG)
+    # g_zy Gamma^y_ce = T_cez / 2
+    quad = _sum(Gamma[..., z, :, :, None, None] * (0.5 * T[..., None, None, :, :, z]) for z in range(d))
+    W = 0.5 * (ddG + np.einsum("...ceab->...abce", ddG)) + quad
+    r_low = np.einsum("...jlik->...ijkl", W) - np.einsum("...jkil->...ijkl", W)
+    # Ric_jk = g^il R_ijkl
+    ricci = _sum(Ginv[..., i, l, None, None] * r_low[..., i, :, :, l] for i in range(d) for l in range(d))
+    scal = _sum(Ginv[..., s, n] * ricci[..., s, n] for s in range(d) for n in range(d))
     return Ginv, Gamma, r_low, ricci, scal
+
+
+def _amax(x, axes: int):
+    """max |x| over the last `axes` axes (the per-point maximum of a batched tensor)."""
+    return np.max(np.abs(x), axis=tuple(range(-axes, 0)))
+
+
+def _per_point(x):
+    """A float for a single point, the array itself for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Curvature data at a point, with symmetry and Bianchi checks built in."""
+    """Curvature data with symmetry and Bianchi checks built in.
 
-    point: tuple
+    A single-point report has a tuple point and float scalars.  The batch
+    report of :func:`curvature_reports` has a leading axis N on every
+    field: point (N, d), metric (N, d, d), scalar (N,), and so on.
+    """
+
+    point: tuple | np.ndarray
     metric: np.ndarray
     christoffel: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
-    scalar: float
-    einstein_residual: float | None
-    symmetry_max: float = field(init=False)
-    bianchi_max: float = field(init=False)
+    scalar: float | np.ndarray
+    einstein_residual: float | np.ndarray | None
+    symmetry_max: float | np.ndarray = field(init=False)
+    bianchi_max: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
         R = self.riemann
-        scale = max(float(np.max(np.abs(R))), float(np.max(np.abs(self.metric))) ** 2, 1e-300)
-        sym = max(
-            float(np.max(np.abs(R + np.einsum("jikl->ijkl", R)))),
-            float(np.max(np.abs(R + np.einsum("ijlk->ijkl", R)))),
-            float(np.max(np.abs(R - np.einsum("klij->ijkl", R)))),
+        scale = np.maximum(np.maximum(_amax(R, 4), _amax(self.metric, 2) ** 2), 1e-300)
+        sym = np.maximum(
+            np.maximum(_amax(R + np.einsum("...jikl->...ijkl", R), 4), _amax(R + np.einsum("...ijlk->...ijkl", R), 4)),
+            _amax(R - np.einsum("...klij->...ijkl", R), 4),
         )
-        bianchi = float(np.max(np.abs(R + np.einsum("iklj->ijkl", R) + np.einsum("iljk->ijkl", R))))
-        object.__setattr__(self, "symmetry_max", sym / scale)
-        object.__setattr__(self, "bianchi_max", bianchi / scale)
-        if self.symmetry_max > 1e-8:
-            raise CurvatureCheckError(f"Riemann symmetry violation {self.symmetry_max:.3e} at {self.point}")
-        if self.bianchi_max > 1e-8:
-            raise CurvatureCheckError(f"first Bianchi violation {self.bianchi_max:.3e} at {self.point}")
+        bianchi = _amax(R + np.einsum("...iklj->...ijkl", R) + np.einsum("...iljk->...ijkl", R), 4)
+        object.__setattr__(self, "symmetry_max", _per_point(sym / scale))
+        object.__setattr__(self, "bianchi_max", _per_point(bianchi / scale))
+        sym, bianchi = np.ravel(self.symmetry_max), np.ravel(self.bianchi_max)
+        failed = np.flatnonzero((sym > 1e-8) | (bianchi > 1e-8))
+        if failed.size:
+            i = int(failed[0])
+            where = _point_at(self.point, i)
+            if sym[i] > 1e-8:
+                raise CurvatureCheckError(f"Riemann symmetry violation {sym[i]:.3e} at {where}")
+            raise CurvatureCheckError(f"first Bianchi violation {bianchi[i]:.3e} at {where}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -213,36 +272,83 @@ class CurvatureReport:
         }
 
 
-def curvature_report(chart: ChartMetric, point, lam: float | None = None, scheme: str = "jet", step: float = 1e-3) -> CurvatureReport:
-    """Full curvature data at a point; scheme 'jet' or 'fd'."""
-    if not chart.in_domain(point):
-        raise ValueError(f"point {tuple(point)} outside chart domain")
-    if scheme == "jet":
-        G, dG, ddG = metric_derivatives_jet(chart, point)
-    elif scheme == "fd":
-        G, dG, ddG = metric_derivatives_fd(chart, point, step)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    _, Gamma, r_low, ricci, scal = assemble_curvature(G, dG, ddG)
-    residual = None
-    if lam is not None:
-        residual = float(np.max(np.abs(ricci - lam * G)) / np.max(np.abs(G)))
+def _report(points: np.ndarray, G, dG, ddG, lam) -> CurvatureReport:
+    """Report of one point (points of shape (d,)) or of a batch (shape (N, d))."""
+    _, Gamma, r_low, ricci, scal = assemble_curvature(G, dG, ddG, points)
+    residual = None if lam is None else _per_point(_amax(ricci - lam * G, 2) / _amax(G, 2))
     return CurvatureReport(
-        point=tuple(float(x) for x in point),
+        point=tuple(points.tolist()) if points.ndim == 1 else points,
         metric=G,
         christoffel=Gamma,
         riemann=r_low,
         ricci=ricci,
-        scalar=scal,
+        scalar=_per_point(scal),
         einstein_residual=residual,
     )
 
 
+def _check_domain(chart: ChartMetric, points):
+    for pt in points:
+        if not chart.in_domain(pt):
+            raise ValueError(f"point {tuple(float(x) for x in pt)} outside chart domain")
+
+
+def curvature_reports(chart: ChartMetric, points, lam: float | None = None) -> CurvatureReport:
+    """Batch curvature report of N points (shape (N, d)) from one jet pass.
+
+    Every operation acts point by point, so entry i of every field is
+    bit-equal to the report of point i evaluated alone.  A singular metric
+    or a failed check raises at the first offending point, naming it.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != chart.dim:
+        raise ValueError(f"points must have shape (N, {chart.dim}), got {pts.shape}")
+    _check_domain(chart, pts)
+    G, dG, ddG = metric_derivatives_jet(chart, pts)
+    return _report(pts, G, dG, ddG, lam)
+
+
+def curvature_report(chart: ChartMetric, point, lam: float | None = None, scheme: str = "jet", step: float = 1e-3) -> CurvatureReport:
+    """Full curvature data at a point; scheme 'jet' or 'fd'.
+
+    The jet scheme runs the code of :func:`curvature_reports` with an
+    empty batch shape.
+    """
+    pt = np.asarray(point, dtype=float)
+    _check_domain(chart, [pt])
+    if scheme == "jet":
+        G, dG, ddG = metric_derivatives_jet(chart, pt)
+    elif scheme == "fd":
+        G, dG, ddG = metric_derivatives_fd(chart, pt, step)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return _report(pt, G, dG, ddG, lam)
+
+
+BLOCK_POINTS = 128
+SCALAR_COLUMNS = ("einstein_residual", "scalar", "bianchi_max", "symmetry_max")
+
+
+def point_scalars(chart: ChartMetric, points, lam: float) -> np.ndarray:
+    """The SCALAR_COLUMNS of every point, shape (N, 4).
+
+    Points are evaluated in blocks of at most BLOCK_POINTS, and each block
+    is reduced to these columns before the next starts, so memory does not
+    grow with N beyond the (N, 4) result.  Rows do not depend on the block
+    size.
+    """
+    pts = np.asarray(points, dtype=float)
+    out = np.empty((len(pts), len(SCALAR_COLUMNS)))
+    for start in range(0, len(pts), BLOCK_POINTS):
+        stop = start + BLOCK_POINTS
+        rep = curvature_reports(chart, pts[start:stop], lam)
+        out[start:stop] = np.stack([getattr(rep, name) for name in SCALAR_COLUMNS], axis=-1)
+    return out
+
+
 def christoffel(chart: ChartMetric, point) -> np.ndarray:
     G, dG, _ = metric_derivatives_jet(chart, point)
-    Ginv = _inverse(G)
-    T = dG + np.einsum("jil->ijl", dG) - np.einsum("lij->ijl", dG)
-    return 0.5 * np.einsum("kl,ijl->kij", Ginv, T)
+    return _christoffel(_inverse(G, point), dG)[0]
 
 
 def riemann(chart: ChartMetric, point) -> np.ndarray:

@@ -1,11 +1,17 @@
 """Second-order truncated jet arithmetic (value, gradient, hessian).
 
-A :class:`Jet2` carries a float value together with its exact first and
+A :class:`Jet2` carries float values together with their exact first and
 second partial derivatives with respect to d chart coordinates, and
 propagates them through +, -, *, /, integer powers and sqrt by the chain
 rule.  Seeding the coordinates of a point with :meth:`Jet2.variable` and
 evaluating a metric component therefore yields machine-precision metric
 derivatives, which is exactly what the curvature formulas need.
+
+Every jet has a leading batch shape B: the value has shape B, the
+gradient B + (d,) and the hessian B + (d, d).  B = () is a single point;
+B = (N,) evaluates N points in one pass of array operations.  Every
+operation is elementwise over B, so a point's derivatives do not depend
+on which batch it was evaluated in.
 
 Hessians stay symmetric by construction (every update is a symmetrized
 outer product), so no resymmetrization is ever required.
@@ -20,42 +26,45 @@ import numpy as np
 _NUMERIC = (int, float)
 
 
+def _outer(a, b):
+    """Batched outer product of gradients: B + (d,) x B + (d,) -> B + (d, d)."""
+    return a[..., :, None] * b[..., None, :]
+
+
 class Jet2:
     __slots__ = ("value", "grad", "hess")
+    # numpy operands defer to the jet's reflected operators
+    __array_ufunc__ = None
 
-    def __init__(self, value: float, grad, hess):
-        self.value = float(value)
+    def __init__(self, value, grad, hess):
+        self.value = np.asarray(value, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
 
     @classmethod
-    def constant(cls, value: float, dim: int) -> "Jet2":
-        return cls(value, np.zeros(dim), np.zeros((dim, dim)))
+    def constant(cls, value, dim: int) -> "Jet2":
+        shape = np.shape(value)
+        return cls(value, np.zeros(shape + (dim,)), np.zeros(shape + (dim, dim)))
 
     @classmethod
-    def variable(cls, value: float, index: int, dim: int) -> "Jet2":
-        g = np.zeros(dim)
-        g[index] = 1.0
-        return cls(value, g, np.zeros((dim, dim)))
+    def variable(cls, value, index: int, dim: int) -> "Jet2":
+        shape = np.shape(value)
+        g = np.zeros(shape + (dim,))
+        g[..., index] = 1.0
+        return cls(value, g, np.zeros(shape + (dim, dim)))
 
     @property
     def dim(self) -> int:
-        return self.grad.shape[0]
-
-    def _lift(self, other) -> "Jet2 | None":
-        if isinstance(other, Jet2):
-            return other
-        if isinstance(other, _NUMERIC):
-            return Jet2.constant(float(other), self.dim)
-        return None
+        return self.grad.shape[-1]
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        if isinstance(other, Jet2):
+            return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
+        if isinstance(other, _NUMERIC):
+            return Jet2(self.value + other, self.grad, self.hess)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -63,39 +72,49 @@ class Jet2:
         return Jet2(-self.value, -self.grad, -self.hess)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+        if isinstance(other, Jet2):
+            return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
+        if isinstance(other, _NUMERIC):
+            return Jet2(self.value - other, self.grad, self.hess)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(other, _NUMERIC):
+            return Jet2(other - self.value, -self.grad, -self.hess)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if isinstance(other, _NUMERIC):
+            return Jet2(self.value * other, self.grad * other, self.hess * other)
+        if not isinstance(other, Jet2):
             return NotImplemented
-        cross = np.outer(self.grad, o.grad)
+        a, b = self.value[..., None], other.value[..., None]
+        cross = _outer(self.grad, other.grad)
         return Jet2(
-            self.value * o.value,
-            self.value * o.grad + o.value * self.grad,
-            self.value * o.hess + o.value * self.hess + cross + cross.T,
+            self.value * other.value,
+            a * other.grad + b * self.grad,
+            a[..., None] * other.hess + b[..., None] * self.hess + cross + cross.swapaxes(-1, -2),
         )
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet2":
-        if self.value == 0.0:
+        if np.any(self.value == 0.0):
             raise ZeroDivisionError("jet with zero value part")
         inv = 1.0 / self.value
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(inv, -(inv**2) * self.grad, -(inv**2) * self.hess + 2 * inv**3 * outer)
+        inv2 = inv * inv
+        return Jet2(
+            inv,
+            -inv2[..., None] * self.grad,
+            -inv2[..., None, None] * self.hess + (2.0 * inv2 * inv)[..., None, None] * _outer(self.grad, self.grad),
+        )
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if isinstance(other, _NUMERIC):
+            return self * (1.0 / other)
+        if not isinstance(other, Jet2):
             return NotImplemented
-        return self * o.reciprocal()
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -105,21 +124,23 @@ class Jet2:
             raise TypeError("jet powers must have integer exponents")
         if k < 0:
             return self.reciprocal() ** (-k)
-        out = Jet2.constant(1.0, self.dim)
-        base = self
-        while k:
+        if k == 0:
+            return Jet2.constant(np.ones_like(self.value), self.dim)
+        out, base = None, self
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def sqrt(self) -> "Jet2":
-        if self.value <= 0.0:
+        if np.any(self.value <= 0.0):
             raise ValueError("jet sqrt needs a positive value part")
-        s = math.sqrt(self.value)
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(s, self.grad / (2 * s), self.hess / (2 * s) - outer / (4 * s**3))
+        s = np.sqrt(self.value)
+        half = (0.5 / s)[..., None]
+        return Jet2(s, half * self.grad, half[..., None] * self.hess - (0.25 / s**3)[..., None, None] * _outer(self.grad, self.grad))
 
     def __repr__(self):
         return f"Jet2({self.value!r}, grad={self.grad!r})"
@@ -132,11 +153,11 @@ def sqrt(x):
     return math.sqrt(x)
 
 
-def seed_point(point, dim: int | None = None) -> list[Jet2]:
-    """Coordinates of a point as jet variables."""
-    values = list(point)
-    d = len(values) if dim is None else dim
-    return [Jet2.variable(float(v), i, d) for i, v in enumerate(values)]
+def seed_point(points, dim: int | None = None) -> list[Jet2]:
+    """Coordinates of a point (shape (d,)) or of N points (shape (N, d)) as jet variables."""
+    pts = np.asarray(points, dtype=float)
+    d = pts.shape[-1] if dim is None else dim
+    return [Jet2.variable(pts[..., i], i, d) for i in range(pts.shape[-1])]
 
 
 def laurent_eval(coeffs: dict[int, float], x):

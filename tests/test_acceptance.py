@@ -25,7 +25,7 @@ from pelab.family import (
     solve_profile,
 )
 from pelab.geom import (
-    curvature_report,
+    curvature_reports,
     einstein_residual,
     fd_oracle,
     page_pope_chart,
@@ -229,7 +229,7 @@ def test_criterion_11_sectional_asymptotics():
     assert worst[2] < 1e-3, f"deviation at r=250 is {worst[2]:.3e}"
 
 
-@criterion(12, "cross-scheme: jet and finite-difference curvature within 1e-5")
+@criterion(12, "cross-scheme: jet (one 50-point batch per chart) and finite-difference curvature within 1e-5")
 def test_criterion_12_cross_scheme():
     rng = random.Random(112)
     charts = [
@@ -237,11 +237,11 @@ def test_criterion_12_cross_scheme():
         (page_pope_chart(FamilyParams(n=1, lam=F(2), c=F(2, 9), Lambda=F(-3), r1=F(2))), 2.2),
     ]
     for chart, r_low in charts:
-        for _ in range(5):
-            pt = _chart_point(rng, r_low, 6.0)
-            jet = curvature_report(chart, pt)
+        pts = [_chart_point(rng, r_low, 6.0) for _ in range(50)]
+        batch = curvature_reports(chart, pts)
+        for pt, jet_riemann, jet_christoffel in zip(pts, batch.riemann, batch.christoffel):
             fd = fd_oracle(chart, pt)
-            scale = np.max(np.abs(jet.riemann))
-            assert np.max(np.abs(jet.riemann - fd.riemann)) / scale < 1e-5
-            gscale = np.max(np.abs(jet.christoffel))
-            assert np.max(np.abs(jet.christoffel - fd.christoffel)) / gscale < 1e-5
+            scale = np.max(np.abs(jet_riemann))
+            assert np.max(np.abs(jet_riemann - fd.riemann)) / scale < 1e-5
+            gscale = np.max(np.abs(jet_christoffel))
+            assert np.max(np.abs(jet_christoffel - fd.christoffel)) / gscale < 1e-5

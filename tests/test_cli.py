@@ -1,10 +1,13 @@
 """Command-line surface: flags, exit codes, formats, determinism."""
 
+import contextlib
 import csv
 import io
 import json
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from pelab.cli import main
@@ -232,3 +235,138 @@ def test_output_files_written(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert out_path.read_text().startswith("r1,c,alpha")
+
+
+# -- sampling window, failure exit codes, memory --------------------------------
+
+
+# (r, psi, u, v) of the first points of `verify --r1 1`, as the seed-by-seed
+# scalar draws produced them; the (N, 4) array draw must reproduce every bit.
+FIRST_POINTS = {
+    0: [
+        ("6.7689590171609435", "1.7181412446170277", "0.18119584058847893", "0.018884431200124122"),
+        ("8.338105128882425", "5.69373687446983", "-0.09005568776400255", "-0.6951726055252524"),
+        ("5.938262424042264", "5.831726071913332", "0.8128011730729785", "0.013986847022514475"),
+    ],
+    11: [
+        ("2.244274804645877", "3.1371275432397496", "0.6866974042513314", "0.12514129881619104"),
+        ("2.416542152739358", "5.789300759130691", "0.16373878563069882", "0.1738685617502011"),
+        ("9.540123234296798", "3.895221493754647", "-0.5453038272887", "-0.03909176595430669"),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIRST_POINTS))
+def test_verify_points_golden(capsys, seed):
+    code, out, _ = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "3", "--seed", str(seed), "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [tuple(row[:4]) for row in rows] == FIRST_POINTS[seed]
+
+
+@pytest.mark.parametrize("r1", ["9.95", "10", "25"])
+def test_verify_radial_window_follows_r1(capsys, r1):
+    code, out, err = run(capsys, "verify", "--n", "1", "--k", "2", "--r1", r1, "--points", "40", "--seed", "9", "--format", "csv")
+    assert code == 0, err
+    rows = [[float(x) for x in row] for row in list(csv.reader(io.StringIO(out)))[1:]]
+    radii = [row[0] for row in rows]
+    assert float(r1) + 0.1 <= min(radii) and max(radii) < max(10.0, float(r1) + 1.0)
+    assert max(row[4] for row in rows) < 1e-12
+
+
+def test_sweep_verify_window_ending_at_10(capsys):
+    code, out, err = run(
+        capsys, "sweep", "--param", "r1", "--start", "9", "--stop", "10", "--count", "5",
+        "--n", "1", "--k", "3", "--verify", "--seed", "2",
+    )
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert rows[-1][0] == "10"
+    assert all(float(row[-1]) < 1e-12 for row in rows)
+
+
+def test_sweep_verify_needs_points(capsys):
+    code, _, err = run(capsys, "sweep", "--param", "r1", "--start", "2", "--stop", "3", "--count", "2", "--n", "1", "--k", "1", "--verify", "--points", "0")
+    assert code == 2
+    assert "--points" in err
+
+
+def _broken_chart(monkeypatch, is_bad, corrupt):
+    """Make pelab.cli build page-pope charts whose metric is corrupted where is_bad(r) holds."""
+    import dataclasses
+
+    import pelab.cli as cli_mod
+    from pelab.jets import Jet2
+
+    real = cli_mod.page_pope_chart
+
+    def chart_factory(params):
+        chart = real(params)
+
+        def metric(x):
+            rows = chart.metric(x)
+            corrupt(rows, x, Jet2.constant(is_bad(x[0].value).astype(float), chart.dim))
+            return rows
+
+        return dataclasses.replace(chart, metric=metric)
+
+    monkeypatch.setattr(cli_mod, "page_pope_chart", chart_factory)
+
+
+def _verify_points(seed, count):
+    from pelab.cli import _sample_points
+
+    return _sample_points(np.random.default_rng(seed), count, 1.1, 10.0)
+
+
+def _zero_drr(rows, x, mask):
+    rows[0][0] = rows[0][0] * (1 - mask)
+
+
+def _asymmetric(rows, x, mask):
+    rows[0][1] = rows[0][1] + mask * x[2] * x[3]
+
+
+def test_singular_point_in_a_later_block_exits_1(monkeypatch, capsys):
+    points = _verify_points(4, 300)
+    _broken_chart(monkeypatch, lambda r: np.isin(r, points[[200, 250], 0]), _zero_drr)
+    code, out, err = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "300", "--seed", "4")
+    assert code == 1 and out == ""
+    assert "verification failed: metric condition number" in err
+    assert str(tuple(points[200].tolist())) in err
+    assert str(tuple(points[250].tolist())) not in err
+
+
+def test_curvature_check_failure_exits_1(monkeypatch, capsys):
+    points = _verify_points(7, 150)
+    _broken_chart(monkeypatch, lambda r: r == points[140, 0], _asymmetric)
+    code, _, err = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "150", "--seed", "7")
+    assert code == 1
+    assert "verification failed: Riemann symmetry violation" in err
+    assert str(tuple(points[140].tolist())) in err
+
+
+@pytest.mark.parametrize("corrupt, message", [(_zero_drr, "metric condition number"), (_asymmetric, "Riemann symmetry violation")])
+def test_sweep_verify_failure_exits_1(monkeypatch, capsys, corrupt, message):
+    _broken_chart(monkeypatch, lambda r: r > 0, corrupt)
+    code, out, err = run(capsys, "sweep", "--param", "r1", "--start", "1", "--stop", "2", "--count", "2", "--n", "1", "--k", "1", "--verify")
+    assert code == 1 and out == ""
+    assert f"verification failed: {message}" in err
+    # row 0 draws its points from seed 0 * 100003 + 0; the first one fails
+    assert str(tuple(_verify_points(0, 1)[0].tolist())) in err
+
+
+def test_verify_memory_is_flat_in_points():
+    def peak(points):
+        argv = ["verify", "--n", "1", "--k", "1", "--r1", "1", "--points", str(points), "--format", "json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak(20)  # one-time allocations (imports, caches) stay out of the comparison
+    small = peak(500)
+    assert peak(4000) <= 1.5 * small

@@ -1,0 +1,99 @@
+"""Batched curvature engine: row-for-row equivalence, block independence, goldens."""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from pelab import geom
+from pelab.cli import _sample_points
+from pelab.family import FamilyParams
+from pelab.geom import (
+    SCALAR_COLUMNS,
+    curvature_report,
+    curvature_reports,
+    metric_derivatives_jet,
+    page_pope_chart,
+    point_scalars,
+    rescaled_chart,
+)
+from pelab.limits import rescaled_profile, rho1_limit
+
+HYPERBOLIC = FamilyParams(n=1, lam=F(4), c=F(1), Lambda=F(-3), r1=F(1))
+EDGE_SMOOTH = FamilyParams(n=1, lam=F(2), c=F(2, 9), Lambda=F(-3), r1=F(2))
+FIELDS = ("metric", "christoffel", "riemann", "ricci")
+
+
+def _edge_points(count, seed=0):
+    return _sample_points(np.random.default_rng(seed), count, 2.1, 10.0)
+
+
+def test_batch_rows_are_bit_equal_to_single_points():
+    chart = page_pope_chart(EDGE_SMOOTH)
+    pts = _edge_points(300)
+    batch = curvature_reports(chart, pts, lam=-3.0)
+    assert batch.metric.shape == (300, 4, 4) and batch.riemann.shape == (300, 4, 4, 4, 4)
+    columns = point_scalars(chart, pts, -3.0)  # three blocks of at most 128
+    for i, pt in enumerate(pts):
+        one = curvature_report(chart, pt, lam=-3.0)
+        assert one.point == tuple(batch.point[i].tolist()) == tuple(pt.tolist())
+        for name in FIELDS:
+            assert np.array_equal(getattr(one, name), getattr(batch, name)[i]), (i, name)
+        expected = [getattr(one, name) for name in SCALAR_COLUMNS]
+        assert [getattr(batch, name)[i] for name in SCALAR_COLUMNS] == expected
+        assert columns[i].tolist() == expected
+
+
+def test_results_do_not_depend_on_block_size(monkeypatch):
+    profile = rescaled_profile(1, 2, rho1_limit(1).derived_sq)
+    chart = rescaled_chart(profile)
+    pts = _sample_points(np.random.default_rng(5), 300, 1.1 * profile.rho1, 5.0 * profile.rho1)
+    by_block = []
+    for block in (1, 7, 128):
+        monkeypatch.setattr(geom, "BLOCK_POINTS", block)
+        by_block.append(point_scalars(chart, pts, 0.0))
+    assert all(np.array_equal(by_block[0], other) for other in by_block[1:])
+
+
+def test_single_point_shapes_match_the_scalar_api():
+    chart = page_pope_chart(HYPERBOLIC)
+    G, dG, ddG = metric_derivatives_jet(chart, (1.7, 0.4, 0.2, 0.1))
+    assert (G.shape, dG.shape, ddG.shape) == ((4, 4), (4, 4, 4), (4, 4, 4, 4))
+    G, dG, ddG = metric_derivatives_jet(chart, np.tile((1.7, 0.4, 0.2, 0.1), (3, 1)))
+    assert (G.shape, dG.shape, ddG.shape) == ((3, 4, 4), (3, 4, 4, 4), (3, 4, 4, 4, 4))
+    rep = curvature_report(chart, (1.7, 0.4, 0.2, 0.1), lam=-3.0)
+    assert all(type(getattr(rep, name)) is float for name in SCALAR_COLUMNS)
+
+
+def test_points_must_be_a_batch_of_chart_points():
+    chart = page_pope_chart(HYPERBOLIC)
+    with pytest.raises(ValueError):
+        curvature_reports(chart, (1.7, 0.4, 0.2, 0.1))
+    with pytest.raises(ValueError, match="outside chart domain"):
+        curvature_reports(chart, [(1.7, 0.4, 0.2, 0.1), (0.5, 0.4, 0.2, 0.1)])
+
+
+# (einstein_residual, scalar, bianchi_max, symmetry_max) of the per-point
+# engine that predates the batched one, at fixed points.
+GOLDENS = [
+    (HYPERBOLIC, (1.7, 0.4, 0.2, 0.1), -3.0, (1.8797426871960325e-15, -11.999999999999995, 1.2432160629603393e-16, 4.972864251841357e-16)),
+    (EDGE_SMOOTH, (3.0, 1.2, 0.3, -0.2), -3.0, (6.137724123292727e-16, -11.999999999999998, 6.62726805822425e-18, 2.12072577863176e-16)),
+    (
+        FamilyParams(n=1, lam=F(2), c=F(1), Lambda=F(-3), r1=F(1)),
+        (9.5, 5.0, -0.6, 0.4),
+        -3.0,
+        (8.620673517240797e-16, -12.000000000000002, 7.107180345442427e-17, 3.137714657431163e-16),
+    ),
+    ("rescaled", (2.0, 1.0, 0.2, -0.1), 0.0, (6.443291755757171e-17, 1.4567056431803394e-16, 7.814644760458429e-18, 1.685032776473849e-17)),
+]
+
+
+@pytest.mark.parametrize("params, point, lam, golden", GOLDENS)
+def test_scalars_match_the_per_point_engine(params, point, lam, golden):
+    if params == "rescaled":
+        chart = rescaled_chart(rescaled_profile(1, 2, rho1_limit(1).derived_sq))
+    else:
+        chart = page_pope_chart(params)
+    rep = curvature_report(chart, point, lam=lam)
+    for name, want in zip(SCALAR_COLUMNS, golden):
+        assert abs(getattr(rep, name) - want) <= 1e-12, name

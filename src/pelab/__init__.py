@@ -41,25 +41,45 @@ from .limits import (
     rescaled_profile,
     rho1_limit,
 )
-from .jets import Jet2
-from .geom import (
-    ChartMetric,
-    CurvatureReport,
-    DegeneratePlane,
-    SingularMetric,
-    StepTooLarge,
-    UnsupportedDimension,
-    christoffel,
-    curvature_report,
-    einstein_residual,
-    fd_oracle,
-    page_pope_chart,
-    rescaled_chart,
-    ricci,
-    riemann,
-    scalar_curvature,
-    sectional,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The float engine (numpy, jets, geom) loads on first use of one of its
+# names, so the exact layer and the exact-only CLI commands run without it.
+_FLOAT_ENGINE = {
+    "jets": ("Jet2",),
+    "geom": (
+        "ChartMetric",
+        "CurvatureReport",
+        "DegeneratePlane",
+        "SingularMetric",
+        "StepTooLarge",
+        "UnsupportedDimension",
+        "christoffel",
+        "curvature_report",
+        "einstein_residual",
+        "fd_oracle",
+        "page_pope_chart",
+        "rescaled_chart",
+        "ricci",
+        "riemann",
+        "scalar_curvature",
+        "sectional",
+    ),
+}
+_LAZY = {name: module for module, names in _FLOAT_ENGINE.items() for name in (module, *names)}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
+
+__all__ = sorted(name for name in __dir__() if not name.startswith("_"))
 __version__ = "0.1.0"

@@ -7,6 +7,8 @@ which would indicate a bug, never a property of the inputs).
 All randomness is drawn from numpy's default PCG64 generator seeded with
 --seed, so identical flags give byte-identical output.  Exact rationals
 are printed as p/q; floats are printed with full round-trip precision.
+numpy and the float engine (jets, geom) are imported only by the commands
+that evaluate curvature, verify and sweep --verify.
 """
 
 from __future__ import annotations
@@ -19,13 +21,10 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import family as fam
 from . import limits as lim
 from .audits import render_table, run_audits
 from .family import AuditMismatch, FamilyParams
-from .geom import SCALAR_COLUMNS, CurvatureCheckError, SingularMetric, page_pope_chart, point_scalars, rescaled_chart
 from .laurent import LaurentPoly
 
 USAGE_ERROR = 2
@@ -86,11 +85,14 @@ def _params_from_args(args, r1=None) -> FamilyParams:
 
 
 def _write_output(text: str, path: str | None):
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # -- family --------------------------------------------------------------
@@ -140,13 +142,15 @@ def cmd_family(args) -> int:
 # -- verify --------------------------------------------------------------
 
 
-def _sample_points(rng, count: int, lower: float, upper: float) -> np.ndarray:
+def _sample_points(rng, count: int, lower: float, upper: float):
     """count chart points (radial, psi, u, v) as one (count, 4) draw.
 
     Each row takes four consecutive doubles from the stream: the radial
     coordinate in [lower, upper), psi, and a disk radius and angle for
     (u, v) inside the disk of radius 0.9.
     """
+    import numpy as np
+
     draw = rng.uniform((lower, 0.05, 0.0, 0.0), (upper, 2 * math.pi - 0.05, 1.0, 2 * math.pi), size=(count, 4))
     disk_r = 0.9 * np.sqrt(draw[:, 2])
     draw[:, 2], draw[:, 3] = disk_r * np.cos(draw[:, 3]), disk_r * np.sin(draw[:, 3])
@@ -158,29 +162,37 @@ def _radial_window(r1: float) -> tuple[float, float]:
     return r1 + 0.1, max(10.0, r1 + 1.0)
 
 
-def _scan(chart, points, lam: float) -> np.ndarray:
-    """Per-point SCALAR_COLUMNS; a singular metric or a failed check is a verification failure."""
+def _scan(chart, points, lam: float):
+    """Per-point geom.SCALAR_COLUMNS; a singular metric or a failed check is a verification failure."""
+    from . import geom
+
     try:
-        return point_scalars(chart, points, lam)
-    except (SingularMetric, CurvatureCheckError) as exc:
+        return geom.point_scalars(chart, points, lam)
+    except (geom.SingularMetric, geom.CurvatureCheckError) as exc:
         raise VerificationFailure(str(exc)) from exc
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
+    from . import geom
+
     if args.points < 1:
         raise UsageError("--points must be >= 1")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be a finite number > 0, got {args.tol!r}")
     rng = np.random.default_rng(args.seed)
     if args.chart == "page-pope":
         params = _params_from_args(args)
         if params.n != 1:
             raise UsageError("the chart verification covers n = 1")
-        chart = page_pope_chart(params)
+        chart = geom.page_pope_chart(params)
         lam_check = args.Lambda_check if args.Lambda_check is not None else float(params.Lambda)
         points = _sample_points(rng, args.points, *_radial_window(float(params.r1)))
     else:
         rho1_sq = _resolve_rho1_sq(args)
         profile = lim.rescaled_profile(1, args.profile_lambda, rho1_sq)
-        chart = rescaled_chart(profile)
+        chart = geom.rescaled_chart(profile)
         lam_check = args.Lambda_check if args.Lambda_check is not None else 0.0
         rho1f = profile.rho1
         lower, upper = (1.1 * rho1f, 5.0 * rho1f) if rho1f > 0 else (0.5, 3.0)
@@ -211,7 +223,7 @@ def cmd_verify(args) -> int:
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow([*chart.coords, *SCALAR_COLUMNS])
+        writer.writerow([*chart.coords, *geom.SCALAR_COLUMNS])
         for row in np.hstack([points, columns]).tolist():
             writer.writerow([_fmt(x) for x in row])
         _write_output(buf.getvalue(), args.output)
@@ -324,9 +336,13 @@ def cmd_sweep(args) -> int:
             fam.z_scale(params),
         ]
         if args.verify:
+            import numpy as np
+
+            from . import geom
+
             if params.n != 1:
                 raise UsageError("--verify inside a sweep covers n = 1 only")
-            chart = page_pope_chart(params)
+            chart = geom.page_pope_chart(params)
             rng = np.random.default_rng(args.seed * 100003 + idx)
             pts = _sample_points(rng, args.points, *_radial_window(float(params.r1)))
             row.append(float(_scan(chart, pts, float(params.Lambda))[:, 0].max()))
@@ -348,7 +364,7 @@ def cmd_sweep(args) -> int:
 # -- limit ---------------------------------------------------------------
 
 
-def _parse_rho_grid(text: str, n: int):
+def _parse_rho_grid(text: str):
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -368,7 +384,7 @@ def _default_rho_grid(n: int):
 
 def cmd_limit(args) -> int:
     ts = [_rat(v) for v in args.t_list.split(",") if v]
-    grid = _parse_rho_grid(args.rho_grid, args.n) if args.rho_grid else _default_rho_grid(args.n)
+    grid = _parse_rho_grid(args.rho_grid) if args.rho_grid else _default_rho_grid(args.n)
     try:
         comparison = lim.limit_comparison(args.n, ts, grid)
     except (lim.DomainError, ValueError) as exc:
@@ -391,9 +407,7 @@ def cmd_limit(args) -> int:
         writer.writerow([_fmt(t), _fmt(rho), _fmt(d1), _fmt(d2), _fmt(float(d3))])
     _write_output(buf.getvalue(), args.output)
     if args.summary_output:
-        with open(args.summary_output, "w", encoding="utf-8") as fh:
-            json.dump(comparison.summary(), fh, indent=2)
-            fh.write("\n")
+        _write_output(json.dumps(comparison.summary(), indent=2) + "\n", args.summary_output)
     return 0
 
 

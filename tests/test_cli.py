@@ -237,6 +237,35 @@ def test_output_files_written(tmp_path, capsys):
     assert out_path.read_text().startswith("r1,c,alpha")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "--n", "1", "--k", "1", "--r1", "1", "--output"),
+        ("limit", "--n", "1", "--t-list", "0.1", "--rho-grid", "1,2", "--summary-output"),
+    ],
+    ids=["output", "summary-output"],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x"
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_bad_tol_before_sampling(monkeypatch, capsys, tol):
+    import pelab.cli as cli_mod
+
+    def no_sampling(*args):
+        raise AssertionError("points sampled despite a bad --tol")
+
+    monkeypatch.setattr(cli_mod, "_sample_points", no_sampling)
+    code, out, err = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "5", "--tol", tol)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --tol must be a finite number > 0")
+
+
 # -- sampling window, failure exit codes, memory --------------------------------
 
 
@@ -292,13 +321,13 @@ def test_sweep_verify_needs_points(capsys):
 
 
 def _broken_chart(monkeypatch, is_bad, corrupt):
-    """Make pelab.cli build page-pope charts whose metric is corrupted where is_bad(r) holds."""
+    """Make pelab.geom build page-pope charts whose metric is corrupted where is_bad(r) holds."""
     import dataclasses
 
-    import pelab.cli as cli_mod
+    import pelab.geom as geom_mod
     from pelab.jets import Jet2
 
-    real = cli_mod.page_pope_chart
+    real = geom_mod.page_pope_chart
 
     def chart_factory(params):
         chart = real(params)
@@ -310,7 +339,7 @@ def _broken_chart(monkeypatch, is_bad, corrupt):
 
         return dataclasses.replace(chart, metric=metric)
 
-    monkeypatch.setattr(cli_mod, "page_pope_chart", chart_factory)
+    monkeypatch.setattr(geom_mod, "page_pope_chart", chart_factory)
 
 
 def _verify_points(seed, count):

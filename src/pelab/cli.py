@@ -162,6 +162,12 @@ def _radial_window(r1: float) -> tuple[float, float]:
     return r1 + 0.1, max(10.0, r1 + 1.0)
 
 
+def _check_seed(seed: int):
+    """numpy seeds only from non-negative integers."""
+    if seed < 0:
+        raise UsageError("--seed must be >= 0")
+
+
 def _scan(chart, points, lam: float):
     """Per-point geom.SCALAR_COLUMNS; a singular metric or a failed check is a verification failure."""
     from . import geom
@@ -181,6 +187,9 @@ def cmd_verify(args) -> int:
         raise UsageError("--points must be >= 1")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError(f"--tol must be a finite number > 0, got {args.tol!r}")
+    if args.Lambda_check is not None and not math.isfinite(args.Lambda_check):
+        raise UsageError(f"--Lambda-check must be a finite number, got {args.Lambda_check!r}")
+    _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     if args.chart == "page-pope":
         params = _params_from_args(args)
@@ -311,8 +320,10 @@ def _sweep_params(args, value) -> FamilyParams:
 def cmd_sweep(args) -> int:
     if args.param in ("r1", "t") and args.r1 is not None:
         raise UsageError(f"--r1 conflicts with sweeping {args.param}")
-    if args.verify and args.points < 1:
-        raise UsageError("--points must be >= 1")
+    if args.verify:
+        if args.points < 1:
+            raise UsageError("--points must be >= 1")
+        _check_seed(args.seed)
     values = _sweep_values(args)
     header = ["r1", "c", "alpha", "beta_sq_derived", "berger_coeff", "z_scale"]
     if args.verify:

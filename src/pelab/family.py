@@ -27,8 +27,10 @@ No candidate is silently preferred.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .laurent import LaurentPoly, LaurentQuotient, _coerce
 
@@ -239,26 +241,47 @@ def _eval_dual(p: LaurentPoly, at: Fraction) -> _Dual:
 # -- the profile polynomial ---------------------------------------------
 
 
+#: Bounds of the two profile caches.  Every row of a sweep keeps one
+#: antiderivative key and asks for the same P two or three times in a row.
+_ANTIDERIVATIVE_CACHE_SIZE = 16
+_PROFILE_CACHE_SIZE = 32
+
+
 def _r2m1(n: int) -> LaurentPoly:
-    """(r^2 - 1)^n"""
-    return LaurentPoly({2: 1, 0: -1}) ** n
+    """(r^2 - 1)^n by the binomial theorem."""
+    return LaurentPoly({2 * k: (-1) ** (n - k) * comb(n, k) for k in range(n + 1)})
+
+
+def _rhs(n: int, abs_Lambda: Fraction, lam_over_c: Fraction) -> LaurentPoly:
+    """r^-2 [ |Lambda| (r^2-1)^(n+1) + (lam/c) (r^2-1)^n ]."""
+    return LaurentPoly.term(1, -2) * (abs_Lambda * _r2m1(n + 1) + lam_over_c * _r2m1(n))
 
 
 def profile_ode_rhs(params: FamilyParams) -> LaurentPoly:
     """Right-hand side r^-2 [ |Lambda| (r^2-1)^(n+1) + (lam/c) (r^2-1)^n ]."""
-    bracket = params.abs_Lambda * _r2m1(params.n + 1) + (params.lam / params.c) * _r2m1(params.n)
-    return LaurentPoly.term(1, -2) * bracket
+    return _rhs(params.n, params.abs_Lambda, params.lam / params.c)
+
+
+@functools.lru_cache(maxsize=_ANTIDERIVATIVE_CACHE_SIZE)
+def _rhs_antiderivative(n: int, abs_Lambda: Fraction, lam_over_c: Fraction) -> LaurentPoly:
+    """The antiderivative of the rhs with zero constant term; r1 does not enter it."""
+    return _rhs(n, abs_Lambda, lam_over_c).antiderivative()
+
+
+@functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
+def _profile(params: FamilyParams) -> LaurentPoly:
+    q0 = _rhs_antiderivative(params.n, params.abs_Lambda, params.lam / params.c)
+    return LaurentPoly.var() * (q0 - q0(params.r1))
 
 
 def solve_profile(params: FamilyParams) -> LaurentPoly:
     """Exact profile polynomial P: d/dr(r^-1 P) = profile_ode_rhs, P(r1) = 0.
 
     The rhs has only even exponents, so the r^-1 obstruction in
-    antiderivative never triggers.
+    antiderivative never triggers.  P is memoised on the frozen params
+    (LaurentPoly is immutable, so the shared value is safe to return).
     """
-    q0 = profile_ode_rhs(params).antiderivative()
-    q = q0 - q0(params.r1)
-    return LaurentPoly.var() * q
+    return _profile(params)
 
 
 def profile_slope_at_r1(params: FamilyParams, p: LaurentPoly) -> Fraction:

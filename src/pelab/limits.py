@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .family import FamilyParams, metric_coefficients, scaling_action, smooth_c, solve_profile
-from .laurent import LaurentPoly, _coerce
+from .family import FamilyParams, _r2m1, metric_coefficients, scaling_action, smooth_c, solve_profile
+from .laurent import LaurentPoly, LaurentQuotient, _coerce
 
 
 class DomainError(ValueError):
@@ -280,10 +280,7 @@ def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
         # exact theta^2 identity: c'^2 P' (r^2-1)^-n == [C P' /(r^2-1)^(n+1)] * [C (r^2-1)]
         coeffs = metric_coefficients(scaled, p_scaled)
         lhs = coeffs.b
-        from .laurent import LaurentQuotient
-
-        w1 = LaurentPoly({2: 1, 0: -1})
-        rhs = LaurentQuotient(big_c**2 * p_scaled * w1, w1 ** (n + 1))
+        rhs = LaurentQuotient(big_c**2 * p_scaled * _r2m1(1), _r2m1(n + 1))
         if lhs != rhs:
             theta_exact = False
         lower_sq = big_c * ((1 + t) ** 2 - 1)

@@ -253,17 +253,58 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-def test_verify_rejects_bad_tol_before_sampling(monkeypatch, capsys, tol):
+def _forbid_sampling(monkeypatch, why):
     import pelab.cli as cli_mod
 
     def no_sampling(*args):
-        raise AssertionError("points sampled despite a bad --tol")
+        raise AssertionError(f"points sampled despite {why}")
 
     monkeypatch.setattr(cli_mod, "_sample_points", no_sampling)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_bad_tol_before_sampling(monkeypatch, capsys, tol):
+    _forbid_sampling(monkeypatch, "a bad --tol")
     code, out, err = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "5", "--tol", tol)
     assert code == 2 and out == ""
     assert err.startswith("error: --tol must be a finite number > 0")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_lambda_check(monkeypatch, capsys, value):
+    _forbid_sampling(monkeypatch, "a non-finite --Lambda-check")
+    code, out, err = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "5", f"--Lambda-check={value}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --Lambda-check must be a finite number")
+
+
+def test_verify_lambda_check_of_any_finite_sign(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "5", "--Lambda-check", "-3")
+    assert code == 0 and out.endswith("PASS\n")
+    code, out, _ = run(capsys, "verify", "--chart", "rescaled", "--rho1", "0", "--profile-lambda", "4", "--points", "5", "--Lambda-check", "0")
+    assert code == 0 and out.endswith("PASS\n")
+
+
+def test_verify_rejects_negative_seed(monkeypatch, capsys):
+    _forbid_sampling(monkeypatch, "a negative --seed")
+    code, out, err = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "5", "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: --seed must be >= 0\n")
+
+
+def test_sweep_verify_rejects_negative_seed(monkeypatch, capsys):
+    import pelab.family as fam_mod
+
+    def no_rows(params):
+        raise AssertionError("a sweep row was computed despite a negative --seed")
+
+    monkeypatch.setattr(fam_mod, "solve_profile", no_rows)
+    argv = ("sweep", "--param", "r1", "--start", "2", "--stop", "3", "--count", "3", "--n", "1", "--k", "1", "--verify", "--seed", "-1")
+    assert run(capsys, *argv) == (2, "", "error: --seed must be >= 0\n")
+
+
+def test_sweep_without_verify_ignores_the_seed(capsys):
+    argv = ("sweep", "--param", "r1", "--start", "2", "--stop", "3", "--count", "3", "--n", "1", "--k", "1")
+    assert run(capsys, *argv, "--seed", "-1") == run(capsys, *argv)
 
 
 # -- sampling window, failure exit codes, memory --------------------------------

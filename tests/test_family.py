@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from pelab import family as fam
+from pelab.cli import main
 from pelab.family import (
     AuditMismatch,
     ConicCase,
@@ -267,6 +269,83 @@ def test_scaling_invariants():
         assert cone_angle(scaled) == cone_angle(params)
         assert conformal_infinity(scaled).berger_coeff == conformal_infinity(params).berger_coeff
         assert solve_profile(scaled) == solve_profile(params) / a
+
+
+# -- the memoised profile ---------------------------------------------------
+
+W = LaurentPoly({2: 1, 0: -1})
+
+
+def reference_profile(params):
+    """r (q0 - q0(r1)) with q0 the antiderivative of the rhs, built by repeated products."""
+    rhs = LaurentPoly.term(1, -2) * (params.abs_Lambda * W ** (params.n + 1) + (params.lam / params.c) * W**params.n)
+    q0 = rhs.antiderivative()
+    return LaurentPoly.var() * (q0 - q0(params.r1))
+
+
+@pytest.fixture
+def cold_caches():
+    fam._profile.cache_clear()
+    fam._rhs_antiderivative.cache_clear()
+
+
+def test_r2m1_is_the_repeated_product():
+    for n in range(13):
+        assert fam._r2m1(n) == W**n
+
+
+def sweep_rows():
+    """Rows of r1, t, c and k sweeps, in the order the sweeps visit them."""
+    rows = [cpn_catalogue(3, 2, r1=F(101, 100) + F(9, 10) * i) for i in range(12)]  # r1: one key, many r1
+    rows += [cpn_catalogue(1, 1, r1=1 + t) for t in (F(1, 10), F(1, 100), F(1, 1000), F(0))]  # t
+    rows += [FamilyParams(n=2, lam=F(3), c=F(j, 4), Lambda=F(-2), r1=F(3, 2)) for j in range(1, 6)]  # c
+    rows += [cpn_catalogue(2, k, r1=F(2)) for k in range(1, 6)]  # k
+    return rows
+
+
+def test_cached_profile_matches_an_uncached_rebuild(cold_caches):
+    rows = sweep_rows()
+    for _ in range(2):  # the second pass reads from the caches
+        for params in rows:
+            assert solve_profile(params) == reference_profile(params)
+    assert fam._rhs_antiderivative.cache_info().misses < len(rows)
+
+
+def test_returned_profile_is_not_changed_by_later_calls(cold_caches):
+    first = solve_profile(EDGE)
+    text = repr(first)
+    _ = first * first - first / 3
+    for params in sweep_rows() * 3:  # more rows than either cache holds
+        solve_profile(params)
+    assert repr(first) == text
+    assert repr(solve_profile(EDGE)) == text
+
+
+def test_r1_sweep_builds_the_antiderivative_once(monkeypatch, capsys, cold_caches):
+    built = []
+    antiderivative = LaurentPoly.antiderivative
+    monkeypatch.setattr(LaurentPoly, "antiderivative", lambda p: built.append(p) or antiderivative(p))
+    profiles = []
+    solve = fam.solve_profile
+    monkeypatch.setattr(fam, "solve_profile", lambda params: profiles.append(params) or solve(params))
+    assert main(["sweep", "--param", "r1", "--start", "1.01", "--stop", "10", "--count", "50", "--k", "1", "--n", "6"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 51
+    assert len(built) == 1
+    assert len(profiles) == 2 * 50  # the calls stay; only their work is shared
+
+
+def test_equivariance_and_ode_checks_compare_independent_values(cold_caches):
+    params = cpn_catalogue(2, 3, r1=F(5, 2))
+    scaling_action(params, F(7, 3))
+    # P(new) and P(old) are two separate solves from two separate antiderivatives
+    assert fam._profile.cache_info().misses == 2
+    assert fam._rhs_antiderivative.cache_info().misses == 2
+    # the rhs is rebuilt on every call, never read back from the antiderivative cache
+    hits = fam._rhs_antiderivative.cache_info().hits
+    rhs = profile_ode_rhs(params)
+    assert rhs is not profile_ode_rhs(params)
+    assert fam._rhs_antiderivative.cache_info().hits == hits
+    assert rhs == (reference_profile(params) * LaurentPoly.term(1, -1)).derivative()
 
 
 def test_z_scale():

@@ -315,10 +315,13 @@ def test_returned_profile_is_not_changed_by_later_calls(cold_caches):
     first = solve_profile(EDGE)
     text = repr(first)
     _ = first * first - first / 3
-    for params in sweep_rows() * 3:  # more rows than either cache holds
-        solve_profile(params)
+    # 40 params over 20 antiderivative keys: more than either cache holds
+    for params in [cpn_catalogue(n, k, r1=F(2) + F(j, 7)) for n in (1, 2, 3, 4) for k in range(1, 6) for j in (0, 1)]:
+        assert solve_profile(params) == reference_profile(params)
     assert repr(first) == text
-    assert repr(solve_profile(EDGE)) == text
+    again = solve_profile(EDGE)
+    assert again is not first  # evicted and solved afresh
+    assert repr(again) == text
 
 
 def test_r1_sweep_builds_the_antiderivative_once(monkeypatch, capsys, cold_caches):

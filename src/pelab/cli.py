@@ -255,7 +255,10 @@ def _resolve_rho1_sq(args) -> Fraction:
         return lim.rho1_limit(args.n).derived_sq
     if spec == "paper":
         return lim.rho1_limit(args.n).paper_sq
-    return _rat(spec) ** 2
+    rho1 = _rat(spec)
+    if rho1 < 0:
+        raise UsageError(f"--rho1 must be >= 0, got {spec}")
+    return rho1**2
 
 
 # -- audit ---------------------------------------------------------------
@@ -479,9 +482,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(text: str) -> bool:
+    if not text.startswith("-"):
+        return False
+    for parse in (Fraction, float):
+        try:
+            parse(text)
+            return True
+        except (ValueError, ZeroDivisionError):
+            pass
+    return False
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite "--flag -3/2" as "--flag=-3/2".
+
+    argparse takes a value that starts with "-" only in the shapes -3 and
+    -1.5; a negative p/q, -1e-3, -inf or -nan after a space would be read
+    as an unknown option and reported as a missing argument.
+    """
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and len(flag) > 2 and "=" not in flag and _is_negative_number(token):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except UsageError as exc:
@@ -490,7 +522,7 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
-    except (AuditMismatch, lim.AuditError) as exc:
+    except AuditMismatch as exc:
         print(f"audit mismatch: {exc}", file=sys.stderr)
         return AUDIT_ERROR
     except (fam.NoSmoothMetric, fam.ConicCase, fam.EdgeCase, lim.DomainError) as exc:

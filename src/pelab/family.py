@@ -188,56 +188,6 @@ class AsymptoticsReport:
     decade_factors: tuple
 
 
-# -- exact first-order jets at a rational point ------------------------
-
-
-class _Dual:
-    """a + b*eps with eps^2 = 0, over exact rationals.
-
-    Used to extract P(r1) and P'(r1) from the polynomial itself, as an
-    expansion route independent of the closed-form slope formula.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = _coerce(a)
-        self.b = _coerce(b)
-
-    def __add__(self, other):
-        other = other if isinstance(other, _Dual) else _Dual(other, 0)
-        return _Dual(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = other if isinstance(other, _Dual) else _Dual(other, 0)
-        return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self):
-        if self.a == 0:
-            raise ZeroDivisionError("dual number with zero value part")
-        return _Dual(1 / self.a, -self.b / self.a**2)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.reciprocal() ** (-k)
-        out = _Dual(1, 0)
-        for _ in range(k):
-            out = out * self
-        return out
-
-
-def _eval_dual(p: LaurentPoly, at: Fraction) -> _Dual:
-    x = _Dual(at, 1)
-    out = _Dual(0, 0)
-    for e, c in p.items():
-        out = out + c * x**e
-    return out
-
-
 # -- the profile polynomial ---------------------------------------------
 
 
@@ -386,18 +336,18 @@ def edge_model(params: FamilyParams, p: LaurentPoly) -> EdgeModel:
 def expand_at_edge(params: FamilyParams, p: LaurentPoly) -> tuple[Fraction, Fraction, Fraction]:
     """Exact jet expansion of the metric at r = r1 + s^2; the arbiter.
 
-    Evaluates P and (r^2-1)^n on the dual number r1 + eps, keeps the
+    Reads P(r1) and P'(r1) off the Taylor shift P(r1 + w), keeps the
     leading order in w = r - r1, substitutes dr^2 = 4 w ds^2, and factors
     the model scale * (ds^2 + alpha_sq s^2 theta^2 + beta_sq ghat).
     Returns (scale, alpha_sq, beta_sq).
     """
     if params.is_conic:
         raise ConicCase("r1 = 1 has no edge; use conic_model")
-    pd = _eval_dual(p, params.r1)
-    if pd.a != 0:
-        raise AuditMismatch(f"P(r1) = {pd.a} != 0")
-    pp = pd.b
-    n0 = _eval_dual(_r2m1(params.n), params.r1).a
+    shifted = p.shift(params.r1)
+    if shifted.coefficient(0) != 0:
+        raise AuditMismatch(f"P(r1) = {shifted.coefficient(0)} != 0")
+    pp = shifted.coefficient(1)
+    n0 = _r2m1(params.n)(params.r1)
     # dr^2 slot: (r^2-1)^n / P ~ n0/(pp w); times 4w gives the ds^2 coefficient
     scale = 4 * n0 / pp
     # theta^2 slot: c^2 P (r^2-1)^-n ~ (c^2 pp / n0) w = (c^2 pp / n0) s^2 * (scale/scale)
@@ -407,19 +357,8 @@ def expand_at_edge(params: FamilyParams, p: LaurentPoly) -> tuple[Fraction, Frac
     return scale, alpha_sq, beta_sq
 
 
-def _shift_to_one(p: LaurentPoly) -> LaurentPoly:
-    """P(1 + u) as an exact polynomial in u (requires no negative exponents)."""
-    if p and p.min_exponent < 0:
-        raise ValueError("Taylor shift needs a genuine polynomial")
-    u_plus_1 = LaurentPoly({1: 1, 0: 1})
-    out = LaurentPoly()
-    for e, c in p.items():
-        out = out + c * u_plus_1**e
-    return out
-
-
 def conic_model(params: FamilyParams, p: LaurentPoly) -> ConicModel:
-    """Exact conic model at r1 = 1 via the Taylor jet of P at r = 1.
+    """Exact conic model at r1 = 1 via the Taylor shift P(1 + u) of P.
 
     P(1+u) = K u^(n+1) + ... with K = (lam/c) 2^n / (n+1); substituting
     u = (K/2^(n+2)) s^2 normalises the ds^2 slot to 1 and yields
@@ -428,7 +367,7 @@ def conic_model(params: FamilyParams, p: LaurentPoly) -> ConicModel:
     if not params.is_conic:
         raise EdgeCase("r1 > 1 has an edge; use edge_model")
     n = params.n
-    shifted = _shift_to_one(p)
+    shifted = p.shift(1)
     for j in range(n + 1):
         if shifted.coefficient(j) != 0:
             raise AuditMismatch(f"P should vanish to order {n + 1} at r = 1; u^{j} term is {shifted.coefficient(j)}")

@@ -7,7 +7,7 @@ coefficients are never stored, so the representation is canonical and
 structural equality coincides with mathematical equality.
 
 All arithmetic (+, -, *, integer powers, derivative, antiderivative,
-evaluation at rational points) is exact.  Floats enter only through
+Taylor shift, evaluation at rational points) is exact.  Floats enter only through
 :meth:`LaurentPoly.eval_float`, which rounds each term separately.
 Values are immutable after construction and safe to share.
 """
@@ -192,6 +192,22 @@ class LaurentPoly:
         if -1 in self._coeffs:
             raise NonIntegrableTerm("r^-1 term integrates to a logarithm")
         return LaurentPoly({e + 1: c / (e + 1) for e, c in self._coeffs.items()})
+
+    def shift(self, a) -> "LaurentPoly":
+        """P(a + u) as a polynomial in u, by the binomial theorem.
+
+        The exact Taylor expansion at r = a: the u^j coefficient is
+        P^(j)(a)/j!.  Negative exponents have no finite expansion here and
+        raise ValueError.
+        """
+        if self._coeffs and self.min_exponent < 0:
+            raise ValueError("Taylor shift needs a genuine polynomial")
+        a = _coerce(a)
+        out: dict[int, Fraction] = {}
+        for e, c in self._coeffs.items():
+            for j in range(e + 1):
+                out[j] = out.get(j, Fraction(0)) + c * math.comb(e, j) * a ** (e - j)
+        return LaurentPoly(out)
 
     # -- evaluation ---------------------------------------------------
 

@@ -15,7 +15,8 @@ Only rho1^2 enters the closed form, so profiles carry it as an exact
 rational and every identity here (ODE residual, smoothness at rho1, the
 theta^2 coefficient identity at finite t) is checked in exact arithmetic.
 The inner radius circulates in two forms: the internally consistent
-rho1^2 = 2/(2n+1) obtained from the smooth-cone limit, and the printed
+rho1^2 = 2/(2n+1) obtained from the smooth-cone family, where c_t (t+2)
+is exactly t-independent (rho1_limit checks this at three t), and the printed
 rho1^2 = 4/(2n+1); both are reported and the regularity of g_inf at rho1
 does not depend on the choice.
 """
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .family import FamilyParams, _r2m1, metric_coefficients, scaling_action, smooth_c, solve_profile
+from .family import AuditMismatch, FamilyParams, _r2m1, metric_coefficients, scaling_action, smooth_c, solve_profile
 from .laurent import LaurentPoly, LaurentQuotient, _coerce
 
 
@@ -134,17 +135,14 @@ def rescale_map(params: FamilyParams, r) -> RescalePoint:
     return RescalePoint(rho_sq=params.c * w, u=params.c * p(r) / w ** (params.n + 1))
 
 
-class AuditError(AssertionError):
-    """Numerical extrapolation failed its consistency check."""
-
-
 @dataclass(frozen=True)
 class Rho1Limit:
     """Both candidates for the inner radius squared of the limit profile.
 
-    derived_sq is lim_{t->0} c_t (t+2) with c_t the smooth-cone value,
-    evaluated exactly at three geometrically spaced t with a Richardson
-    consistency check; paper_sq = 4/(2n+1) is the printed constant.
+    derived_sq is lim_{t->0} c_t (t+2) with c_t the smooth-cone value.
+    For lam = 2 the product is t-independent: it is evaluated exactly at
+    three geometrically spaced t (samples), which must agree exactly.
+    paper_sq = 4/(2n+1) is the printed constant.
     """
 
     derived_sq: Fraction
@@ -161,21 +159,12 @@ class Rho1Limit:
 
 
 def rho1_limit(n: int) -> Rho1Limit:
-    """Extrapolate rho1^2 = lim c_t (t+2) for the lam = 2 family."""
+    """rho1^2 = c_t (t+2) for the lam = 2 family, checked exactly t-independent."""
     ts = [Fraction(1, 10**k) for k in (4, 6, 8)]
-    values = []
-    for t in ts:
-        c_t = smooth_c(n, 2, -(2 * n + 1), 1 + t)
-        values.append(c_t * (t + 2))
-    v1, v2, v3 = values
-    # Richardson step: with first-order error the extrapolant is
-    # v3 + (v3 - v2)/(ratio - 1); consistency of the two increments at
-    # relative tolerance 1e-6 guards against a wrong convergence model.
-    extrapolated = v3 if v3 == v2 else v3 + (v3 - v2) / (Fraction(10**2) - 1)
-    spread = max(values) - min(values)
-    if abs(extrapolated) > 0 and spread / abs(extrapolated) > Fraction(1, 10**6):
-        raise AuditError(f"rho1 extrapolation unstable: {values}")
-    return Rho1Limit(derived_sq=extrapolated, paper_sq=Fraction(4, 2 * n + 1), samples=tuple(values))
+    values = tuple(smooth_c(n, 2, -(2 * n + 1), 1 + t) * (t + 2) for t in ts)
+    if len(set(values)) != 1:
+        raise AuditMismatch(f"rho1^2 = c_t (t+2) depends on t: {values}")
+    return Rho1Limit(derived_sq=values[0], paper_sq=Fraction(4, 2 * n + 1), samples=values)
 
 
 @dataclass(frozen=True)
@@ -262,7 +251,9 @@ def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
     order is the log-log slope of the sup deviation against t.
     """
     ts = [_coerce(t) for t in t_values]
-    if any(t <= 0 for t in ts) or sorted(ts, reverse=True) != ts:
+    if not ts:
+        raise ValueError("t_values must not be empty")
+    if any(t <= 0 for t in ts) or any(later >= t for t, later in zip(ts, ts[1:])):
         raise ValueError("t_values must be positive and decreasing")
     grid = [_coerce(rho) for rho in rho_grid]
     lam = Fraction(2)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import tracemalloc
@@ -64,6 +65,28 @@ def test_family_invalid_params_exit_2(capsys):
     assert code == 2
 
 
+# sha256 of the full stdout of exact-only commands: the edge and conic
+# arbiters and the audit table must stay byte-identical.
+EXACT_GOLDENS = [
+    ("audit", "c2bc06070a51e07bb47a8abbf3a995a88e94c42c42ae4d5e71497b94a8a5945d"),
+    ("audit --format json", "44b14f3c8c602897b7913c50da204fa2b6571ce92b9711466192a198e9f5f364"),
+    ("family --n 1 --k 3 --r1 1", "82fc9da85ab2a987718237b8787b1dca052829dcadb3679afd0cbb65f4638111"),
+    ("family --n 2 --k 3 --r1 1", "6495d85b099916614fb3c0cfe7eb6f0882b0f46a9e04a2f1b9aa42c7cff91774"),
+    ("family --n 4 --k 3 --r1 1", "982c027b88b694275f459d57eb16ba9cc8bf55e2c9b82dad8f926e3e25fd5ea9"),
+    ("family --n 10 --k 3 --r1 1", "688b6f4b5bf655cf9c1cc757b18982b80f7b32c7c1c82af39a497238cf7360e1"),
+    ("family --n 4 --k 5 --r1 7/3", "fa6cc6cb310f6d6f0d04d528785962a90e22619ae7cd469f4c117e686cebc0a7"),
+    ("family --n 4 --k 5 --r1 7/3 --format json", "d15490fa9edd48de67b550e56a085c32b10c324ffc1b30c31d1eaea655a26c6c"),
+    ("family --n 2 --lambda 3 --c 1/2 --Lambda -5 --r1 3/2", "f5959651f2e9c12c1b87eeedfbc55571dc03e364f9d3dd9b3afa4728faba835e"),
+]
+
+
+@pytest.mark.parametrize("command, digest", EXACT_GOLDENS, ids=[command for command, _ in EXACT_GOLDENS])
+def test_exact_output_golden(capsys, command, digest):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -93,6 +116,14 @@ def test_verify_rescaled_chart(capsys):
     assert "PASS" in out
     code, out, _ = run(capsys, "verify", "--chart", "rescaled", "--rho1", "paper", "--points", "4")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [("--rho1", "-1"), ("--rho1=-1/2",)])
+def test_verify_rejects_negative_rho1(monkeypatch, capsys, argv):
+    _forbid_sampling(monkeypatch, "a negative --rho1")
+    code, out, err = run(capsys, "verify", "--chart", "rescaled", *argv, "--points", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --rho1 must be >= 0")
 
 
 def test_verify_deterministic(capsys):
@@ -209,6 +240,13 @@ def test_limit_grid_outside_domain_exits_2(capsys):
     assert "inner radius" in err
 
 
+@pytest.mark.parametrize("t_list", ["0.1,0.1", ",,"])
+def test_limit_repeated_or_empty_t_exits_2(capsys, t_list):
+    code, out, err = run(capsys, "limit", "--n", "1", "--t-list", t_list)
+    assert code == 2 and out == ""
+    assert err.startswith("error: t_values must")
+
+
 def test_audit_mismatch_maps_to_exit_3(monkeypatch, capsys):
     import pelab.cli as cli_mod
     from pelab.family import AuditMismatch
@@ -276,6 +314,31 @@ def test_verify_rejects_non_finite_lambda_check(monkeypatch, capsys, value):
     code, out, err = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "5", f"--Lambda-check={value}")
     assert code == 2 and out == ""
     assert err.startswith("error: --Lambda-check must be a finite number")
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan"])
+def test_verify_non_finite_lambda_check_after_a_space(monkeypatch, capsys, value):
+    _forbid_sampling(monkeypatch, "a non-finite --Lambda-check")
+    code, out, err = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "5", "--Lambda-check", value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --Lambda-check must be a finite number")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "--n", "1", "--lambda", "2", "--c", "1/3", "--Lambda", "-3/2", "--r1", "2"),
+        ("family", "--n", "1", "--lambda", "2", "--c", "1/3", "--Lambda", "-3e0", "--r1", "2"),
+        ("sweep", "--n", "1", "--k", "1", "--param", "r1", "--start", "-1/2", "--stop", "2", "--count", "3"),
+        ("verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "3", "--Lambda-check", "-1e-3"),
+    ],
+)
+def test_negative_value_after_a_space_parses_as_with_equals(capsys, argv):
+    i = next(i for i, token in enumerate(argv) if token[0] == "-" and token[1:2] != "-")
+    joined = (*argv[: i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1 :])
+    spaced = run(capsys, *argv)
+    assert "expected one argument" not in spaced[2]
+    assert spaced == run(capsys, *joined)
 
 
 def test_verify_lambda_check_of_any_finite_sign(capsys):

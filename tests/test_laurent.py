@@ -120,3 +120,40 @@ def test_distributive(p, q, s):
 def test_eval_is_ring_homomorphism(p, q, x):
     assert (p * q)(x) == p(x) * q(x)
     assert (p + q)(x) == p(x) + q(x)
+
+
+def _shift_reference(p, a):
+    """sum c (u + a)^e by repeated products of (u + a)."""
+    u_plus_a = LaurentPoly({1: 1, 0: a})
+    out = LaurentPoly()
+    for e, c in p.items():
+        out = out + c * u_plus_a**e
+    return out
+
+
+genuine = st.dictionaries(st.integers(min_value=0, max_value=10), coeffs, max_size=6).map(LaurentPoly)
+centres = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+
+def test_shift_examples():
+    # the conic fixture P = r^4 - 4r + 3 vanishes to second order at r = 1
+    assert LaurentPoly({4: 1, 1: -4, 0: 3}).shift(1) == LaurentPoly({4: 1, 3: 4, 2: 6})
+    assert R2M1.shift(2) == LaurentPoly({2: 1, 1: 4, 0: 3})
+    assert LaurentPoly().shift(5) == LaurentPoly()
+    with pytest.raises(ValueError):
+        LaurentPoly({2: 1, -1: 1}).shift(1)
+
+
+@given(p=genuine, a=centres)
+def test_shift_matches_binomial_composition(p, a):
+    assert p.shift(a) == _shift_reference(p, a)
+
+
+@given(p=genuine, a=centres, u=centres)
+def test_shift_evaluates_at_a_plus_u(p, a, u):
+    assert p.shift(a)(u) == p(a + u)
+
+
+@given(p=genuine, a=centres)
+def test_shift_round_trip(p, a):
+    assert p.shift(a).shift(-a) == p

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pelab.family import FamilyParams
+from pelab.family import AuditMismatch, FamilyParams
 from pelab.laurent import LaurentPoly
 from pelab.limits import (
     DomainError,
@@ -97,6 +97,20 @@ def test_rho1_limit():
         assert rho1_limit(n).paper_sq == F(4, 2 * n + 1)
 
 
+def test_rho1_limit_rejects_any_t_dependence(monkeypatch, capsys):
+    import pelab.limits as limits
+    from pelab.cli import main
+
+    exact = limits.smooth_c
+    # c_t (1 + t^2) spreads the three samples by about 1e-8 relative, which a
+    # 1e-6 extrapolation tolerance would accept; the exact check must not
+    monkeypatch.setattr(limits, "smooth_c", lambda n, lam, Lambda, r1: exact(n, lam, Lambda, r1) * (1 + (r1 - 1) ** 2))
+    with pytest.raises(AuditMismatch):
+        rho1_limit(1)
+    assert main(["limit", "--n", "1"]) == 3
+    assert capsys.readouterr().err.startswith("audit mismatch: rho1^2")
+
+
 def test_limit_smoothness_lam2():
     # alpha = 1 exactly for lam = 2, independent of n and rho1
     for n, rho1_sq in [(1, F(4, 3)), (1, F(2, 3)), (3, F(7, 5)), (2, F(1, 9))]:
@@ -169,3 +183,7 @@ def test_limit_comparison_domain_error():
 def test_limit_comparison_validates_t():
     with pytest.raises(ValueError):
         limit_comparison(1, [F(1, 100), F(1, 10)], _default_grid())
+    with pytest.raises(ValueError):
+        limit_comparison(1, [F(1, 10), F(1, 10)], _default_grid())
+    with pytest.raises(ValueError):
+        limit_comparison(1, [], _default_grid())

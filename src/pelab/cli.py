@@ -25,7 +25,6 @@ from . import family as fam
 from . import limits as lim
 from .audits import render_table, run_audits
 from .family import AuditMismatch, FamilyParams
-from .laurent import LaurentPoly
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -47,6 +46,14 @@ def _rat(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r} ({exc})") from exc
 
 
+def _real(text: str) -> float:
+    """A float flag that also takes an exact p/q."""
+    try:
+        return float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -57,13 +64,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _add_param_flags(sub, include_r1: bool = True):
+def _add_param_flags(sub):
     sub.add_argument("--n", type=int, default=1, help="complex dimension of the base (default 1)")
     sub.add_argument("--lambda", dest="lam", type=_rat, help="base Einstein constant lam > 0")
     sub.add_argument("--c", type=_rat, help="fibre scale c > 0")
     sub.add_argument("--Lambda", type=_rat, help="total Einstein constant Lambda < 0")
-    if include_r1:
-        sub.add_argument("--r1", type=_rat, help="root radius r1 >= 1")
+    sub.add_argument("--r1", type=_rat, help="root radius r1 >= 1")
     sub.add_argument("--k", type=int, help="catalogue shortcut: lam=(2n+2)/k, c=1/k, Lambda=-(2n+1)")
 
 
@@ -78,10 +84,15 @@ def _params_from_args(args, r1=None) -> FamilyParams:
     missing = [name for name, v in (("--lambda", args.lam), ("--c", args.c), ("--Lambda", args.Lambda), ("--r1", r1)) if v is None]
     if missing:
         raise UsageError(f"missing required flags: {', '.join(missing)}")
-    try:
-        return FamilyParams(n=args.n, lam=args.lam, c=args.c, Lambda=args.Lambda, r1=r1)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return FamilyParams(n=args.n, lam=args.lam, c=args.c, Lambda=args.Lambda, r1=r1)
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _write_output(text: str, path: str | None):
@@ -191,10 +202,10 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--Lambda-check must be a finite number, got {args.Lambda_check!r}")
     _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
-    if args.chart == "page-pope":
-        params = _params_from_args(args)
-        if params.n != 1:
-            raise UsageError("the chart verification covers n = 1")
+    params = _params_from_args(args) if args.chart == "page-pope" else None
+    if args.n != 1:
+        raise UsageError("the chart verification covers n = 1")
+    if params is not None:
         chart = geom.page_pope_chart(params)
         lam_check = args.Lambda_check if args.Lambda_check is not None else float(params.Lambda)
         points = _sample_points(rng, args.points, *_radial_window(float(params.r1)))
@@ -230,12 +241,7 @@ def cmd_verify(args) -> int:
         }
         _write_output(json.dumps(payload, indent=2) + "\n", args.output)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([*chart.coords, *geom.SCALAR_COLUMNS])
-        for row in np.hstack([points, columns]).tolist():
-            writer.writerow([_fmt(x) for x in row])
-        _write_output(buf.getvalue(), args.output)
+        _write_output(_csv_text([*chart.coords, *geom.SCALAR_COLUMNS], np.hstack([points, columns]).tolist()), args.output)
     else:
         lines = [
             f"chart: {label}",
@@ -298,7 +304,7 @@ def _sweep_values(args):
 
 
 def _sweep_params(args, value) -> FamilyParams:
-    exact = value if isinstance(value, Fraction) else Fraction(repr(value)) if isinstance(value, float) else Fraction(value)
+    exact = value if isinstance(value, Fraction) else Fraction(repr(value))
     if args.param == "r1":
         return _params_from_args(args, r1=exact)
     if args.param == "t":
@@ -311,13 +317,12 @@ def _sweep_params(args, value) -> FamilyParams:
         if args.lam is None or args.Lambda is None or args.r1 is None:
             raise UsageError("sweeping c needs --lambda, --Lambda, --r1")
         return FamilyParams(n=args.n, lam=args.lam, c=exact, Lambda=args.Lambda, r1=args.r1)
-    if args.param == "k":
-        if args.k is not None or args.lam is not None or args.c is not None or args.Lambda is not None:
-            raise UsageError("sweeping k fixes lam, c, Lambda; only --n and --r1 may be given")
-        if args.r1 is None:
-            raise UsageError("sweeping k needs --r1")
-        return fam.cpn_catalogue(args.n, int(exact), args.r1)
-    raise UsageError(f"unknown sweep parameter {args.param!r}")
+    # k: the --param choices leave no other parameter
+    if args.k is not None or args.lam is not None or args.c is not None or args.Lambda is not None:
+        raise UsageError("sweeping k fixes lam, c, Lambda; only --n and --r1 may be given")
+    if args.r1 is None:
+        raise UsageError("sweeping k needs --r1")
+    return fam.cpn_catalogue(args.n, int(exact), args.r1)
 
 
 def cmd_sweep(args) -> int:
@@ -366,12 +371,7 @@ def cmd_sweep(args) -> int:
         payload = [{name: _fmt(v) if not isinstance(v, float) else v for name, v in zip(header, row)} for row in rows]
         _write_output(json.dumps(payload, indent=2) + "\n", args.output)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        _write_output(buf.getvalue(), args.output)
+        _write_output(_csv_text(header, rows), args.output)
     return 0
 
 
@@ -399,10 +399,7 @@ def _default_rho_grid(n: int):
 def cmd_limit(args) -> int:
     ts = [_rat(v) for v in args.t_list.split(",") if v]
     grid = _parse_rho_grid(args.rho_grid) if args.rho_grid else _default_rho_grid(args.n)
-    try:
-        comparison = lim.limit_comparison(args.n, ts, grid)
-    except (lim.DomainError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    comparison = lim.limit_comparison(args.n, ts, grid)
 
     if args.format == "json":
         payload = {
@@ -414,12 +411,8 @@ def cmd_limit(args) -> int:
         }
         _write_output(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t", "rho", "dev_drho2", "dev_theta2", "dev_base"])
-    for t, rho, d1, d2, d3 in comparison.rows:
-        writer.writerow([_fmt(t), _fmt(rho), _fmt(d1), _fmt(d2), _fmt(float(d3))])
-    _write_output(buf.getvalue(), args.output)
+    rows = [(t, rho, d1, d2, float(d3)) for t, rho, d1, d2, d3 in comparison.rows]
+    _write_output(_csv_text(["t", "rho", "dev_drho2", "dev_theta2", "dev_base"], rows), args.output)
     if args.summary_output:
         _write_output(json.dumps(comparison.summary(), indent=2) + "\n", args.summary_output)
     return 0
@@ -428,15 +421,20 @@ def cmd_limit(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+def _add_output_flags(sub, func, formats: list[str]):
+    """--format (default: the first of formats), --output, and the command to run."""
+    sub.add_argument("--format", choices=formats, default=formats[0])
+    sub.add_argument("--output", help="write to file instead of stdout")
+    sub.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pelab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_family = subs.add_parser("family", help="closed-form data of one family member")
     _add_param_flags(p_family)
-    p_family.add_argument("--format", choices=["text", "json"], default="text")
-    p_family.add_argument("--output", help="write to file instead of stdout")
-    p_family.set_defaults(func=cmd_family)
+    _add_output_flags(p_family, cmd_family, ["text", "json"])
 
     p_verify = subs.add_parser("verify", help="numerical Einstein verification at sampled points")
     _add_param_flags(p_verify)
@@ -445,16 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--profile-lambda", dest="profile_lambda", type=_rat, default=Fraction(2), help="profile constant for the rescaled chart (2 canonical, 4 flat)")
     p_verify.add_argument("--points", type=int, default=20)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=1e-6)
-    p_verify.add_argument("--Lambda-check", dest="Lambda_check", type=float, help="override the Einstein constant used in the residual")
-    p_verify.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_verify.add_argument("--output", help="write to file instead of stdout")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.add_argument("--tol", type=_real, default=1e-6)
+    p_verify.add_argument("--Lambda-check", dest="Lambda_check", type=_real, help="override the Einstein constant used in the residual")
+    _add_output_flags(p_verify, cmd_verify, ["text", "json", "csv"])
 
     p_audit = subs.add_parser("audit", help="printed vs derived formula audit table")
-    p_audit.add_argument("--format", choices=["text", "json"], default="text")
-    p_audit.add_argument("--output", help="write to file instead of stdout")
-    p_audit.set_defaults(func=cmd_audit)
+    _add_output_flags(p_audit, cmd_audit, ["text", "json"])
 
     p_sweep = subs.add_parser("sweep", help="parameter sweep to CSV/JSON")
     _add_param_flags(p_sweep)
@@ -466,18 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--verify", action="store_true", help="add a max einstein residual column (n = 1)")
     p_sweep.add_argument("--points", type=int, default=5, help="verification points per row")
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.add_argument("--output", help="write to file instead of stdout")
-    p_sweep.set_defaults(func=cmd_sweep)
+    _add_output_flags(p_sweep, cmd_sweep, ["csv", "json"])
 
     p_limit = subs.add_parser("limit", help="rescaled-limit deviation table")
     p_limit.add_argument("--n", type=int, default=1)
     p_limit.add_argument("--t-list", dest="t_list", default="0.1,0.01,0.001")
     p_limit.add_argument("--rho-grid", dest="rho_grid", help="comma list of rho values or start:stop:count")
-    p_limit.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_limit.add_argument("--output", help="write to file instead of stdout")
+    _add_output_flags(p_limit, cmd_limit, ["csv", "json"])
     p_limit.add_argument("--summary-output", dest="summary_output", help="write the JSON summary to a file (csv format only)")
-    p_limit.set_defaults(func=cmd_limit)
 
     return parser
 
@@ -516,19 +506,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     except AuditMismatch as exc:
         print(f"audit mismatch: {exc}", file=sys.stderr)
         return AUDIT_ERROR
-    except (fam.NoSmoothMetric, fam.ConicCase, fam.EdgeCase, lim.DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError and the domain errors of family and limits
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, log
 
 from .laurent import LaurentPoly, LaurentQuotient, _coerce
 
@@ -517,23 +517,26 @@ def zero_section_collapse_exponents(n: int, t_values) -> tuple[float, float]:
     the measured exponents are about 1 and 1/2; they are reported, not
     asserted against any claimed order.
     """
-    import math
-
     ts = [_coerce(t) for t in t_values]
     if len(ts) < 2 or any(t <= 0 for t in ts):
         raise ValueError("need at least two positive t values")
-    logs_t = [math.log(float(t)) for t in ts]
-    logs_z = [math.log(float(z_scale(cpn_catalogue(n, 1, r1=1 + t)))) for t in ts]
-    tbar = sum(logs_t) / len(logs_t)
-    zbar = sum(logs_z) / len(logs_z)
-    slope = sum((a - tbar) * (b - zbar) for a, b in zip(logs_t, logs_z)) / sum((a - tbar) ** 2 for a in logs_t)
+    slope = _loglog_slope(ts, [z_scale(cpn_catalogue(n, 1, r1=1 + t)) for t in ts])
     return slope, slope / 2
 
 
-def family_report(params: FamilyParams, samples: int = 25) -> dict:
+def _loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log y against log x."""
+    logs_x = [log(float(x)) for x in xs]
+    logs_y = [log(float(y)) for y in ys]
+    xbar = sum(logs_x) / len(logs_x)
+    ybar = sum(logs_y) / len(logs_y)
+    return sum((a - xbar) * (b - ybar) for a, b in zip(logs_x, logs_y)) / sum((a - xbar) ** 2 for a in logs_x)
+
+
+def family_report(params: FamilyParams) -> dict:
     """Aggregate JSON-friendly record for one family member."""
     p = solve_profile(params)
-    pos = positivity_check(params, p, samples)
+    pos = positivity_check(params, p, samples=25)
     out = params.as_dict()
     out["P_text"] = p.to_text()
     out["berger_coeff"] = str(conformal_infinity(params).berger_coeff)

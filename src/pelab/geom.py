@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -308,21 +308,14 @@ def curvature_reports(chart: ChartMetric, points, lam: float | None = None) -> C
     return _report(pts, G, dG, ddG, lam)
 
 
-def curvature_report(chart: ChartMetric, point, lam: float | None = None, scheme: str = "jet", step: float = 1e-3) -> CurvatureReport:
-    """Full curvature data at a point; scheme 'jet' or 'fd'.
+def curvature_report(chart: ChartMetric, point, lam: float | None = None) -> CurvatureReport:
+    """Full curvature data at a point.
 
-    The jet scheme runs the code of :func:`curvature_reports` with an
-    empty batch shape.
+    Runs the code of :func:`curvature_reports` with an empty batch shape.
     """
     pt = np.asarray(point, dtype=float)
     _check_domain(chart, [pt])
-    if scheme == "jet":
-        G, dG, ddG = metric_derivatives_jet(chart, pt)
-    elif scheme == "fd":
-        G, dG, ddG = metric_derivatives_fd(chart, pt, step)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return _report(pt, G, dG, ddG, lam)
+    return _report(pt, *metric_derivatives_jet(chart, pt), lam)
 
 
 BLOCK_POINTS = 128
@@ -370,7 +363,9 @@ def einstein_residual(chart: ChartMetric, lam: float, point) -> float:
 
 def fd_oracle(chart: ChartMetric, point, step: float = 1e-3, lam: float | None = None) -> CurvatureReport:
     """Curvature via 4th-order finite differences only; the cross-check path."""
-    return curvature_report(chart, point, lam=lam, scheme="fd", step=step)
+    pt = np.asarray(point, dtype=float)
+    _check_domain(chart, [pt])
+    return _report(pt, *metric_derivatives_fd(chart, pt, step), lam)
 
 
 def sectional(chart: ChartMetric, point, x, y) -> float:

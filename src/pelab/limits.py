@@ -24,10 +24,10 @@ does not depend on the choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .family import AuditMismatch, FamilyParams, _r2m1, metric_coefficients, scaling_action, smooth_c, solve_profile
+from .family import AuditMismatch, FamilyParams, _loglog_slope, _r2m1, metric_coefficients, scaling_action, smooth_c, solve_profile
 from .laurent import LaurentPoly, LaurentQuotient, _coerce
 
 
@@ -82,12 +82,6 @@ class RescaledProfile:
                 raise ZeroDivisionError("U undefined at rho = 0 when rho1 > 0")
             return self.limit_value
         return self.limit_value * (1 - self.rho1_sq ** (self.n + 1) / rho_sq ** (self.n + 1))
-
-    def u_prime_at(self, rho):
-        """U'(rho) = lam * rho1^(2n+2) / rho^(2n+3)."""
-        if isinstance(rho, float):
-            return self.as_laurent().derivative().eval_float(rho)
-        return self.as_laurent().derivative()(_coerce(rho))
 
 
 def rescaled_profile(n: int, lam, rho1_sq) -> RescaledProfile:
@@ -294,17 +288,10 @@ def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
         sups["dev_theta2"].append(worst[1])
         sups["dev_base"].append(worst[2])
 
-    orders = {}
-    for key, values in sups.items():
-        if any(v == 0 for v in values) or len(ts) < 2:
-            orders[key] = None
-            continue
-        logs_t = [math.log(float(t)) for t in ts]
-        logs_v = [math.log(float(v)) for v in values]
-        tbar = sum(logs_t) / len(logs_t)
-        vbar = sum(logs_v) / len(logs_v)
-        slope = sum((a - tbar) * (b - vbar) for a, b in zip(logs_t, logs_v)) / sum((a - tbar) ** 2 for a in logs_t)
-        orders[key] = slope
+    orders = {
+        key: None if any(v == 0 for v in values) or len(ts) < 2 else _loglog_slope(ts, values)
+        for key, values in sups.items()
+    }
     return LimitComparison(
         t_values=tuple(ts),
         rho_grid=tuple(grid),

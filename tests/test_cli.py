@@ -15,7 +15,10 @@ from pelab.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse: --help and malformed flags
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -65,8 +68,10 @@ def test_family_invalid_params_exit_2(capsys):
     assert code == 2
 
 
-# sha256 of the full stdout of exact-only commands: the edge and conic
-# arbiters and the audit table must stay byte-identical.
+# sha256 of the full stdout of exact-only commands, of sweep --verify and of
+# every --help page: the edge and conic arbiters, the audit table, the CSV and
+# JSON writers and the option surface must stay byte-identical.  A command
+# with {summary} hashes its stdout followed by the --summary-output file.
 EXACT_GOLDENS = [
     ("audit", "c2bc06070a51e07bb47a8abbf3a995a88e94c42c42ae4d5e71497b94a8a5945d"),
     ("audit --format json", "44b14f3c8c602897b7913c50da204fa2b6571ce92b9711466192a198e9f5f364"),
@@ -77,14 +82,59 @@ EXACT_GOLDENS = [
     ("family --n 4 --k 5 --r1 7/3", "fa6cc6cb310f6d6f0d04d528785962a90e22619ae7cd469f4c117e686cebc0a7"),
     ("family --n 4 --k 5 --r1 7/3 --format json", "d15490fa9edd48de67b550e56a085c32b10c324ffc1b30c31d1eaea655a26c6c"),
     ("family --n 2 --lambda 3 --c 1/2 --Lambda -5 --r1 3/2", "f5959651f2e9c12c1b87eeedfbc55571dc03e364f9d3dd9b3afa4728faba835e"),
+    ("limit --n 1", "3e02f6491cf82a421a420cdc84799ce9fbc5500eb5695fa200e4a6c33d6b5147"),
+    ("limit --n 1 --format json", "e41117ac75049c999a929117cf9b14233d27d79bb391f336c7467d452ac9b398"),
+    ("limit --n 2 --rho-grid 1:3:5", "d9848c57ea07222123b02a53ea3fb2789da1600d89024dff6abc0625c998b786"),
+    ("limit --n 1 --t-list 0.1,0.01 --rho-grid 1:2:5 --summary-output {summary}", "011ed40d5f5f49151c31a234cf9bf2e9692a626e0103de06c3a716f2d494fef9"),
+    ("sweep --param r1 --start 1.01 --stop 10 --count 7 --n 1 --k 1", "741e2c2853571ee9480b2ae636b3e59d052443475fdb5bcfa5c49e347e50a33d"),
+    ("sweep --param r1 --start 2 --stop 3 --count 4 --n 1 --k 1 --format json", "1ccf9809d37d0ba0dc74e55a96b7430553c899a55c88c93f66a4f17181b909e3"),
+    ("sweep --param t --start 1/10 --stop 2 --count 6 --n 1 --k 1", "1406c584ed3fedc32468a3775a87eafa3d799d64b32a21e51c435bcd3c351661"),
+    ("sweep --param t --start 1/1000 --stop 1 --count 4 --spacing log --n 1 --k 1", "c5e6615f3d61df094294cbfe8319bbb290a75b2a7463d30f5d14c7bd3c4b246d"),
+    ("sweep --param c --start 1/4 --stop 2 --count 4 --n 2 --lambda 3 --Lambda -5 --r1 3/2", "e7541c0327d1bf8c3115cf84f005cbad0aa1ebb43b06d11508750d0fbf14eb82"),
+    ("sweep --param k --start 1 --stop 4 --count 4 --n 2 --r1 1 --format json", "c583ee63a18a4ec36b611c6d1c8e035af50ee2eed93293be3ede16ff0423c51b"),
+    ("sweep --param k --start 1 --stop 3 --count 3 --n 1 --r1 5/2 --format json", "9a47ea56ab2e1ac7139a8844bc3fab20fc3c0a0018c87c3105318f66b4beb0f6"),
+    ("sweep --param r1 --start 2 --stop 3 --count 3 --n 1 --k 1 --verify --seed 5", "323886e3304c2eb6fab27032375b39b9f20a5676e628707241a027ee7459dc53"),
+    ("--help", "56e99973dd81066e653ba0bba0026242831cb89e49484ad47dd9d400a0091f05"),
+    ("family --help", "3a5eb7d77b2bc99900714ae525307688a75aeabcefa9b70a48cedd4ed554e0ad"),
+    ("verify --help", "dcecb636ab74bc1718079d3e27574c88d55a0b8671cfd3a444c533b89d0cbca7"),
+    ("audit --help", "31dd1af12b3d6710bf1de60d43d4213c76cf1cbb6dd794fcbbff1791f77f0f61"),
+    ("sweep --help", "a961fbb18a4cf0d2359840bc947a76de210e1789f85b7ccfd1200ecff1f6b75c"),
+    ("limit --help", "0c09697580aeb423b020d56f48e5da0531da24d24a1787b6ad66cf165df61121"),
 ]
 
 
 @pytest.mark.parametrize("command, digest", EXACT_GOLDENS, ids=[command for command, _ in EXACT_GOLDENS])
-def test_exact_output_golden(capsys, command, digest):
-    code, out, err = run(capsys, *command.split())
+def test_exact_output_golden(monkeypatch, tmp_path, capsys, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+    summary = tmp_path / "summary.json"
+    code, out, err = run(capsys, *command.format(summary=summary).split())
     assert (code, err) == (0, "")
+    if summary.exists():
+        out += summary.read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+# Domain and validation errors raised below the CLI reach the user as
+# "error: <message>" with exit code 2 and nothing on stdout.
+USAGE_ERRORS = [
+    ("family --n 1 --lambda 2 --c 1 --Lambda 3 --r1 1", "Lambda must be < 0, got 3"),
+    ("family --n 1 --lambda 2 --c 1 --Lambda -3 --r1 1/2", "r1 must be >= 1, got 1/2"),
+    ("family --n 0 --k 1 --r1 1", "n must be a positive integer, got 0"),
+    ("family --n 1 --k 0 --r1 1", "k must be a positive integer, got 0"),
+    ("sweep --param k --start 0 --stop 2 --count 3 --n 1 --r1 1", "k must be a positive integer, got 0"),
+    ("sweep --param r1 --start 1/2 --stop 3 --count 3 --n 1 --k 1", "r1 must be >= 1, got 1/2"),
+    ("sweep --param c --start 0 --stop 1 --count 3 --spacing log --n 1 --lambda 2 --Lambda -3 --r1 2", "log spacing requires --start > 0"),
+    ("limit --n 1 --t-list 0.1,0.1", "t_values must be positive and decreasing"),
+    ("limit --n 1 --t-list 0", "t_values must be positive and decreasing"),
+    ("limit --n 1 --t-list abc", "not a rational number: 'abc' (Invalid literal for Fraction: 'abc')"),
+    ("limit --n 1 --t-list 0.1 --rho-grid 0.5,1", "rho = 1/2 is below the inner radius for t = 1/10"),
+    ("limit --n 1 --t-list 0.1 --rho-grid 1:2:x", "invalid literal for int() with base 10: 'x'"),
+]
+
+
+@pytest.mark.parametrize("command, message", USAGE_ERRORS, ids=[command for command, _ in USAGE_ERRORS])
+def test_usage_error_message(capsys, command, message):
+    assert run(capsys, *command.split()) == (2, "", f"error: {message}\n")
 
 
 def test_missing_subcommand_exits_2():
@@ -251,7 +301,7 @@ def test_audit_mismatch_maps_to_exit_3(monkeypatch, capsys):
     import pelab.cli as cli_mod
     from pelab.family import AuditMismatch
 
-    def boom(params, samples=25):
+    def boom(params):
         raise AuditMismatch("forced for the exit-code contract")
 
     monkeypatch.setattr(cli_mod.fam, "family_report", boom)
@@ -322,6 +372,28 @@ def test_verify_non_finite_lambda_check_after_a_space(monkeypatch, capsys, value
     code, out, err = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "5", "--Lambda-check", value)
     assert code == 2 and out == ""
     assert err.startswith("error: --Lambda-check must be a finite number")
+
+
+@pytest.mark.parametrize("flag, rational, decimal", [("--tol", "1/1000000", "1e-6"), ("--Lambda-check", "-3/2", "-1.5"), ("--Lambda-check", "-3/1", "-3")])
+def test_verify_float_flags_accept_rationals(capsys, flag, rational, decimal):
+    argv = ("verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "3")
+    code, out, err = run(capsys, *argv, flag, rational)
+    assert code != 2, err
+    assert (code, out, err) == run(capsys, *argv, flag, decimal)
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_verify_tol_rejects_non_numbers(capsys, value):
+    code, out, err = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--tol", value)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --tol: invalid float value: '{value}'\n")
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_rescaled_chart_rejects_n_other_than_1(monkeypatch, capsys, n):
+    _forbid_sampling(monkeypatch, f"--n {n} on the rescaled chart")
+    code, out, err = run(capsys, "verify", "--chart", "rescaled", "--n", n, "--rho1", "derived", "--points", "3")
+    assert (code, out, err) == (2, "", "error: the chart verification covers n = 1\n")
 
 
 @pytest.mark.parametrize(

@@ -30,21 +30,22 @@ from .family import (
     solve_profile,
     z_scale,
 )
-from .limits import (
-    DomainError,
-    RescaledProfile,
-    flat_recovery,
-    limit_comparison,
-    limit_smoothness,
-    profile_ode_residual,
-    rescale_map,
-    rescaled_profile,
-    rho1_limit,
-)
 
-# The float engine (numpy, jets, geom) loads on first use of one of its
-# names, so the exact layer and the exact-only CLI commands run without it.
-_FLOAT_ENGINE = {
+# Modules that load on first use of one of their names: limits (only
+# `limit`, `audit` and the rescaled `verify` need it) and the float engine
+# (numpy, jets, geom), so the other exact-only CLI commands run without them.
+_ON_FIRST_USE = {
+    "limits": (
+        "DomainError",
+        "RescaledProfile",
+        "flat_recovery",
+        "limit_comparison",
+        "limit_smoothness",
+        "profile_ode_residual",
+        "rescale_map",
+        "rescaled_profile",
+        "rho1_limit",
+    ),
     "jets": ("Jet2",),
     "geom": (
         "ChartMetric",
@@ -65,7 +66,7 @@ _FLOAT_ENGINE = {
         "sectional",
     ),
 }
-_LAZY = {name: module for module, names in _FLOAT_ENGINE.items() for name in (module, *names)}
+_LAZY = {name: module for module, names in _ON_FIRST_USE.items() for name in (module, *names)}
 
 
 def __getattr__(name: str):

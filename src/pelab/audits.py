@@ -18,7 +18,6 @@ and the arbiter's verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .family import (
@@ -32,9 +31,10 @@ from .family import (
     solve_profile,
 )
 from .limits import rho1_limit
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class AuditRow:
     quantity: str
     tuple_desc: str

@@ -14,16 +14,13 @@ that evaluate curvature, verify and sweep --verify.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 from fractions import Fraction
 
+# Every command is a fresh interpreter, so limits (limit, audit, verify
+# --chart rescaled), audits (audit), json and csv are imported where used.
 from . import family as fam
-from . import limits as lim
-from .audits import render_table, run_audits
 from .family import AuditMismatch, FamilyParams
 
 USAGE_ERROR = 2
@@ -31,8 +28,8 @@ VERIFY_ERROR = 1
 AUDIT_ERROR = 3
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """Exit 2.  Raised by a flag's type function, argparse reports it against the flag."""
 
 
 class VerificationFailure(Exception):
@@ -87,7 +84,16 @@ def _params_from_args(args, r1=None) -> FamilyParams:
     return FamilyParams(n=args.n, lam=args.lam, c=args.c, Lambda=args.Lambda, r1=r1)
 
 
+def _json_text(payload) -> str:
+    import json
+
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _csv_text(header, rows) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -113,7 +119,7 @@ def cmd_family(args) -> int:
     params = _params_from_args(args)
     report = fam.family_report(params)
     if args.format == "json":
-        _write_output(json.dumps(report, indent=2) + "\n", args.output)
+        _write_output(_json_text(report), args.output)
         return 0
     lines = [
         f"params: n={params.n} lambda={params.lam} c={params.c} Lambda={params.Lambda} r1={params.r1}",
@@ -168,6 +174,14 @@ def _sample_points(rng, count: int, lower: float, upper: float):
     return draw
 
 
+# The flags of the page-pope chart's family member and of the rescaled
+# chart's profile; each chart refuses the other's (None means not given).
+_OTHER_CHART_FLAGS = {
+    "page-pope": (("--rho1", "rho1"), ("--profile-lambda", "profile_lambda")),
+    "rescaled": (("--k", "k"), ("--lambda", "lam"), ("--c", "c"), ("--Lambda", "Lambda"), ("--r1", "r1")),
+}
+
+
 def _radial_window(r1: float) -> tuple[float, float]:
     """Radial sampling window of the page-pope chart: [r1 + 0.1, max(10, r1 + 1)]."""
     return r1 + 0.1, max(10.0, r1 + 1.0)
@@ -201,6 +215,9 @@ def cmd_verify(args) -> int:
     if args.Lambda_check is not None and not math.isfinite(args.Lambda_check):
         raise UsageError(f"--Lambda-check must be a finite number, got {args.Lambda_check!r}")
     _check_seed(args.seed)
+    given = [flag for flag, dest in _OTHER_CHART_FLAGS[args.chart] if getattr(args, dest) is not None]
+    if given:
+        raise UsageError(f"--chart {args.chart} does not take {', '.join(given)}")
     rng = np.random.default_rng(args.seed)
     params = _params_from_args(args) if args.chart == "page-pope" else None
     if args.n != 1:
@@ -210,8 +227,10 @@ def cmd_verify(args) -> int:
         lam_check = args.Lambda_check if args.Lambda_check is not None else float(params.Lambda)
         points = _sample_points(rng, args.points, *_radial_window(float(params.r1)))
     else:
-        rho1_sq = _resolve_rho1_sq(args)
-        profile = lim.rescaled_profile(1, args.profile_lambda, rho1_sq)
+        from .limits import rescaled_profile
+
+        profile_lambda = args.profile_lambda if args.profile_lambda is not None else Fraction(2)
+        profile = rescaled_profile(1, profile_lambda, _resolve_rho1_sq(args))
         chart = geom.rescaled_chart(profile)
         lam_check = args.Lambda_check if args.Lambda_check is not None else 0.0
         rho1f = profile.rho1
@@ -239,7 +258,7 @@ def cmd_verify(args) -> int:
             "pass": ok,
             "worst_point": list(worst_point),
         }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
+        _write_output(_json_text(payload), args.output)
     elif args.format == "csv":
         _write_output(_csv_text([*chart.coords, *geom.SCALAR_COLUMNS], np.hstack([points, columns]).tolist()), args.output)
     else:
@@ -256,11 +275,13 @@ def cmd_verify(args) -> int:
 
 
 def _resolve_rho1_sq(args) -> Fraction:
-    spec = args.rho1
+    from .limits import rho1_limit
+
+    spec = "derived" if args.rho1 is None else args.rho1
     if spec == "derived":
-        return lim.rho1_limit(args.n).derived_sq
+        return rho1_limit(args.n).derived_sq
     if spec == "paper":
-        return lim.rho1_limit(args.n).paper_sq
+        return rho1_limit(args.n).paper_sq
     rho1 = _rat(spec)
     if rho1 < 0:
         raise UsageError(f"--rho1 must be >= 0, got {spec}")
@@ -271,9 +292,11 @@ def _resolve_rho1_sq(args) -> Fraction:
 
 
 def cmd_audit(args) -> int:
+    from .audits import render_table, run_audits
+
     rows = run_audits()
     if args.format == "json":
-        _write_output(json.dumps([r.as_dict() for r in rows], indent=2) + "\n", args.output)
+        _write_output(_json_text([r.as_dict() for r in rows]), args.output)
     else:
         _write_output(render_table(rows) + "\n", args.output)
     return 0
@@ -369,7 +392,7 @@ def cmd_sweep(args) -> int:
 
     if args.format == "json":
         payload = [{name: _fmt(v) if not isinstance(v, float) else v for name, v in zip(header, row)} for row in rows]
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
+        _write_output(_json_text(payload), args.output)
     else:
         _write_output(_csv_text(header, rows), args.output)
     return 0
@@ -383,7 +406,11 @@ def _parse_rho_grid(text: str):
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError("rho grid range must be start:stop:count")
-        start, stop, count = _rat(parts[0]), _rat(parts[1]), int(parts[2])
+        start, stop = _rat(parts[0]), _rat(parts[1])
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise UsageError(f"--rho-grid count must be an integer, got {parts[2]!r}") from None
         if count < 2 or not start < stop:
             raise UsageError("rho grid range needs start < stop and count >= 2")
         step = (stop - start) / (count - 1)
@@ -392,14 +419,18 @@ def _parse_rho_grid(text: str):
 
 
 def _default_rho_grid(n: int):
-    rho1 = math.sqrt(lim.rho1_limit(n).derived_sq)
+    from .limits import rho1_limit
+
+    rho1 = math.sqrt(rho1_limit(n).derived_sq)
     return [Fraction(repr(round(rho1 * (1.2 + 1.8 * j / 24), 9))) for j in range(25)]
 
 
 def cmd_limit(args) -> int:
+    from .limits import limit_comparison
+
     ts = [_rat(v) for v in args.t_list.split(",") if v]
     grid = _parse_rho_grid(args.rho_grid) if args.rho_grid else _default_rho_grid(args.n)
-    comparison = lim.limit_comparison(args.n, ts, grid)
+    comparison = limit_comparison(args.n, ts, grid)
 
     if args.format == "json":
         payload = {
@@ -409,12 +440,12 @@ def cmd_limit(args) -> int:
             ],
             "summary": comparison.summary(),
         }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
+        _write_output(_json_text(payload), args.output)
         return 0
     rows = [(t, rho, d1, d2, float(d3)) for t, rho, d1, d2, d3 in comparison.rows]
     _write_output(_csv_text(["t", "rho", "dev_drho2", "dev_theta2", "dev_base"], rows), args.output)
     if args.summary_output:
-        _write_output(json.dumps(comparison.summary(), indent=2) + "\n", args.summary_output)
+        _write_output(_json_text(comparison.summary()), args.summary_output)
     return 0
 
 
@@ -439,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="numerical Einstein verification at sampled points")
     _add_param_flags(p_verify)
     p_verify.add_argument("--chart", choices=["page-pope", "rescaled"], default="page-pope")
-    p_verify.add_argument("--rho1", default="derived", help="rescaled chart inner radius: derived, paper, or a number")
-    p_verify.add_argument("--profile-lambda", dest="profile_lambda", type=_rat, default=Fraction(2), help="profile constant for the rescaled chart (2 canonical, 4 flat)")
+    p_verify.add_argument("--rho1", help="rescaled chart inner radius: derived, paper, or a number")
+    p_verify.add_argument("--profile-lambda", dest="profile_lambda", type=_rat, help="profile constant for the rescaled chart (2 canonical, 4 flat)")
     p_verify.add_argument("--points", type=int, default=20)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=_real, default=1e-6)
@@ -479,7 +510,9 @@ def _is_negative_number(text: str) -> bool:
         try:
             parse(text)
             return True
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:  # -p/0: the flag's type names the flag and the value
+            return True
+        except ValueError:
             pass
     return False
 

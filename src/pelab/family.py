@@ -28,11 +28,11 @@ No candidate is silently preferred.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log
 
 from .laurent import LaurentPoly, LaurentQuotient, _coerce
+from .records import record
 
 
 class AuditMismatch(AssertionError):
@@ -59,7 +59,7 @@ class AsymptoticsMismatch(ValueError):
     """Measured large-r behaviour contradicts the claimed leading terms."""
 
 
-@dataclass(frozen=True)
+@record
 class FamilyParams:
     """One member of the metric family.
 
@@ -111,7 +111,7 @@ class FamilyParams:
         }
 
 
-@dataclass(frozen=True)
+@record
 class MetricCoefficients:
     """The three radial coefficient functions of the metric.
 
@@ -124,7 +124,7 @@ class MetricCoefficients:
     base: LaurentPoly
 
 
-@dataclass(frozen=True)
+@record
 class EdgeModel:
     """Near-edge model  scale * ( ds^2 + alpha^2 s^2 theta^2 + beta^2 ghat ).
 
@@ -140,7 +140,7 @@ class EdgeModel:
     beta_sq_paper: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class ConicModel:
     """Conic model  ds^2 + s^2 ( theta_coeff theta^2 + base_coeff ghat ).
 
@@ -158,21 +158,21 @@ class ConicModel:
     k_quoted: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class ConformalInfinity:
     """Boundary representative  berger_coeff * theta^2 + ghat."""
 
     berger_coeff: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class PositivityReport:
     ok: bool
     samples: tuple
     sign_argument: str
 
 
-@dataclass(frozen=True)
+@record
 class AsymptoticsReport:
     """Leading coefficients of g for r -> infinity and the measured approach.
 

@@ -30,14 +30,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .jets import Jet2, laurent_eval, seed_point
-from .family import FamilyParams, solve_profile
-from .limits import RescaledProfile
+from .family import solve_profile
+from .records import record
+
+if TYPE_CHECKING:  # annotations only: page-pope charts run without pelab.limits
+    from .family import FamilyParams
+    from .limits import RescaledProfile
 
 
 class SingularMetric(ValueError):
@@ -60,7 +63,7 @@ class CurvatureCheckError(AssertionError):
     """Riemann symmetries or first Bianchi identity failed at construction."""
 
 
-@dataclass(frozen=True)
+@record
 class ChartMetric:
     """A coordinate chart with a generic-arithmetic metric component function.
 
@@ -224,7 +227,7 @@ def _per_point(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-@dataclass(frozen=True)
+@record(computed=("symmetry_max", "bianchi_max"))
 class CurvatureReport:
     """Curvature data with symmetry and Bianchi checks built in.
 
@@ -240,8 +243,8 @@ class CurvatureReport:
     ricci: np.ndarray
     scalar: float | np.ndarray
     einstein_residual: float | np.ndarray | None
-    symmetry_max: float | np.ndarray = field(init=False)
-    bianchi_max: float | np.ndarray = field(init=False)
+    symmetry_max: float | np.ndarray
+    bianchi_max: float | np.ndarray
 
     def __post_init__(self):
         R = self.riemann

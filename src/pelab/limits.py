@@ -24,18 +24,18 @@ does not depend on the choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .family import AuditMismatch, FamilyParams, _loglog_slope, _r2m1, metric_coefficients, scaling_action, smooth_c, solve_profile
 from .laurent import LaurentPoly, LaurentQuotient, _coerce
+from .records import record
 
 
 class DomainError(ValueError):
     """A grid point fell outside the admissible rho range."""
 
 
-@dataclass(frozen=True)
+@record
 class RescaledProfile:
     """The limit profile U(rho) = (lam/(2n+2)) (1 - (rho1/rho)^(2n+2)).
 
@@ -107,7 +107,7 @@ def profile_ode_residual(profile: RescaledProfile, rho_samples) -> Fraction:
     return worst
 
 
-@dataclass(frozen=True)
+@record
 class RescalePoint:
     """Image of a radius r under rho^2 = c (r^2-1), U = c P(r)/(r^2-1)^(n+1)."""
 
@@ -129,7 +129,7 @@ def rescale_map(params: FamilyParams, r) -> RescalePoint:
     return RescalePoint(rho_sq=params.c * w, u=params.c * p(r) / w ** (params.n + 1))
 
 
-@dataclass(frozen=True)
+@record
 class Rho1Limit:
     """Both candidates for the inner radius squared of the limit profile.
 
@@ -161,7 +161,7 @@ def rho1_limit(n: int) -> Rho1Limit:
     return Rho1Limit(derived_sq=values[0], paper_sq=Fraction(4, 2 * n + 1), samples=values)
 
 
-@dataclass(frozen=True)
+@record
 class SmoothnessReport:
     """Leading block of g_inf at rho = rho1 + s^2.
 
@@ -203,7 +203,7 @@ def flat_recovery(n: int) -> tuple[FamilyParams, RescaledProfile]:
     return cpn_catalogue(n, 1), rescaled_profile(n, 2 * n + 2, 0)
 
 
-@dataclass(frozen=True)
+@record
 class LimitComparison:
     """Pointwise deviation table of the rescaled family from g_inf.
 

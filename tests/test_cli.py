@@ -128,7 +128,7 @@ USAGE_ERRORS = [
     ("limit --n 1 --t-list 0", "t_values must be positive and decreasing"),
     ("limit --n 1 --t-list abc", "not a rational number: 'abc' (Invalid literal for Fraction: 'abc')"),
     ("limit --n 1 --t-list 0.1 --rho-grid 0.5,1", "rho = 1/2 is below the inner radius for t = 1/10"),
-    ("limit --n 1 --t-list 0.1 --rho-grid 1:2:x", "invalid literal for int() with base 10: 'x'"),
+    ("limit --n 1 --t-list 0.1 --rho-grid 1:2:x", "--rho-grid count must be an integer, got 'x'"),
 ]
 
 
@@ -397,6 +397,47 @@ def test_rescaled_chart_rejects_n_other_than_1(monkeypatch, capsys, n):
 
 
 @pytest.mark.parametrize(
+    "chart, argv, given",
+    [
+        ("rescaled", ("--k", "1", "--r1", "5", "--lambda", "7"), "--k, --lambda, --r1"),
+        ("rescaled", ("--c", "1/2"), "--c"),
+        ("rescaled", ("--Lambda", "-3"), "--Lambda"),
+        ("page-pope", ("--k", "1", "--r1", "1", "--rho1", "derived"), "--rho1"),
+        ("page-pope", ("--k", "1", "--r1", "1", "--profile-lambda", "2"), "--profile-lambda"),
+    ],
+)
+def test_verify_rejects_the_other_charts_flags(monkeypatch, capsys, chart, argv, given):
+    _forbid_sampling(monkeypatch, f"{given} on the {chart} chart")
+    code, out, err = run(capsys, "verify", "--chart", chart, *argv, "--points", "2")
+    assert (code, out, err) == (2, "", f"error: --chart {chart} does not take {given}\n")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, reason",
+    [
+        ("family", "--lambda", "x", "Invalid literal for Fraction: 'x'"),
+        ("family", "--lambda", "1/0", "Fraction(1, 0)"),
+        ("family", "--c", "abc", "Invalid literal for Fraction: 'abc'"),
+        ("family", "--Lambda", "-3/0", "Fraction(-3, 0)"),
+        ("family", "--r1", "one", "Invalid literal for Fraction: 'one'"),
+        ("sweep", "--start", "x", "Invalid literal for Fraction: 'x'"),
+        ("sweep", "--stop", "1/0", "Fraction(1, 0)"),
+        ("verify", "--profile-lambda", "x", "Invalid literal for Fraction: 'x'"),
+    ],
+)
+def test_rational_flag_errors_name_the_flag(capsys, command, flag, value, reason):
+    valid = {
+        "family": {"--n": "1", "--lambda": "2", "--c": "1", "--Lambda": "-3", "--r1": "1"},
+        "sweep": {"--param": "c", "--start": "1", "--stop": "2", "--count": "3"},
+        "verify": {"--chart": "rescaled"},
+    }[command]
+    argv = [token for name, text in {**valid, flag: value}.items() for token in (name, text)]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: not a rational number: {value!r} ({reason})\n"), err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("family", "--n", "1", "--lambda", "2", "--c", "1/3", "--Lambda", "-3/2", "--r1", "2"),
@@ -498,8 +539,6 @@ def test_sweep_verify_needs_points(capsys):
 
 def _broken_chart(monkeypatch, is_bad, corrupt):
     """Make pelab.geom build page-pope charts whose metric is corrupted where is_bad(r) holds."""
-    import dataclasses
-
     import pelab.geom as geom_mod
     from pelab.jets import Jet2
 
@@ -513,7 +552,7 @@ def _broken_chart(monkeypatch, is_bad, corrupt):
             corrupt(rows, x, Jet2.constant(is_bad(x[0].value).astype(float), chart.dim))
             return rows
 
-        return dataclasses.replace(chart, metric=metric)
+        return geom_mod.ChartMetric(chart.dim, chart.coords, metric, chart.in_domain, chart.label)
 
     monkeypatch.setattr(geom_mod, "page_pope_chart", chart_factory)
 

@@ -1,5 +1,6 @@
-"""Import boundary: the exact commands run without numpy or the float engine."""
+"""Import boundary: each command loads only the layers it uses, and none loads dataclasses."""
 
+import functools
 import json
 import os
 import subprocess
@@ -12,19 +13,38 @@ import pelab
 
 SRC = Path(pelab.__file__).resolve().parents[1]
 FLOAT_MODULES = ("numpy", "pelab.jets", "pelab.geom")
+# Start-up cost that the exact commands do not need: dataclasses (which
+# loads inspect), and the limits and audits layers.
+LEAN_MODULES = ("dataclasses", "inspect", "pelab.limits", "pelab.audits")
 
 # Runs main(argv) in a fresh interpreter, then reports the exit code and
-# which float modules are loaded.
+# which of the watched modules are loaded.
 PROBE = f"""
 import contextlib, io, json, sys
 from pelab.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, [m for m in {FLOAT_MODULES!r} if m in sys.modules]]))
+print(json.dumps([code, [m for m in {FLOAT_MODULES + LEAN_MODULES!r} if m in sys.modules]]))
 """
 
+FAMILY = ("family", "--n", "1", "--k", "1", "--r1", "2")
+FAMILY_JSON = ("family", "--n", "1", "--k", "1", "--r1", "1", "--format", "json")
+SWEEP = ("sweep", "--param", "r1", "--start", "2", "--stop", "3", "--count", "3", "--n", "1", "--k", "1")
+VERIFY = ("verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "5")
+EVERY_COMMAND = {
+    "family": FAMILY,
+    "family-json": FAMILY_JSON,
+    "audit": ("audit",),
+    "limit": ("limit", "--n", "1"),
+    "sweep": SWEEP,
+    "sweep-verify": SWEEP + ("--verify",),
+    "verify": VERIFY,
+    "verify-rescaled": ("verify", "--chart", "rescaled", "--points", "5"),
+}
 
-def _loaded_after(*argv):
+
+@functools.lru_cache(maxsize=None)
+def _probe(argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -33,14 +53,18 @@ def _loaded_after(*argv):
     return loaded
 
 
+def _loaded_after(*argv, watch=FLOAT_MODULES):
+    return [m for m in _probe(argv) if m in watch]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("family", "--n", "1", "--k", "1", "--r1", "2"),
-        ("family", "--n", "1", "--k", "1", "--r1", "1", "--format", "json"),
+        FAMILY,
+        FAMILY_JSON,
         ("audit",),
         ("limit", "--n", "1"),
-        ("sweep", "--param", "r1", "--start", "2", "--stop", "3", "--count", "3", "--n", "1", "--k", "1"),
+        SWEEP,
     ],
     ids=["family", "family-json", "audit", "limit", "sweep"],
 )
@@ -49,7 +73,21 @@ def test_exact_commands_leave_the_float_engine_unloaded(argv):
 
 
 def test_verify_loads_the_float_engine():
-    assert _loaded_after("verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "5") == list(FLOAT_MODULES)
+    assert _loaded_after(*VERIFY) == list(FLOAT_MODULES)
+
+
+@pytest.mark.parametrize("argv", [FAMILY, FAMILY_JSON, SWEEP], ids=["family", "family-json", "sweep"])
+def test_family_and_sweep_skip_dataclasses_limits_and_audits(argv):
+    assert _loaded_after(*argv, watch=LEAN_MODULES) == []
+
+
+def test_page_pope_verify_skips_dataclasses_and_limits():
+    assert _loaded_after(*VERIFY, watch=("dataclasses", "pelab.limits")) == []
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND.values(), ids=EVERY_COMMAND.keys())
+def test_no_command_loads_dataclasses(argv):
+    assert _loaded_after(*argv, watch=("dataclasses",)) == []
 
 
 def test_every_exported_name_resolves():

@@ -36,11 +36,13 @@ class VerificationFailure(Exception):
     """A sampled point failed the conditioning guard or a curvature check."""
 
 
-def _rat(text: str) -> Fraction:
+def _rat(text: str, flag: str | None = None) -> Fraction:
+    """An exact flag value.  argparse names the flag of a type= value; other callers pass it."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {text!r} ({exc})") from exc
+        where = f"argument {flag}: " if flag else ""
+        raise UsageError(f"{where}not a rational number: {text!r} ({exc})") from exc
 
 
 def _real(text: str) -> float:
@@ -282,7 +284,7 @@ def _resolve_rho1_sq(args) -> Fraction:
         return rho1_limit(args.n).derived_sq
     if spec == "paper":
         return rho1_limit(args.n).paper_sq
-    rho1 = _rat(spec)
+    rho1 = _rat(spec, "--rho1")
     if rho1 < 0:
         raise UsageError(f"--rho1 must be >= 0, got {spec}")
     return rho1**2
@@ -322,7 +324,10 @@ def _sweep_values(args):
         return [args.start + i * step for i in range(args.count)]
     if args.start <= 0:
         raise UsageError("log spacing requires --start > 0")
-    lo, hi = math.log(float(args.start)), math.log(float(args.stop))
+    try:
+        lo, hi = math.log(float(args.start)), math.log(float(args.stop))
+    except OverflowError:
+        raise UsageError("log spacing needs --start and --stop within the float range") from None
     return [math.exp(lo + i * (hi - lo) / (args.count - 1)) for i in range(args.count)]
 
 
@@ -406,7 +411,7 @@ def _parse_rho_grid(text: str):
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError("rho grid range must be start:stop:count")
-        start, stop = _rat(parts[0]), _rat(parts[1])
+        start, stop = _rat(parts[0], "--rho-grid"), _rat(parts[1], "--rho-grid")
         try:
             count = int(parts[2])
         except ValueError:
@@ -415,7 +420,7 @@ def _parse_rho_grid(text: str):
             raise UsageError("rho grid range needs start < stop and count >= 2")
         step = (stop - start) / (count - 1)
         return [start + i * step for i in range(count)]
-    return [_rat(v) for v in text.split(",") if v]
+    return [_rat(v, "--rho-grid") for v in text.split(",") if v]
 
 
 def _default_rho_grid(n: int):
@@ -428,7 +433,7 @@ def _default_rho_grid(n: int):
 def cmd_limit(args) -> int:
     from .limits import limit_comparison
 
-    ts = [_rat(v) for v in args.t_list.split(",") if v]
+    ts = [_rat(v, "--t-list") for v in args.t_list.split(",") if v]
     grid = _parse_rho_grid(args.rho_grid) if args.rho_grid else _default_rho_grid(args.n)
     comparison = limit_comparison(args.n, ts, grid)
 

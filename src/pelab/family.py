@@ -235,16 +235,12 @@ def solve_profile(params: FamilyParams) -> LaurentPoly:
 
 
 def profile_slope_at_r1(params: FamilyParams, p: LaurentPoly) -> Fraction:
-    """P'(r1) by the closed form, audited against the polynomial derivative.
+    """P'(r1), the polynomial derivative of P at the root.
 
-    Closed form: (1/r1) [ |Lambda| (r1^2-1)^(n+1) + (lam/c) (r1^2-1)^n ].
+    Its closed form (1/r1) [ |Lambda| (r1^2-1)^(n+1) + (lam/c) (r1^2-1)^n ]
+    is checked in the tests.
     """
-    w = params.r1**2 - 1
-    closed = (params.abs_Lambda * w ** (params.n + 1) + (params.lam / params.c) * w**params.n) / params.r1
-    direct = p.derivative()(params.r1)
-    if closed != direct:
-        raise AuditMismatch(f"P'(r1): closed form {closed} != polynomial derivative {direct}")
-    return closed
+    return p.derivative()(params.r1)
 
 
 def metric_coefficients(params: FamilyParams, p: LaurentPoly) -> MetricCoefficients:
@@ -261,8 +257,9 @@ def positivity_check(params: FamilyParams, p: LaurentPoly, samples: int) -> Posi
     """P > 0 on (r1, r1+10] by sampling, plus the ODE sign argument.
 
     The rhs of the profile ODE is a positive combination of positive
-    powers of (r^2-1) for r > 1, so r^-1 P increases from 0 at r1 and
-    P > 0 follows on all of (r1, infinity).
+    powers of (r^2-1) for r > 1 (FamilyParams enforces |Lambda| > 0 and
+    lam/c > 0), so r^-1 P increases from 0 at r1 and P > 0 follows on all
+    of (r1, infinity).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -273,8 +270,6 @@ def positivity_check(params: FamilyParams, p: LaurentPoly, samples: int) -> Posi
         if value <= 0:
             raise PositivityViolation(f"P({r}) = {value} <= 0")
         pts.append((r, value))
-    if params.abs_Lambda <= 0 or params.lam / params.c <= 0:
-        raise PositivityViolation("ODE sign argument needs |Lambda| > 0 and lam/c > 0")
     argument = (
         "rhs of the profile ODE is a positive combination of (r^2-1)^k for r > 1, "
         "so r^-1 P increases from 0 at r1"
@@ -288,22 +283,14 @@ def positivity_check(params: FamilyParams, p: LaurentPoly, samples: int) -> Posi
 def cone_angle(params: FamilyParams) -> Fraction:
     """The cone-angle factor alpha (cone angle along the edge is 2*pi*alpha).
 
-    Three closed forms are evaluated and must agree exactly:
-      (c|Lambda|/(2 r1)) (r1^2-1) + lam/(2 r1)
-      c P'(r1) / (2 (r1^2-1)^n)
-      (c|Lambda|/2) r1 + (lam - c|Lambda|) / (2 r1)
+    Read off the metric at the edge: alpha = c P'(r1) / (2 (r1^2-1)^n).
+    Its closed forms (c|Lambda|/(2 r1)) (r1^2-1) + lam/(2 r1) and
+    (c|Lambda|/2) r1 + (lam - c|Lambda|) / (2 r1) are checked in the tests.
     """
     if params.is_conic:
         raise ConicCase("r1 = 1 has no edge; use conic_model")
-    cL = params.c * params.abs_Lambda
-    r1 = params.r1
-    f1 = cL / (2 * r1) * (r1**2 - 1) + params.lam / (2 * r1)
     pp = profile_slope_at_r1(params, solve_profile(params))
-    f2 = params.c * pp / (2 * (r1**2 - 1) ** params.n)
-    f3 = cL / 2 * r1 + (params.lam - cL) / (2 * r1)
-    if not (f1 == f2 == f3):
-        raise AuditMismatch(f"cone angle closed forms disagree: {f1}, {f2}, {f3}")
-    return f1
+    return params.c * pp / (2 * (params.r1**2 - 1) ** params.n)
 
 
 def cone_angle_conic_limit(params: FamilyParams) -> Fraction:
@@ -336,17 +323,14 @@ def edge_model(params: FamilyParams, p: LaurentPoly) -> EdgeModel:
 def expand_at_edge(params: FamilyParams, p: LaurentPoly) -> tuple[Fraction, Fraction, Fraction]:
     """Exact jet expansion of the metric at r = r1 + s^2; the arbiter.
 
-    Reads P(r1) and P'(r1) off the Taylor shift P(r1 + w), keeps the
-    leading order in w = r - r1, substitutes dr^2 = 4 w ds^2, and factors
+    Reads P'(r1) off the Taylor shift P(r1 + w), keeps the leading order
+    in w = r - r1, substitutes dr^2 = 4 w ds^2, and factors
     the model scale * (ds^2 + alpha_sq s^2 theta^2 + beta_sq ghat).
     Returns (scale, alpha_sq, beta_sq).
     """
     if params.is_conic:
         raise ConicCase("r1 = 1 has no edge; use conic_model")
-    shifted = p.shift(params.r1)
-    if shifted.coefficient(0) != 0:
-        raise AuditMismatch(f"P(r1) = {shifted.coefficient(0)} != 0")
-    pp = shifted.coefficient(1)
+    pp = p.shift(params.r1).coefficient(1)
     n0 = _r2m1(params.n)(params.r1)
     # dr^2 slot: (r^2-1)^n / P ~ n0/(pp w); times 4w gives the ds^2 coefficient
     scale = 4 * n0 / pp
@@ -360,27 +344,18 @@ def expand_at_edge(params: FamilyParams, p: LaurentPoly) -> tuple[Fraction, Frac
 def conic_model(params: FamilyParams, p: LaurentPoly) -> ConicModel:
     """Exact conic model at r1 = 1 via the Taylor shift P(1 + u) of P.
 
-    P(1+u) = K u^(n+1) + ... with K = (lam/c) 2^n / (n+1); substituting
+    P(1+u) = K u^(n+1) + ... with K = (lam/c) 2^n / (n+1) (the vanishing
+    order and K are checked in the tests); substituting
     u = (K/2^(n+2)) s^2 normalises the ds^2 slot to 1 and yields
     theta_coeff = (c K / 2^(n+1))^2 and base coefficient c K / 2^(n+1).
     """
     if not params.is_conic:
         raise EdgeCase("r1 > 1 has an edge; use edge_model")
     n = params.n
-    shifted = p.shift(1)
-    for j in range(n + 1):
-        if shifted.coefficient(j) != 0:
-            raise AuditMismatch(f"P should vanish to order {n + 1} at r = 1; u^{j} term is {shifted.coefficient(j)}")
-    k_leading = shifted.coefficient(n + 1)
-    k_closed = (params.lam / params.c) * Fraction(2**n, n + 1)
-    if k_leading != k_closed:
-        raise AuditMismatch(f"leading jet constant {k_leading} != ODE closed form {k_closed}")
+    k_leading = p.shift(1).coefficient(n + 1)
     ck = params.c * k_leading / 2 ** (n + 1)
-    theta_coeff = ck**2
-    if theta_coeff != (params.lam / (2 * n + 2)) ** 2:
-        raise AuditMismatch("theta coefficient disagrees with (lam/(2n+2))^2")
     return ConicModel(
-        theta_coeff=theta_coeff,
+        theta_coeff=ck**2,
         base_coeff_derived=ck,
         base_coeff_paper=params.c * params.lam / (2 * n + 2),
         k_leading=k_leading,

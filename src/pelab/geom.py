@@ -28,6 +28,7 @@ area form omega of ghat in the rotationally symmetric gauge.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from typing import TYPE_CHECKING, Callable
@@ -61,6 +62,19 @@ class StepTooLarge(ValueError):
 
 class CurvatureCheckError(AssertionError):
     """Riemann symmetries or first Bianchi identity failed at construction."""
+
+
+class BeyondFloatRange(ValueError):
+    """An exact value of a chart does not fit in a float."""
+
+
+@contextlib.contextmanager
+def _rounding_to_floats(source: str):
+    """Round the exact data of a chart to floats; a value beyond the float range is a domain error."""
+    try:
+        yield
+    except OverflowError:
+        raise BeyondFloatRange(f"{source}: an exact value lies beyond the float range") from None
 
 
 @record
@@ -448,10 +462,11 @@ def page_pope_chart(params: FamilyParams) -> ChartMetric:
     if params.n != 1:
         raise UnsupportedDimension("only the n = 1 chart is provided")
     p = solve_profile(params)
-    pcoeffs = {e: float(c) for e, c in p.items()}
-    cf = float(params.c)
-    lamf = float(params.lam)
-    r1f = float(params.r1)
+    with _rounding_to_floats(f"page-pope n=1 lambda={params.lam} c={params.c} Lambda={params.Lambda} r1={params.r1}"):
+        pcoeffs = {e: float(c) for e, c in p.items()}
+        cf = float(params.c)
+        lamf = float(params.lam)
+        r1f = float(params.r1)
 
     def metric(x):
         r, psi, u, v = x
@@ -470,9 +485,10 @@ def rescaled_chart(profile: RescaledProfile) -> ChartMetric:
     """The limit chart (rho, psi, u, v): U^-1 drho^2 + U rho^2 theta^2 + rho^2 ghat."""
     if profile.n != 1:
         raise UnsupportedDimension("only the n = 1 chart is provided")
-    ucoeffs = {e: float(c) for e, c in profile.as_laurent().items()}
-    lamf = float(profile.lam)
-    rho1f = profile.rho1
+    with _rounding_to_floats(f"rescaled lambda={profile.lam} rho1^2={profile.rho1_sq}"):
+        ucoeffs = {e: float(c) for e, c in profile.as_laurent().items()}
+        lamf = float(profile.lam)
+        rho1f = profile.rho1
 
     def metric(x):
         rho, psi, u, v = x

@@ -50,6 +50,8 @@ class RescaledProfile:
     def __post_init__(self):
         object.__setattr__(self, "lam", _coerce(self.lam))
         object.__setattr__(self, "rho1_sq", _coerce(self.rho1_sq))
+        if self.lam <= 0:
+            raise ValueError(f"lam must be > 0, got {self.lam}")
         if self.rho1_sq < 0:
             raise ValueError(f"rho1_sq must be >= 0, got {self.rho1_sq}")
 
@@ -180,12 +182,9 @@ def limit_smoothness(profile: RescaledProfile) -> SmoothnessReport:
     """Edge data of g_inf at its inner radius; alpha = 1 exactly iff lam = 2."""
     if profile.rho1_sq <= 0:
         raise ValueError("smoothness analysis needs rho1 > 0")
-    # U'(rho1) * rho1 = lam * rho1^(2n+2) / rho1^(2n+2) = lam, exactly
-    u_prime_times_rho1 = profile.lam * profile.rho1_sq ** (profile.n + 1) / profile.rho1_sq ** (profile.n + 1)
-    alpha = u_prime_times_rho1 / 2
     rho1 = profile.rho1
     return SmoothnessReport(
-        alpha_infinity=alpha,
+        alpha_infinity=profile.lam / 2,  # U'(rho1) rho1 = lam: rho1 cancels
         ds2_coeff=4 * rho1 / float(profile.lam),
         theta_s2_coeff=float(profile.lam) * rho1,
         base_coeff_sq=profile.rho1_sq,
@@ -252,7 +251,7 @@ def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
     grid = [_coerce(rho) for rho in rho_grid]
     lam = Fraction(2)
     rho1 = rho1_limit(n)
-    target = rescaled_profile(n, lam, rho1.derived_sq)
+    u_inf_poly = rescaled_profile(n, lam, rho1.derived_sq).as_laurent()
 
     rows = []
     sups = {"dev_drho2": [], "dev_theta2": [], "dev_base": []}
@@ -274,11 +273,14 @@ def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
             if rho**2 <= lower_sq:
                 raise DomainError(f"rho = {rho} is below the inner radius for t = {t}")
             r_sq = 1 + rho**2 / big_c
-            r = math.sqrt(r_sq)
-            u_t = float(big_c) * p_scaled.eval_float(r) / (float(r_sq) - 1) ** (n + 1)
-            u_inf = target.as_laurent().eval_float(float(math.sqrt(rho**2)))
-            dev_drho2 = abs(1.0 / (u_t * float(r_sq)) - 1.0 / u_inf)
-            dev_theta2 = abs(u_t - u_inf) * float(rho**2)
+            try:
+                r = math.sqrt(r_sq)
+                u_t = float(big_c) * p_scaled.eval_float(r) / (float(r_sq) - 1) ** (n + 1)
+                u_inf = u_inf_poly.eval_float(math.sqrt(rho**2))
+                dev_drho2 = abs(1.0 / (u_t * float(r_sq)) - 1.0 / u_inf)
+                dev_theta2 = abs(u_t - u_inf) * float(rho**2)
+            except OverflowError:
+                raise DomainError(f"t = {t}, rho = {rho}: the float evaluation of the comparison overflows") from None
             dev_base = abs(big_c * (r_sq - 1) - rho**2)  # exact, identically zero
             rows.append((t, rho, dev_drho2, dev_theta2, dev_base))
             worst[0] = max(worst[0], dev_drho2)

@@ -126,9 +126,22 @@ USAGE_ERRORS = [
     ("sweep --param c --start 0 --stop 1 --count 3 --spacing log --n 1 --lambda 2 --Lambda -3 --r1 2", "log spacing requires --start > 0"),
     ("limit --n 1 --t-list 0.1,0.1", "t_values must be positive and decreasing"),
     ("limit --n 1 --t-list 0", "t_values must be positive and decreasing"),
-    ("limit --n 1 --t-list abc", "not a rational number: 'abc' (Invalid literal for Fraction: 'abc')"),
+    ("limit --n 1 --t-list abc", "argument --t-list: not a rational number: 'abc' (Invalid literal for Fraction: 'abc')"),
+    ("limit --n 1 --t-list 0.1,y", "argument --t-list: not a rational number: 'y' (Invalid literal for Fraction: 'y')"),
     ("limit --n 1 --t-list 0.1 --rho-grid 0.5,1", "rho = 1/2 is below the inner radius for t = 1/10"),
     ("limit --n 1 --t-list 0.1 --rho-grid 1:2:x", "--rho-grid count must be an integer, got 'x'"),
+    ("limit --rho-grid 1:x:3", "argument --rho-grid: not a rational number: 'x' (Invalid literal for Fraction: 'x')"),
+    ("verify --chart rescaled --rho1 abc --points 2", "argument --rho1: not a rational number: 'abc' (Invalid literal for Fraction: 'abc')"),
+    ("verify --chart rescaled --profile-lambda 0 --points 2", "lam must be > 0, got 0"),
+    ("verify --chart rescaled --profile-lambda -2 --points 2", "lam must be > 0, got -2"),
+    ("sweep --param r1 --start 2 --stop 1e400 --count 3 --spacing log --k 1", "log spacing needs --start and --stop within the float range"),
+    # exact values whose floats overflow: the chart builders and the limit comparison name them
+    ("verify --k 1 --r1 1e400 --points 2", f"page-pope n=1 lambda=4 c=1 Lambda=-3 r1={10**400}: an exact value lies beyond the float range"),
+    ("verify --k 1 --r1 1e300 --points 2", f"page-pope n=1 lambda=4 c=1 Lambda=-3 r1={10**300}: an exact value lies beyond the float range"),
+    ("verify --lambda 2 --c 1e400 --Lambda -3 --r1 2 --points 2", f"page-pope n=1 lambda=2 c={10**400} Lambda=-3 r1=2: an exact value lies beyond the float range"),
+    ("sweep --param r1 --start 1 --stop 1e400 --count 2 --k 1 --verify", f"page-pope n=1 lambda=4 c=1 Lambda=-3 r1={10**400}: an exact value lies beyond the float range"),
+    ("verify --chart rescaled --rho1 1e400 --points 2", f"rescaled lambda=2 rho1^2={10**800}: an exact value lies beyond the float range"),
+    ("limit --n 1 --rho-grid 1e400", f"t = 1/10, rho = {10**400}: the float evaluation of the comparison overflows"),
 ]
 
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pelab import family as fam
 from pelab.cli import main
@@ -46,6 +48,64 @@ def random_params(rng, n_max=4, r1_min=1):
     rat = lambda lo, hi: F(rng.randint(lo, hi), rng.randint(1, 4))
     r1 = F(r1_min) + (F(rng.randint(1, 8), rng.randint(1, 4)) if rng.random() < 0.8 or r1_min > 1 else 0)
     return FamilyParams(n=n, lam=rat(1, 8), c=rat(1, 6), Lambda=-rat(1, 6), r1=r1)
+
+
+def family_tuples(r1):
+    """FamilyParams over rational tuples with n = 1..10 and the given r1 strategy."""
+    positive = st.fractions(min_value=F(1, 10), max_value=8, max_denominator=10)
+    return st.builds(
+        lambda n, lam, c, abs_Lambda, r1: FamilyParams(n=n, lam=lam, c=c, Lambda=-abs_Lambda, r1=r1),
+        st.integers(min_value=1, max_value=10),
+        positive,
+        positive,
+        positive,
+        r1,
+    )
+
+
+EDGE_TUPLES = family_tuples(st.fractions(min_value=F(11, 10), max_value=5, max_denominator=10))
+CONIC_TUPLES = family_tuples(st.just(F(1)))
+
+
+def closed_form_slope(params):
+    """P'(r1) = (1/r1) [ |Lambda| (r1^2-1)^(n+1) + (lam/c) (r1^2-1)^n ], from the ODE at P(r1) = 0."""
+    w = params.r1**2 - 1
+    return (params.abs_Lambda * w ** (params.n + 1) + (params.lam / params.c) * w**params.n) / params.r1
+
+
+def closed_form_cone_angles(params):
+    """alpha without solving P: (cL/(2 r1)) (r1^2-1) + lam/(2 r1) and (cL/2) r1 + (lam - cL)/(2 r1)."""
+    cL, r1 = params.c * params.abs_Lambda, params.r1
+    return cL / (2 * r1) * (r1**2 - 1) + params.lam / (2 * r1), cL / 2 * r1 + (params.lam - cL) / (2 * r1)
+
+
+@given(params=st.one_of(EDGE_TUPLES, CONIC_TUPLES))
+def test_profile_slope_matches_its_closed_form(params):
+    assert profile_slope_at_r1(params, solve_profile(params)) == closed_form_slope(params)
+
+
+@given(params=EDGE_TUPLES)
+def test_cone_angle_matches_its_closed_forms(params):
+    f1, f3 = closed_form_cone_angles(params)
+    assert f1 == f3 == cone_angle(params)
+
+
+@given(params=EDGE_TUPLES)
+def test_taylor_shift_at_r1_reads_the_root_and_the_derivative(params):
+    p = solve_profile(params)
+    shifted = p.shift(params.r1)
+    assert shifted.coefficient(0) == 0
+    assert shifted.coefficient(1) == p.derivative()(params.r1)
+
+
+@given(params=CONIC_TUPLES)
+def test_conic_jet_vanishing_order_and_leading_constant(params):
+    n = params.n
+    p = solve_profile(params)
+    shifted = p.shift(1)
+    assert [shifted.coefficient(j) for j in range(n + 1)] == [0] * (n + 1)
+    assert shifted.coefficient(n + 1) == (params.lam / params.c) * F(2**n, n + 1)
+    assert conic_model(params, p).theta_coeff == (params.lam / (2 * n + 2)) ** 2
 
 
 def test_profile_fixtures():
@@ -139,12 +199,13 @@ def test_cone_angle_near_conic_limit():
 
 
 def test_cone_angle_three_forms_agree():
-    # cone_angle itself asserts agreement of its three closed forms
     rng = random.Random(31)
     for _ in range(100):
         params = random_params(rng, r1_min=1 + F(1, 9))
-        alpha = cone_angle(params)
-        assert alpha > 0
+        f1, f3 = closed_form_cone_angles(params)
+        f2 = params.c * solve_profile(params).derivative()(params.r1) / (2 * (params.r1**2 - 1) ** params.n)
+        assert f1 == f2 == f3 == cone_angle(params)
+        assert f1 > 0
 
 
 def test_edge_model_fixture():

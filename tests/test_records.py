@@ -158,6 +158,14 @@ def test_rescaled_profile_validation():
     assert RescaledProfile(1, 2, "2/3") == PROFILE
 
 
+@pytest.mark.parametrize("lam", [0, -2])
+def test_rescaled_profile_rejects_a_non_positive_lambda(lam):
+    # U = (lam/(2n+2)) (1 - (rho1/rho)^(2n+2)) is not a metric coefficient for lam <= 0
+    with pytest.raises(ValueError) as exc:
+        RescaledProfile(1, lam, F(2, 3))
+    assert str(exc.value) == f"lam must be > 0, got {lam}"
+
+
 def test_post_init_is_looked_up_at_call_time(monkeypatch):
     calls = []
     checks = geom.CurvatureReport.__post_init__

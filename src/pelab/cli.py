@@ -186,7 +186,10 @@ _OTHER_CHART_FLAGS = {
 
 def _radial_window(r1: float) -> tuple[float, float]:
     """Radial sampling window of the page-pope chart: [r1 + 0.1, max(10, r1 + 1)]."""
-    return r1 + 0.1, max(10.0, r1 + 1.0)
+    lower = r1 + 0.1
+    if not lower > r1:  # from about 2^50 on, r1 + 0.1 rounds back to r1
+        raise UsageError(f"r1 = {r1!r} lies beyond the float sampling window (r1 + 0.1 rounds to r1)")
+    return lower, max(10.0, r1 + 1.0)
 
 
 def _check_seed(seed: int):
@@ -222,8 +225,6 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--chart {args.chart} does not take {', '.join(given)}")
     rng = np.random.default_rng(args.seed)
     params = _params_from_args(args) if args.chart == "page-pope" else None
-    if args.n != 1:
-        raise UsageError("the chart verification covers n = 1")
     if params is not None:
         chart = geom.page_pope_chart(params)
         lam_check = args.Lambda_check if args.Lambda_check is not None else float(params.Lambda)
@@ -232,7 +233,7 @@ def cmd_verify(args) -> int:
         from .limits import rescaled_profile
 
         profile_lambda = args.profile_lambda if args.profile_lambda is not None else Fraction(2)
-        profile = rescaled_profile(1, profile_lambda, _resolve_rho1_sq(args))
+        profile = rescaled_profile(args.n, profile_lambda, _resolve_rho1_sq(args))
         chart = geom.rescaled_chart(profile)
         lam_check = args.Lambda_check if args.Lambda_check is not None else 0.0
         rho1f = profile.rho1
@@ -387,8 +388,6 @@ def cmd_sweep(args) -> int:
 
             from . import geom
 
-            if params.n != 1:
-                raise UsageError("--verify inside a sweep covers n = 1 only")
             chart = geom.page_pope_chart(params)
             rng = np.random.default_rng(args.seed * 100003 + idx)
             pts = _sample_points(rng, args.points, *_radial_window(float(params.r1)))

@@ -357,8 +357,7 @@ def point_scalars(chart: ChartMetric, points, lam: float) -> np.ndarray:
 
 
 def christoffel(chart: ChartMetric, point) -> np.ndarray:
-    G, dG, _ = metric_derivatives_jet(chart, point)
-    return _christoffel(_inverse(G, point), dG)[0]
+    return curvature_report(chart, point).christoffel
 
 
 def riemann(chart: ChartMetric, point) -> np.ndarray:
@@ -437,70 +436,65 @@ def connection_curvature_residual(lam: float, u: float, v: float) -> float:
     return abs(curl + 2.0 * h.value)
 
 
-def _fibration_metric(a_coef, b_coef, c_coef, lam, psi, u, v):
-    """Metric a dr^2 + b theta^2 + c ghat as a 4x4 component matrix.
+def _fibration_chart(n: int, coords: tuple, inner: float, radial: Callable, lam: float, label: str) -> ChartMetric:
+    """The chart (x, psi, u, v) of the fibration a dx^2 + b theta^2 + c ghat.
 
-    a_coef, b_coef, c_coef are the radial coefficients (already evaluated
-    at the radial coordinate); psi is unused since theta = dpsi + A has
-    psi-independent components.
+    radial(x) returns the radial coefficients (a, b, c) at the radial
+    coordinate x; theta = dpsi + A has psi-independent components.
+    Domain: x > inner, psi in (0, 2 pi), (u, v) in the open unit disk.
     """
-    h, a_u, a_v = _base_blocks(lam, u, v)
-    ch = c_coef * h
-    return [
-        [a_coef, 0.0, 0.0, 0.0],
-        [0.0, b_coef, b_coef * a_u, b_coef * a_v],
-        [0.0, b_coef * a_u, b_coef * a_u * a_u + ch, b_coef * a_u * a_v],
-        [0.0, b_coef * a_v, b_coef * a_u * a_v, b_coef * a_v * a_v + ch],
-    ]
+    if n != 1:
+        raise UnsupportedDimension("the chart verification covers n = 1")
+
+    def metric(pt):
+        x, _, u, v = pt
+        a_coef, b_coef, c_coef = radial(x)
+        h, a_u, a_v = _base_blocks(lam, u, v)
+        ch = c_coef * h
+        return [
+            [a_coef, 0.0, 0.0, 0.0],
+            [0.0, b_coef, b_coef * a_u, b_coef * a_v],
+            [0.0, b_coef * a_u, b_coef * a_u * a_u + ch, b_coef * a_u * a_v],
+            [0.0, b_coef * a_v, b_coef * a_u * a_v, b_coef * a_v * a_v + ch],
+        ]
+
+    def in_domain(pt):
+        x, psi, u, v = (float(t) for t in pt)
+        return x > inner and 0.0 < psi < 2 * math.pi and u * u + v * v < 1.0
+
+    return ChartMetric(4, coords, metric, in_domain, label=label)
 
 
 def page_pope_chart(params: FamilyParams) -> ChartMetric:
-    """The 4-dimensional chart (r, psi, u, v) of the n = 1 family metric.
-
-    Domain: r > r1, psi in (0, 2 pi), (u, v) in the open unit disk.
-    """
-    if params.n != 1:
-        raise UnsupportedDimension("only the n = 1 chart is provided")
+    """The chart (r, psi, u, v) of the family metric W/P dr^2 + c^2 P/W theta^2 + c W ghat, W = r^2 - 1."""
     p = solve_profile(params)
-    with _rounding_to_floats(f"page-pope n=1 lambda={params.lam} c={params.c} Lambda={params.Lambda} r1={params.r1}"):
+    with _rounding_to_floats(f"page-pope n={params.n} lambda={params.lam} c={params.c} Lambda={params.Lambda} r1={params.r1}"):
         pcoeffs = {e: float(c) for e, c in p.items()}
         cf = float(params.c)
         lamf = float(params.lam)
         r1f = float(params.r1)
 
-    def metric(x):
-        r, psi, u, v = x
+    def radial(r):
         w = r * r - 1.0
         pval = laurent_eval(pcoeffs, r)
-        return _fibration_metric(w / pval, cf * cf * pval / w, cf * w, lamf, psi, u, v)
+        return w / pval, cf * cf * pval / w, cf * w
 
-    def in_domain(pt):
-        r, psi, u, v = (float(t) for t in pt)
-        return r > r1f and 0.0 < psi < 2 * math.pi and u * u + v * v < 1.0
-
-    return ChartMetric(4, ("r", "psi", "u", "v"), metric, in_domain, label=f"page-pope n=1 r1={params.r1}")
+    return _fibration_chart(params.n, ("r", "psi", "u", "v"), r1f, radial, lamf, f"page-pope n={params.n} r1={params.r1}")
 
 
 def rescaled_chart(profile: RescaledProfile) -> ChartMetric:
     """The limit chart (rho, psi, u, v): U^-1 drho^2 + U rho^2 theta^2 + rho^2 ghat."""
-    if profile.n != 1:
-        raise UnsupportedDimension("only the n = 1 chart is provided")
     with _rounding_to_floats(f"rescaled lambda={profile.lam} rho1^2={profile.rho1_sq}"):
         ucoeffs = {e: float(c) for e, c in profile.as_laurent().items()}
         lamf = float(profile.lam)
         rho1f = profile.rho1
 
-    def metric(x):
-        rho, psi, u, v = x
+    def radial(rho):
         uval = laurent_eval(ucoeffs, rho)
         rho_sq = rho * rho
-        return _fibration_metric(1.0 / uval, uval * rho_sq, rho_sq, lamf, psi, u, v)
+        return 1.0 / uval, uval * rho_sq, rho_sq
 
-    def in_domain(pt):
-        rho, psi, u, v = (float(t) for t in pt)
-        return rho > rho1f and 0.0 < psi < 2 * math.pi and u * u + v * v < 1.0
-
-    return ChartMetric(4, ("rho", "psi", "u", "v"), metric, in_domain, label=f"rescaled rho1^2={profile.rho1_sq}")
+    return _fibration_chart(profile.n, ("rho", "psi", "u", "v"), rho1f, radial, lamf, f"rescaled rho1^2={profile.rho1_sq}")
 
 
 def sphere_chart(lam: float) -> ChartMetric:
@@ -509,9 +503,7 @@ def sphere_chart(lam: float) -> ChartMetric:
     lamf = float(lam)
 
     def metric(x):
-        u, v = x
-        q = u * u + v * v
-        h = (4.0 / lamf) / ((1.0 + q) * (1.0 + q))
+        h = _base_blocks(lamf, *x)[0]
         return [[h, 0.0], [0.0, h]]
 
     def in_domain(pt):
@@ -550,43 +542,23 @@ def uv_inverted_chart(chart: ChartMetric) -> ChartMetric:
     if chart.dim != 4:
         raise UnsupportedDimension("uv inversion expects a 4-dimensional chart")
 
-    def mapped(x):
-        x0, x1, U, V = x
-        Q = U * U + V * V
-        return x0, x1, U / Q, V / Q, Q
-
     def metric(x):
         x0, x1, U, V = x
-        _, _, u, v, Q = mapped(x)
-        M = chart.metric((x0, x1, u, v))
+        Q = U * U + V * V
+        M = chart.metric((x0, x1, U / Q, V / Q))
         Qsq = Q * Q
-        duU = (V * V - U * U) / Qsq
-        duV = -2.0 * U * V / Qsq
-        dvU = duV
-        dvV = (U * U - V * V) / Qsq
-        jac = [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, duU, duV],
-            [0.0, 0.0, dvU, dvV],
-        ]
-        out = []
-        for a in range(4):
-            row = []
-            for b in range(4):
-                acc = 0.0
-                for cidx in range(4):
-                    for didx in range(4):
-                        jc = jac[cidx][a]
-                        jd = jac[didx][b]
-                        if isinstance(jc, float) and jc == 0.0:
-                            continue
-                        if isinstance(jd, float) and jd == 0.0:
-                            continue
-                        acc = acc + jc * jd * M[cidx][didx]
-                row.append(acc)
-            out.append(row)
-        return out
+        # the symmetric Jacobian J of (U, V) -> (u, v)
+        j_uu = (V * V - U * U) / Qsq
+        j_uv = -2.0 * U * V / Qsq
+        j_vv = (U * U - V * V) / Qsq
+
+        def times_j(a, b):
+            return [a * j_uu + b * j_uv, a * j_uv + b * j_vv]
+
+        # [[M_ab, M_a. J], [J M_.b, J M J]]: M times the Jacobian, then its transpose times that
+        half = [[row[0], row[1], *times_j(row[2], row[3])] for row in M]
+        lower = [times_j(half[2][j], half[3][j]) for j in range(4)]
+        return [half[0], half[1], [e for e, _ in lower], [e for _, e in lower]]
 
     def in_domain(pt):
         x0, x1, U, V = (float(t) for t in pt)

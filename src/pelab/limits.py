@@ -279,8 +279,9 @@ def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
                 u_inf = u_inf_poly.eval_float(math.sqrt(rho**2))
                 dev_drho2 = abs(1.0 / (u_t * float(r_sq)) - 1.0 / u_inf)
                 dev_theta2 = abs(u_t - u_inf) * float(rho**2)
-            except OverflowError:
-                raise DomainError(f"t = {t}, rho = {rho}: the float evaluation of the comparison overflows") from None
+            except (OverflowError, ZeroDivisionError) as exc:  # r_sq rounds to 1.0 once C passes about 1e16
+                fault = "overflows" if isinstance(exc, OverflowError) else "divides by zero"
+                raise DomainError(f"t = {t}, rho = {rho}: the float evaluation of the comparison {fault}") from None
             dev_base = abs(big_c * (r_sq - 1) - rho**2)  # exact, identically zero
             rows.append((t, rho, dev_drho2, dev_theta2, dev_base))
             worst[0] = max(worst[0], dev_drho2)

@@ -142,6 +142,15 @@ USAGE_ERRORS = [
     ("sweep --param r1 --start 1 --stop 1e400 --count 2 --k 1 --verify", f"page-pope n=1 lambda=4 c=1 Lambda=-3 r1={10**400}: an exact value lies beyond the float range"),
     ("verify --chart rescaled --rho1 1e400 --points 2", f"rescaled lambda=2 rho1^2={10**800}: an exact value lies beyond the float range"),
     ("limit --n 1 --rho-grid 1e400", f"t = 1/10, rho = {10**400}: the float evaluation of the comparison overflows"),
+    # r^2 = 1 + rho^2 t / c_t rounds to 1.0 in floats once t is below about 1e-16
+    ("limit --n 1 --t-list 1e-20", f"t = 1/{10**20}, rho = 979795897/1000000000: the float evaluation of the comparison divides by zero"),
+    ("limit --n 1 --t-list 1e-17", f"t = 1/{10**17}, rho = 979795897/1000000000: the float evaluation of the comparison divides by zero"),
+    # r1 + 0.1 rounds back to r1, so the page-pope sampling window is empty
+    ("verify --k 1 --r1 1e20 --points 2", "r1 = 1e+20 lies beyond the float sampling window (r1 + 0.1 rounds to r1)"),
+    ("sweep --param r1 --start 1e20 --stop 2e20 --count 2 --k 1 --verify", "r1 = 1e+20 lies beyond the float sampling window (r1 + 0.1 rounds to r1)"),
+    # both charts refuse n != 1 in one place, geom._fibration_chart
+    ("verify --n 2 --k 1 --r1 2 --points 3", "the chart verification covers n = 1"),
+    ("sweep --param r1 --start 2 --stop 3 --count 2 --k 1 --n 2 --verify", "the chart verification covers n = 1"),
 ]
 
 

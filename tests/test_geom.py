@@ -189,6 +189,11 @@ def test_chart_domain_checks():
         curvature_report(chart, (1.5, 1.0, 0.0, 0.0))
 
 
+def test_christoffel_checks_the_domain():
+    with pytest.raises(ValueError, match="outside chart domain"):
+        christoffel(page_pope_chart(EDGE_SMOOTH), (1.5, 1.0, 0.0, 0.0))
+
+
 def test_unsupported_dimension():
     params = FamilyParams(n=2, lam=F(2), c=F(1), Lambda=F(-5), r1=F(1))
     with pytest.raises(UnsupportedDimension):
@@ -226,6 +231,24 @@ def test_chart_invariance_under_uv_inversion():
     r2 = einstein_residual(inv, -3.0, (1.7, 0.4, u / q, v / q))
     assert abs(r1 - r2) < 1e-6
     assert curvature_report(inv, (1.7, 0.4, u / q, v / q)).scalar == pytest.approx(-12.0, rel=1e-9)
+
+
+def test_uv_inverted_metric_is_the_pullback():
+    # independent route: J^T M J with the numpy Jacobian (Q I - 2 w w^T)/Q^2 of w -> w/Q
+    rng = random.Random(31)
+    for params in (HYPERBOLIC, EDGE_SMOOTH):
+        base = page_pope_chart(params)
+        inv = uv_inverted_chart(base)
+        for _ in range(6):
+            x0, x1, u, v = sample_point(rng, float(params.r1) + 0.1, 9.0)
+            q = u * u + v * v
+            w = np.array([u / q, v / q])
+            big_q = float(w @ w)
+            jac = np.eye(4)
+            jac[2:, 2:] = (big_q * np.eye(2) - 2.0 * np.outer(w, w)) / big_q**2
+            expected = jac.T @ base.metric_values((x0, x1, w[0] / big_q, w[1] / big_q)) @ jac
+            got = inv.metric_values((x0, x1, *w))
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_sectional_approaches_minus_one():

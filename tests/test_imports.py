@@ -1,6 +1,8 @@
 """Import boundary: each command loads only the layers it uses, and none loads dataclasses."""
 
 import functools
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -98,3 +100,26 @@ def test_every_exported_name_resolves():
     assert pelab.Jet2 is pelab.jets.Jet2 and pelab.sectional is pelab.geom.sectional
     with pytest.raises(AttributeError, match="no_such_name"):
         pelab.no_such_name
+
+
+def test_traced_spans_name_public_layer_functions(monkeypatch):
+    # perfbench's per-layer metrics read the spans of "<layer>.<function>"; a
+    # function renamed, made private or moved would read 0 without an error.
+    monkeypatch.syspath_prepend(str(SRC.parent))
+    run = importlib.import_module("perfbench.run")
+    spans = [
+        *run.PER_OP_SPAN_CALLS.values(),
+        *(name for names in run.PER_OP_SPAN_MS.values() for name in names),
+        *run.PER_OP_SELF_MS.values(),
+        *run.PER_POINT_US.values(),
+    ]
+    for span in spans:
+        if span == "geom.checks":  # the span of CurvatureReport.__post_init__
+            continue
+        layer, name = span.split(".")
+        module = importlib.import_module(f"pelab.{layer}")
+        fn = getattr(module, name, None)
+        assert not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == module.__name__, span
+    from pelab import geom
+
+    assert inspect.isfunction(geom.CurvatureReport.__post_init__)

@@ -3,7 +3,7 @@ of Poincare-Einstein metrics on complex line bundles, together with its
 conic and Ricci-flat degeneration limits and an audit of the circulating
 closed-form constants."""
 
-from .laurent import LaurentPoly, LaurentQuotient, NonIntegrableTerm, Rational, ZeroBase
+from .laurent import LaurentPoly, LaurentQuotient, NonIntegrableTerm, ZeroBase
 from .family import (
     AuditMismatch,
     ConicCase,
@@ -60,9 +60,7 @@ _ON_FIRST_USE = {
         "fd_oracle",
         "page_pope_chart",
         "rescaled_chart",
-        "ricci",
         "riemann",
-        "scalar_curvature",
         "sectional",
     ),
 }

@@ -138,16 +138,14 @@ def cmd_family(args) -> int:
             f"  leading jet constant = {conic['k_leading']} (quoted form {conic['k_quoted']})",
         ]
     else:
-        p = fam.solve_profile(params)
-        em = fam.edge_model(params, p)
-        _, alpha_sq, beta_sq_jet = fam.expand_at_edge(params, p)
+        scale, alpha_sq, beta_sq_jet = fam.expand_at_edge(params, fam.solve_profile(params))
         lines += [
             f"edge model (r1 = {params.r1}):",
-            f"  alpha = {em.alpha} (cone angle 2*pi*alpha)",
-            f"  beta_sq derived = {em.beta_sq_derived}",
-            f"  beta_sq printed = {em.beta_sq_paper}",
+            f"  alpha = {report['alpha']} (cone angle 2*pi*alpha)",
+            f"  beta_sq derived = {report['beta_sq_derived']}",
+            f"  beta_sq printed = {report['beta_sq_paper']}",
             f"  jet oracle: alpha_sq = {alpha_sq}, beta_sq = {beta_sq_jet}",
-            f"  scale = {em.scale}",
+            f"  scale = {scale}",
         ]
     lines += [
         f"berger_coeff = {report['berger_coeff']}",
@@ -314,6 +312,8 @@ def _sweep_values(args):
     if not args.start < args.stop:
         raise UsageError("--start must be < --stop")
     if args.param == "k":
+        if args.spacing != "linear":
+            raise UsageError("k sweeps need --spacing linear")
         lo, hi = int(args.start), int(args.stop)
         if Fraction(lo) != args.start or Fraction(hi) != args.stop:
             raise UsageError("k sweeps need integer --start/--stop")
@@ -430,6 +430,8 @@ def _default_rho_grid(n: int):
 
 
 def cmd_limit(args) -> int:
+    if args.summary_output and args.format != "csv":
+        raise UsageError("--summary-output needs --format csv")
     from .limits import limit_comparison
 
     ts = [_rat(v, "--t-list") for v in args.t_list.split(",") if v]

@@ -93,8 +93,7 @@ class ChartMetric:
     label: str = ""
 
     def metric_values(self, point) -> np.ndarray:
-        rows = self.metric([float(x) for x in point])
-        return np.array([[e.value if isinstance(e, Jet2) else float(e) for e in row] for row in rows])
+        return np.array(self.metric([float(x) for x in point]), dtype=float)
 
 
 def metric_derivatives_jet(chart: ChartMetric, points):
@@ -279,15 +278,6 @@ class CurvatureReport:
                 raise CurvatureCheckError(f"Riemann symmetry violation {sym[i]:.3e} at {where}")
             raise CurvatureCheckError(f"first Bianchi violation {bianchi[i]:.3e} at {where}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "einstein_residual": self.einstein_residual,
-            "scalar": self.scalar,
-            "bianchi_max": self.bianchi_max,
-            "symmetry_max": self.symmetry_max,
-        }
-
 
 def _report(points: np.ndarray, G, dG, ddG, lam) -> CurvatureReport:
     """Report of one point (points of shape (d,)) or of a batch (shape (N, d))."""
@@ -364,24 +354,16 @@ def riemann(chart: ChartMetric, point) -> np.ndarray:
     return curvature_report(chart, point).riemann
 
 
-def ricci(chart: ChartMetric, point) -> np.ndarray:
-    return curvature_report(chart, point).ricci
-
-
-def scalar_curvature(chart: ChartMetric, point) -> float:
-    return curvature_report(chart, point).scalar
-
-
 def einstein_residual(chart: ChartMetric, lam: float, point) -> float:
     """max_ij |Ric_ij - lam g_ij| / max_ij |g_ij| at the point."""
     return curvature_report(chart, point, lam=lam).einstein_residual
 
 
-def fd_oracle(chart: ChartMetric, point, step: float = 1e-3, lam: float | None = None) -> CurvatureReport:
+def fd_oracle(chart: ChartMetric, point, step: float = 1e-3) -> CurvatureReport:
     """Curvature via 4th-order finite differences only; the cross-check path."""
     pt = np.asarray(point, dtype=float)
     _check_domain(chart, [pt])
-    return _report(pt, *metric_derivatives_fd(chart, pt, step), lam)
+    return _report(pt, *metric_derivatives_fd(chart, pt, step), None)
 
 
 def sectional(chart: ChartMetric, point, x, y) -> float:

@@ -2,8 +2,8 @@
 
 A :class:`Jet2` carries float values together with their exact first and
 second partial derivatives with respect to d chart coordinates, and
-propagates them through +, -, *, /, integer powers and sqrt by the chain
-rule.  Seeding the coordinates of a point with :meth:`Jet2.variable` and
+propagates them through +, -, *, / and integer powers by the chain rule.
+Seeding the coordinates of a point with :meth:`Jet2.variable` and
 evaluating a metric component therefore yields machine-precision metric
 derivatives, which is exactly what the curvature formulas need.
 
@@ -18,8 +18,6 @@ outer product), so no resymmetrization is ever required.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -135,22 +133,8 @@ class Jet2:
                 return out
             base = base * base
 
-    def sqrt(self) -> "Jet2":
-        if np.any(self.value <= 0.0):
-            raise ValueError("jet sqrt needs a positive value part")
-        s = np.sqrt(self.value)
-        half = (0.5 / s)[..., None]
-        return Jet2(s, half * self.grad, half[..., None] * self.hess - (0.25 / s**3)[..., None, None] * _outer(self.grad, self.grad))
-
     def __repr__(self):
         return f"Jet2({self.value!r}, grad={self.grad!r})"
-
-
-def sqrt(x):
-    """sqrt working on floats and jets alike."""
-    if isinstance(x, Jet2):
-        return x.sqrt()
-    return math.sqrt(x)
 
 
 def seed_point(points, dim: int | None = None) -> list[Jet2]:

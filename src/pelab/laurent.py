@@ -18,10 +18,6 @@ import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
-#: Exact rational scalar type used across the package (always reduced,
-#: positive denominator, arbitrary precision: guaranteed by the stdlib).
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -90,20 +86,11 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return min(self._coeffs)
 
-    @property
-    def max_exponent(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._coeffs)
-
     def is_zero(self) -> bool:
         return not self._coeffs
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
 
     # -- ring operations ----------------------------------------------
 
@@ -124,11 +111,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     __radd__ = __add__
@@ -152,11 +135,7 @@ class LaurentPoly:
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -230,7 +209,7 @@ class LaurentPoly:
 
     # -- text form ----------------------------------------------------
 
-    def to_text(self, var: str = "r") -> str:
+    def to_text(self) -> str:
         """Canonical text form, decreasing exponents, rationals as p/q.
 
         Examples: ``r^4 - 4*r + 3``, ``1/2 - 1/2*r^-4``.
@@ -243,7 +222,7 @@ class LaurentPoly:
             if e == 0:
                 body = str(mag)
             else:
-                v = var if e == 1 else f"{var}^{e}"
+                v = "r" if e == 1 else f"r^{e}"
                 body = v if mag == 1 else f"{mag}*{v}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
@@ -278,9 +257,6 @@ class LaurentQuotient:
             raise ZeroDivisionError(f"denominator vanishes at {x}")
         return self.num(x) / d
 
-    def eval_float(self, x: float) -> float:
-        return self.num.eval_float(x) / self.den.eval_float(x)
-
     def __mul__(self, other) -> "LaurentQuotient":
         if isinstance(other, LaurentQuotient):
             return LaurentQuotient(self.num * other.num, self.den * other.den)
@@ -294,12 +270,6 @@ class LaurentQuotient:
         if isinstance(other, (LaurentPoly, int, Fraction)):
             return self.num == self.den * other
         return NotImplemented
-
-    def __hash__(self):
-        raise TypeError("unhashable (unreduced quotient)")
-
-    def to_text(self, var: str = "r") -> str:
-        return f"({self.num.to_text(var)}) / ({self.den.to_text(var)})"
 
     def __repr__(self) -> str:
         return f"LaurentQuotient({self.num!r}, {self.den!r})"

@@ -70,11 +70,9 @@ class RescaledProfile:
         level = self.limit_value
         return LaurentPoly({0: level, -m: -level * self.rho1_sq ** (self.n + 1)})
 
-    def u_at(self, rho):
-        """U(rho); exact for rational rho, float for float rho."""
-        if isinstance(rho, float):
-            return self.as_laurent().eval_float(rho)
-        return self.as_laurent()(_coerce(rho))
+    def u_at(self, rho) -> Fraction:
+        """Exact U at a rational rho."""
+        return self.as_laurent()(rho)
 
     def u_at_sq(self, rho_sq) -> Fraction:
         """Exact U at a point given by rho^2 (U depends on rho only through it)."""
@@ -88,7 +86,7 @@ class RescaledProfile:
 
 def rescaled_profile(n: int, lam, rho1_sq) -> RescaledProfile:
     """The closed-form solution of the rescaled profile ODE with zero at rho1."""
-    return RescaledProfile(n=n, lam=_coerce(lam), rho1_sq=_coerce(rho1_sq))
+    return RescaledProfile(n=n, lam=lam, rho1_sq=rho1_sq)
 
 
 def profile_ode_residual(profile: RescaledProfile, rho_samples) -> Fraction:
@@ -116,13 +114,9 @@ class RescalePoint:
     rho_sq: Fraction
     u: Fraction
 
-    @property
-    def rho(self) -> float:
-        return math.sqrt(self.rho_sq)
-
 
 def rescale_map(params: FamilyParams, r) -> RescalePoint:
-    """Exact (rho, U) data of the rescaling at a rational radius r > r1."""
+    """Exact (rho^2, U) data of the rescaling at a rational radius r > r1."""
     r = _coerce(r)
     if r <= max(params.r1, 1):
         raise DomainError(f"need r > max(r1, 1), got {r}")
@@ -144,10 +138,6 @@ class Rho1Limit:
     derived_sq: Fraction
     paper_sq: Fraction
     samples: tuple
-
-    @property
-    def derived(self) -> float:
-        return math.sqrt(self.derived_sq)
 
     @property
     def paper(self) -> float:

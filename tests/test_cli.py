@@ -151,6 +151,19 @@ USAGE_ERRORS = [
     # both charts refuse n != 1 in one place, geom._fibration_chart
     ("verify --n 2 --k 1 --r1 2 --points 3", "the chart verification covers n = 1"),
     ("sweep --param r1 --start 2 --stop 3 --count 2 --k 1 --n 2 --verify", "the chart verification covers n = 1"),
+    ("family --n 1 --k 1", "--r1 is required"),
+    ("sweep --param k --start 1 --stop 3 --count 3 --n 1", "sweeping k needs --r1"),
+    ("sweep --param k --start 1/2 --stop 3 --count 3 --n 1 --r1 1", "k sweeps need integer --start/--stop"),
+    ("sweep --param k --start 1 --stop 3 --count 4 --n 1 --r1 1", "k sweeps need --count equal to stop - start + 1"),
+    ("sweep --param k --start 1 --stop 3 --count 3 --n 1 --r1 1 --spacing log", "k sweeps need --spacing linear"),
+    ("sweep --param k --start 1 --stop 2 --count 2 --n 1 --lambda 2 --r1 2", "sweeping k fixes lam, c, Lambda; only --n and --r1 may be given"),
+    ("sweep --param c --start 1 --stop 2 --count 2 --n 1 --lambda 2 --c 1 --Lambda -3 --r1 2", "--c conflicts with sweeping c"),
+    ("sweep --param c --start 1 --stop 2 --count 2 --n 1 --k 1 --r1 2", "--k fixes c; it cannot be combined with sweeping c"),
+    ("sweep --param c --start 1 --stop 2 --count 2 --n 1 --lambda 2 --r1 2", "sweeping c needs --lambda, --Lambda, --r1"),
+    ("limit --n 1 --rho-grid 1:2", "rho grid range must be start:stop:count"),
+    ("limit --n 1 --rho-grid 2:1:3", "rho grid range needs start < stop and count >= 2"),
+    ("limit --n 1 --rho-grid 1:2:1", "rho grid range needs start < stop and count >= 2"),
+    ("limit --n 1 --format json --summary-output summary.json", "--summary-output needs --format csv"),
 ]
 
 

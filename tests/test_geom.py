@@ -24,8 +24,6 @@ from pelab.geom import (
     page_pope_chart,
     rescaled_chart,
     riemann,
-    ricci,
-    scalar_curvature,
     scaled_chart,
     sectional,
     sphere_chart,
@@ -267,13 +265,6 @@ def test_sectional_approaches_minus_one():
         worst.append(max(devs))
     assert worst[0] > worst[1] > worst[2]
     assert worst[2] < 1e-3
-
-
-def test_report_json_fields():
-    rep = curvature_report(page_pope_chart(HYPERBOLIC), HYP_POINT, lam=-3.0)
-    payload = rep.to_json_dict()
-    assert set(payload) == {"point", "einstein_residual", "scalar", "bianchi_max", "symmetry_max"}
-    assert payload["einstein_residual"] < 1e-12
 
 
 def test_bianchi_and_symmetries_enforced():

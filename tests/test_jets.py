@@ -1,11 +1,9 @@
 """Jet arithmetic against hand-computed derivatives and finite differences."""
 
-import math
-
 import numpy as np
 import pytest
 
-from pelab.jets import Jet2, laurent_eval, seed_point, sqrt
+from pelab.jets import Jet2, laurent_eval, seed_point
 
 
 def _xy(x, y):
@@ -35,18 +33,6 @@ def test_reciprocal_jet():
     assert np.allclose(f.hess, [[hxx, hxy], [hxy, hyy]], atol=1e-12)
 
 
-def test_sqrt_jet():
-    # f = sqrt(1 + x^2): f' = x/sqrt(1+x^2), f'' = 1/(1+x^2)^(3/2)
-    a = 0.8
-    x = Jet2.variable(a, 0, 1)
-    f = sqrt(1 + x * x)
-    s = math.sqrt(1 + a * a)
-    assert f.value == pytest.approx(s, abs=1e-15)
-    assert f.grad[0] == pytest.approx(a / s, abs=1e-12)
-    assert f.hess[0, 0] == pytest.approx(1 / (1 + a * a) ** 1.5, abs=1e-12)
-    assert sqrt(4.0) == 2.0
-
-
 def test_quotient_and_negative_powers():
     a = 1.3
     x = Jet2.variable(a, 0, 1)
@@ -64,8 +50,6 @@ def test_division_errors():
     x = Jet2.variable(0.0, 0, 1)
     with pytest.raises(ZeroDivisionError):
         1 / x
-    with pytest.raises(ValueError):
-        sqrt(Jet2.variable(-1.0, 0, 1))
     with pytest.raises(TypeError):
         Jet2.variable(1.0, 0, 1) ** 0.5
 

@@ -14,7 +14,6 @@ from .family import (
     FamilyParams,
     MetricCoefficients,
     NoSmoothMetric,
-    PositivityViolation,
     asymptotic_coefficients,
     cone_angle,
     conformal_infinity,
@@ -23,7 +22,6 @@ from .family import (
     edge_model,
     expand_at_edge,
     metric_coefficients,
-    positivity_check,
     profile_slope_at_r1,
     scaling_action,
     smooth_c,

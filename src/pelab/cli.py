@@ -150,7 +150,7 @@ def cmd_family(args) -> int:
     lines += [
         f"berger_coeff = {report['berger_coeff']}",
         f"z_scale = {report['z_scale']}",
-        f"positivity: {'PASS' if report['positivity'] == 'pass' else 'FAIL'}",
+        f"positivity: {report['positivity'].upper()}",
     ]
     _write_output("\n".join(lines) + "\n", args.output)
     return 0

@@ -19,7 +19,9 @@ from pelab.family import (
     cone_angle_conic_limit,
     cone_angle_slope,
     cpn_catalogue,
+    metric_coefficients,
     profile_ode_rhs,
+    scaling_action,
     smooth_c,
     smooth_c_printed,
     solve_profile,
@@ -34,7 +36,7 @@ from pelab.geom import (
     scaled_chart,
     sectional,
 )
-from pelab.laurent import LaurentPoly
+from pelab.laurent import LaurentPoly, LaurentQuotient
 from pelab.limits import limit_comparison, rescaled_profile, rho1_limit
 
 
@@ -202,8 +204,14 @@ def test_criterion_09_formula_audit():
 def test_criterion_10_limit_comparison():
     rho1 = math.sqrt(2 / 3)
     grid = [F(repr(round(rho1 * (1.2 + 1.8 * j / 24), 9))) for j in range(25)]
-    comparison = limit_comparison(1, [F(1, 10), F(1, 100), F(1, 1000)], grid)
-    assert comparison.theta_identity_exact
+    ts = [F(1, 10), F(1, 100), F(1, 1000)]
+    comparison = limit_comparison(1, ts, grid)
+    # theta^2 coefficient of the rescaled member == U_t rho^2 as exact rational functions of r
+    r2m1 = LaurentPoly({2: 1, 0: -1})
+    for t in ts:
+        scaled = scaling_action(FamilyParams(n=1, lam=F(2), c=smooth_c(1, 2, -3, 1 + t), Lambda=F(-3), r1=1 + t), 1 / t)
+        p = solve_profile(scaled)
+        assert metric_coefficients(scaled, p).b == LaurentQuotient(scaled.c**2 * p * r2m1, r2m1**2)
     for key in ("dev_drho2", "dev_theta2"):
         sups = comparison.sup_deviations[key]
         assert sups[0] > sups[1] > sups[2]

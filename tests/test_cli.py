@@ -78,12 +78,16 @@ EXACT_GOLDENS = [
     ("family --n 1 --k 3 --r1 1", "82fc9da85ab2a987718237b8787b1dca052829dcadb3679afd0cbb65f4638111"),
     ("family --n 2 --k 3 --r1 1", "6495d85b099916614fb3c0cfe7eb6f0882b0f46a9e04a2f1b9aa42c7cff91774"),
     ("family --n 4 --k 3 --r1 1", "982c027b88b694275f459d57eb16ba9cc8bf55e2c9b82dad8f926e3e25fd5ea9"),
+    ("family --n 1 --k 3 --r1 1 --format json", "ebea4ca26cc51227af8a7d5fa920aebfe4edaa71880477ba85179fff15a7ac9d"),
+    ("family --n 3 --k 2 --r1 1 --format json", "1f5d81079c17cac23d060c6d7478e569c8c3f0ad35db0dac9587935feb7475bd"),
+    ("family --n 1 --k 1 --r1 5/2", "f11b0bcd8a096ed56041183f2c10c26cf7bd66656e4faa3a59c08af720d4149e"),
     ("family --n 10 --k 3 --r1 1", "688b6f4b5bf655cf9c1cc757b18982b80f7b32c7c1c82af39a497238cf7360e1"),
     ("family --n 4 --k 5 --r1 7/3", "fa6cc6cb310f6d6f0d04d528785962a90e22619ae7cd469f4c117e686cebc0a7"),
     ("family --n 4 --k 5 --r1 7/3 --format json", "d15490fa9edd48de67b550e56a085c32b10c324ffc1b30c31d1eaea655a26c6c"),
     ("family --n 2 --lambda 3 --c 1/2 --Lambda -5 --r1 3/2", "f5959651f2e9c12c1b87eeedfbc55571dc03e364f9d3dd9b3afa4728faba835e"),
     ("limit --n 1", "3e02f6491cf82a421a420cdc84799ce9fbc5500eb5695fa200e4a6c33d6b5147"),
     ("limit --n 1 --format json", "e41117ac75049c999a929117cf9b14233d27d79bb391f336c7467d452ac9b398"),
+    ("limit --n 2 --format json", "617b6c92501c5027f99a5e062a1e297a3faa2a5174ea46670e386384d16ab323"),
     ("limit --n 2 --rho-grid 1:3:5", "d9848c57ea07222123b02a53ea3fb2789da1600d89024dff6abc0625c998b786"),
     ("limit --n 1 --t-list 0.1,0.01 --rho-grid 1:2:5 --summary-output {summary}", "011ed40d5f5f49151c31a234cf9bf2e9692a626e0103de06c3a716f2d494fef9"),
     ("sweep --param r1 --start 1.01 --stop 10 --count 7 --n 1 --k 1", "741e2c2853571ee9480b2ae636b3e59d052443475fdb5bcfa5c49e347e50a33d"),
@@ -129,6 +133,8 @@ USAGE_ERRORS = [
     ("limit --n 1 --t-list abc", "argument --t-list: not a rational number: 'abc' (Invalid literal for Fraction: 'abc')"),
     ("limit --n 1 --t-list 0.1,y", "argument --t-list: not a rational number: 'y' (Invalid literal for Fraction: 'y')"),
     ("limit --n 1 --t-list 0.1 --rho-grid 0.5,1", "rho = 1/2 is below the inner radius for t = 1/10"),
+    ("limit --n 1 --t-list 0.1 --rho-grid=-2,2", "rho = -2 is below the inner radius for t = 1/10"),
+    ("limit --n 1 --rho-grid ,", "rho_grid must not be empty"),
     ("limit --n 1 --t-list 0.1 --rho-grid 1:2:x", "--rho-grid count must be an integer, got 'x'"),
     ("limit --rho-grid 1:x:3", "argument --rho-grid: not a rational number: 'x' (Invalid literal for Fraction: 'x')"),
     ("verify --chart rescaled --rho1 abc --points 2", "argument --rho1: not a rational number: 'abc' (Invalid literal for Fraction: 'abc')"),

@@ -15,7 +15,6 @@ from pelab.family import (
     EdgeCase,
     FamilyParams,
     NoSmoothMetric,
-    PositivityViolation,
     asymptotic_coefficients,
     cone_angle,
     cone_angle_conic_limit,
@@ -27,7 +26,6 @@ from pelab.family import (
     expand_at_edge,
     family_report,
     metric_coefficients,
-    positivity_check,
     profile_ode_rhs,
     profile_slope_at_r1,
     scaling_action,
@@ -164,21 +162,20 @@ def test_metric_coefficients_identities():
 def test_positivity_fixtures():
     assert solve_profile(CONIC)(2) == 11
     assert solve_profile(HYPERBOLIC)(2) == 9
-    report = positivity_check(CONIC, solve_profile(CONIC), 25)
-    assert report.ok and len(report.samples) == 25
+    assert family_report(CONIC)["positivity"] == "pass"
 
 
-def test_positivity_random():
-    rng = random.Random(7)
-    for _ in range(15):
-        params = random_params(rng)
-        assert positivity_check(params, solve_profile(params), 8).ok
-
-
-def test_positivity_violation_detected():
-    wrong = LaurentPoly({4: 1, 0: -1000})
-    with pytest.raises(PositivityViolation):
-        positivity_check(EDGE, wrong, 10)
+# family_report states P > 0 on (r1, infinity) from the ODE sign argument
+# without sampling; this samples it over n = 1..10 and r in (r1, r1 + 10],
+# and checks the leading term |Lambda|/(2n+1) r^(2n+2) that governs large r
+# (and that asymptotic_coefficients takes as its claimed form).
+@given(params=st.one_of(EDGE_TUPLES, CONIC_TUPLES), offset=st.fractions(min_value=F(1, 1000), max_value=10, max_denominator=1000))
+def test_positivity_random(params, offset):
+    p = solve_profile(params)
+    assert p(params.r1 + offset) > 0
+    top = 2 * params.n + 2
+    assert max(exponent for exponent, _ in p.items()) == top
+    assert p.coefficient(top) == params.abs_Lambda / (2 * params.n + 1)
 
 
 def test_cone_angle_fixture():
@@ -465,6 +462,16 @@ def test_asymptotic_coefficients():
     # hyperbolic dr^2 ratio: A(r) r^2 |Lambda|/(2n+1) = r^2/(r^2-1)
     hyp_report = asymptotic_coefficients(HYPERBOLIC, solve_profile(HYPERBOLIC))
     assert hyp_report.deviations[0][0] == abs(F(100, 99) - 1)
+
+
+def test_asymptotic_coefficients_reports_a_slow_approach():
+    # lam/(c|Lambda|) = 20000/3 puts the pre-asymptotic range far beyond the
+    # radii 10, 100, 1000: the deviations shrink slowly there, which is
+    # reported, not an error
+    params = FamilyParams(n=1, lam=F(2), c=F(1, 10000), Lambda=F(-3), r1=F(2))
+    report = asymptotic_coefficients(params, solve_profile(params))
+    assert report.radii == (10, 100, 1000)
+    assert 1 < report.decade_factors[0][0] < 5
 
 
 def test_zero_section_collapse_exponents():

@@ -1,5 +1,6 @@
 """Curvature engine: charts, Einstein residuals, cross-scheme agreement."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -7,9 +8,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from pelab import geom
 from pelab.family import FamilyParams, smooth_c
 from pelab.geom import (
     ChartMetric,
+    CurvatureCheckError,
+    CurvatureReport,
     DegeneratePlane,
     SingularMetric,
     StepTooLarge,
@@ -82,6 +86,20 @@ def test_connection_potential_solves_curvature_equation():
         u, v = rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)
         lam = rng.choice([1.0, 2.0, 4.0, 6.0])
         assert connection_curvature_residual(lam, u, v) < 1e-10
+
+
+def test_connection_residual_measures_a_wrong_potential(monkeypatch):
+    # with A doubled, dA = -4 omega and the residual |dA + 2 omega| is 2h
+    base_blocks = geom._base_blocks
+
+    def doubled(lam, u, v):
+        h, a_u, a_v = base_blocks(lam, u, v)
+        return h, 2 * a_u, 2 * a_v
+
+    monkeypatch.setattr(geom, "_base_blocks", doubled)
+    two_h = 2 * (4.0 / 2.0) / (1.0 + 0.3**2 + 0.2**2) ** 2
+    assert two_h == pytest.approx(3.13259, abs=1e-5)
+    assert connection_curvature_residual(2.0, 0.3, -0.2) == pytest.approx(two_h, rel=1e-12)
 
 
 def test_metric_positive_definite():
@@ -271,3 +289,25 @@ def test_bianchi_and_symmetries_enforced():
     rep = curvature_report(page_pope_chart(EDGE_SMOOTH), (3.0, 1.2, 0.3, -0.2))
     assert rep.symmetry_max < 1e-8
     assert rep.bianchi_max < 1e-8
+
+
+def test_report_rejects_a_tensor_that_breaks_only_bianchi():
+    # constant curvature 1 on the identity metric, plus 1e-4 times the
+    # Levi-Civita symbol: every pair symmetry holds exactly, but the cyclic
+    # sum is 3e-4 eps_ijkl
+    g = np.eye(4)
+    eps = np.zeros((4, 4, 4, 4))
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        eps[perm] = (-1) ** inversions
+    R = np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g) + 1e-4 * eps
+    with pytest.raises(CurvatureCheckError, match=r"first Bianchi violation 3\.000e-04"):
+        CurvatureReport(
+            point=(0.0, 0.0, 0.0, 0.0),
+            metric=g,
+            christoffel=np.zeros((4, 4, 4)),
+            riemann=R,
+            ricci=3 * g,
+            scalar=12.0,
+            einstein_residual=None,
+        )

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pelab.family import AuditMismatch, FamilyParams
-from pelab.laurent import LaurentPoly
+from pelab.family import AuditMismatch, FamilyParams, _r2m1, metric_coefficients, scaling_action, smooth_c, solve_profile
+from pelab.laurent import LaurentPoly, LaurentQuotient
 from pelab.limits import (
     DomainError,
     flat_recovery,
@@ -157,7 +157,6 @@ def _default_grid():
 
 def test_limit_comparison():
     comparison = limit_comparison(1, [F(1, 10), F(1, 100), F(1, 1000)], _default_grid())
-    assert comparison.theta_identity_exact
     sups = comparison.sup_deviations
     for key in ("dev_drho2", "dev_theta2"):
         values = sups[key]
@@ -173,11 +172,30 @@ def test_limit_comparison():
     summary = comparison.summary()
     assert summary["rho1_derived"] == pytest.approx(math.sqrt(2 / 3))
     assert summary["rho1_paper"] == pytest.approx(math.sqrt(4 / 3))
+    assert summary["theta_identity_exact"] is True
+
+
+def rescaled_member(n, t):
+    """The lam = 2 smooth-cone member at r1 = 1 + t after (c, Lambda) -> (c/t, t Lambda)."""
+    base = FamilyParams(n=n, lam=F(2), c=smooth_c(n, 2, -(2 * n + 1), 1 + t), Lambda=F(-(2 * n + 1)), r1=1 + t)
+    return scaling_action(base, 1 / t)
+
+
+# The summary's "theta_identity_exact": c'^2 P (r^2-1)^-n equals
+# [C P / (r^2-1)^(n+1)] [C (r^2-1)] = U_t rho^2 with C = c', exactly.
+@given(n=st.integers(min_value=1, max_value=10), t=st.fractions(min_value=F(1, 10**6), max_value=1, max_denominator=10**6))
+def test_theta_coefficient_identity(n, t):
+    scaled = rescaled_member(n, t)
+    p = solve_profile(scaled)
+    assert metric_coefficients(scaled, p).b == LaurentQuotient(scaled.c**2 * p * _r2m1(1), _r2m1(n + 1))
 
 
 def test_limit_comparison_domain_error():
     with pytest.raises(DomainError):
         limit_comparison(1, [F(1, 10)], [F(1, 2)])
+    # rho^2 lies above the inner radius, but rho itself is negative
+    with pytest.raises(DomainError, match="rho = -2 is below"):
+        limit_comparison(1, [F(1, 10)], [F(-2), F(2)])
 
 
 def test_limit_comparison_validates_t():

@@ -23,7 +23,6 @@ INSTANCES = {
     "EdgeModel": lambda: fam.edge_model(EDGE, fam.solve_profile(EDGE)),
     "ConicModel": lambda: fam.conic_model(CONIC, fam.solve_profile(CONIC)),
     "ConformalInfinity": lambda: fam.conformal_infinity(EDGE),
-    "PositivityReport": lambda: fam.positivity_check(EDGE, fam.solve_profile(EDGE), 5),
     "AsymptoticsReport": lambda: fam.asymptotic_coefficients(EDGE, fam.solve_profile(EDGE)),
     "RescaledProfile": lambda: PROFILE,
     "RescalePoint": lambda: limits.rescale_map(EDGE, 3),

@@ -327,7 +327,7 @@ def _sweep_values(args):
         raise UsageError("log spacing requires --start > 0")
     try:
         lo, hi = math.log(float(args.start)), math.log(float(args.stop))
-    except OverflowError:
+    except (OverflowError, ValueError):  # a float that overflows, or underflows to 0.0 for math.log
         raise UsageError("log spacing needs --start and --stop within the float range") from None
     return [math.exp(lo + i * (hi - lo) / (args.count - 1)) for i in range(args.count)]
 

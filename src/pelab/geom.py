@@ -247,6 +247,9 @@ class CurvatureReport:
     A single-point report has a tuple point and float scalars.  The batch
     report of :func:`curvature_reports` has a leading axis N on every
     field: point (N, d), metric (N, d, d), scalar (N,), and so on.
+
+    einstein_residual is max_ij |Ric_ij - lam g_ij| / max_ij |g_ij| for the
+    lam the report was asked for, and None without one.
     """
 
     point: tuple | np.ndarray
@@ -344,19 +347,6 @@ def point_scalars(chart: ChartMetric, points, lam: float) -> np.ndarray:
         rep = curvature_reports(chart, pts[start:stop], lam)
         out[start:stop] = np.stack([getattr(rep, name) for name in SCALAR_COLUMNS], axis=-1)
     return out
-
-
-def christoffel(chart: ChartMetric, point) -> np.ndarray:
-    return curvature_report(chart, point).christoffel
-
-
-def riemann(chart: ChartMetric, point) -> np.ndarray:
-    return curvature_report(chart, point).riemann
-
-
-def einstein_residual(chart: ChartMetric, lam: float, point) -> float:
-    """max_ij |Ric_ij - lam g_ij| / max_ij |g_ij| at the point."""
-    return curvature_report(chart, point, lam=lam).einstein_residual
 
 
 def fd_oracle(chart: ChartMetric, point, step: float = 1e-3) -> CurvatureReport:

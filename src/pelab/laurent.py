@@ -86,9 +86,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return min(self._coeffs)
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -246,7 +243,7 @@ class LaurentQuotient:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("zero denominator")
         self.num = num
         self.den = den

@@ -52,6 +52,8 @@ class RescaledProfile:
     def __post_init__(self):
         object.__setattr__(self, "lam", _coerce(self.lam))
         object.__setattr__(self, "rho1_sq", _coerce(self.rho1_sq))
+        if not (isinstance(self.n, int) and self.n >= 1):
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if self.lam <= 0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if self.rho1_sq < 0:
@@ -71,10 +73,6 @@ class RescaledProfile:
         m = 2 * self.n + 2
         level = self.limit_value
         return LaurentPoly({0: level, -m: -level * self.rho1_sq ** (self.n + 1)})
-
-    def u_at(self, rho) -> Fraction:
-        """Exact U at a rational rho."""
-        return self.as_laurent()(rho)
 
     def u_at_sq(self, rho_sq) -> Fraction:
         """Exact U at a point given by rho^2 (U depends on rho only through it)."""

@@ -140,7 +140,10 @@ USAGE_ERRORS = [
     ("verify --chart rescaled --rho1 abc --points 2", "argument --rho1: not a rational number: 'abc' (Invalid literal for Fraction: 'abc')"),
     ("verify --chart rescaled --profile-lambda 0 --points 2", "lam must be > 0, got 0"),
     ("verify --chart rescaled --profile-lambda -2 --points 2", "lam must be > 0, got -2"),
+    ("verify --chart rescaled --n -1 --rho1 1 --points 2", "n must be a positive integer, got -1"),
+    ("verify --chart rescaled --n 0 --rho1 1 --points 2", "n must be a positive integer, got 0"),
     ("sweep --param r1 --start 2 --stop 1e400 --count 3 --spacing log --k 1", "log spacing needs --start and --stop within the float range"),
+    ("sweep --param c --spacing log --start 1e-400 --stop 1 --count 3 --lambda 2 --Lambda -3 --r1 2", "log spacing needs --start and --stop within the float range"),
     # exact values whose floats overflow: the chart builders and the limit comparison name them
     ("verify --k 1 --r1 1e400 --points 2", f"page-pope n=1 lambda=4 c=1 Lambda=-3 r1={10**400}: an exact value lies beyond the float range"),
     ("verify --k 1 --r1 1e300 --points 2", f"page-pope n=1 lambda=4 c=1 Lambda=-3 r1={10**300}: an exact value lies beyond the float range"),
@@ -157,6 +160,8 @@ USAGE_ERRORS = [
     # both charts refuse n != 1 in one place, geom._fibration_chart
     ("verify --n 2 --k 1 --r1 2 --points 3", "the chart verification covers n = 1"),
     ("sweep --param r1 --start 2 --stop 3 --count 2 --k 1 --n 2 --verify", "the chart verification covers n = 1"),
+    ("verify --chart rescaled --n 2 --rho1 1 --points 2", "the chart verification covers n = 1"),
+    ("verify --chart rescaled --n 3 --points 2", "the chart verification covers n = 1"),
     ("family --n 1 --k 1", "--r1 is required"),
     ("sweep --param k --start 1 --stop 3 --count 3 --n 1", "sweeping k needs --r1"),
     ("sweep --param k --start 1/2 --stop 3 --count 3 --n 1 --r1 1", "k sweeps need integer --start/--stop"),

@@ -18,16 +18,13 @@ from pelab.geom import (
     SingularMetric,
     StepTooLarge,
     UnsupportedDimension,
-    christoffel,
     connection_curvature_residual,
     curvature_report,
-    einstein_residual,
     euclidean_chart,
     fd_oracle,
     is_positive_definite,
     page_pope_chart,
     rescaled_chart,
-    riemann,
     scaled_chart,
     sectional,
     sphere_chart,
@@ -59,7 +56,7 @@ def test_sphere_einstein_and_sectional():
     for lam in (1.0, 2.0, 4.0):
         chart = sphere_chart(lam)
         for pt in [(0.0, 0.0), (0.3, -0.2), (0.8, 0.5)]:
-            assert einstein_residual(chart, lam, pt) < 1e-12
+            assert curvature_report(chart, pt, lam=lam).einstein_residual < 1e-12
             assert sectional(chart, pt, (1.0, 0.0), (0.0, 1.0)) == pytest.approx(lam, rel=1e-10)
 
 
@@ -73,7 +70,7 @@ def test_scalar_is_trace_of_ricci():
 
 def test_christoffel_symmetry_and_fd_agreement():
     chart = page_pope_chart(HYPERBOLIC)
-    gamma = christoffel(chart, HYP_POINT)
+    gamma = curvature_report(chart, HYP_POINT).christoffel
     assert np.allclose(gamma, np.einsum("kij->kji", gamma), atol=1e-14)
     fd = fd_oracle(chart, HYP_POINT)
     assert np.max(np.abs(gamma - fd.christoffel)) / np.max(np.abs(gamma)) < 1e-5
@@ -114,7 +111,7 @@ def test_hyperbolic_einstein_and_sectional():
     rng = random.Random(8)
     for _ in range(10):
         pt = sample_point(rng, 1.1, 9.0)
-        assert einstein_residual(chart, -3.0, pt) < 1e-6
+        assert curvature_report(chart, pt, lam=-3.0).einstein_residual < 1e-6
         x = [rng.gauss(0, 1) for _ in range(4)]
         y = [rng.gauss(0, 1) for _ in range(4)]
         assert sectional(chart, pt, x, y) == pytest.approx(-1.0, abs=1e-6)
@@ -132,7 +129,7 @@ def test_einstein_random_family_members():
         )
         chart = page_pope_chart(params)
         pt = sample_point(rng, float(params.r1) + 0.2, 8.0)
-        assert einstein_residual(chart, float(params.Lambda), pt) < 1e-6
+        assert curvature_report(chart, pt, lam=float(params.Lambda)).einstein_residual < 1e-6
 
 
 def test_rescaled_chart_flat():
@@ -140,7 +137,7 @@ def test_rescaled_chart_flat():
     rng = random.Random(16)
     for _ in range(10):
         pt = sample_point(rng, 0.5, 3.0)
-        assert np.max(np.abs(riemann(chart, pt))) < 1e-12
+        assert np.max(np.abs(curvature_report(chart, pt).riemann)) < 1e-12
 
 
 def test_rescaled_chart_ricci_flat():
@@ -150,10 +147,10 @@ def test_rescaled_chart_ricci_flat():
     rng = random.Random(17)
     for _ in range(10):
         pt = sample_point(rng, 1.1 * rho1, 5.0 * rho1)
-        assert einstein_residual(chart, 0.0, pt) < 1e-6
+        assert curvature_report(chart, pt, lam=0.0).einstein_residual < 1e-6
     # both circulating rho1 values give a Ricci-flat metric
     chart_paper = rescaled_chart(rescaled_profile(1, 2, rho1_limit(1).paper_sq))
-    assert einstein_residual(chart_paper, 0.0, (2.0, 1.0, 0.2, -0.1)) < 1e-6
+    assert curvature_report(chart_paper, (2.0, 1.0, 0.2, -0.1), lam=0.0).einstein_residual < 1e-6
 
 
 def test_rescaled_chart_finite_positive():
@@ -207,7 +204,7 @@ def test_chart_domain_checks():
 
 def test_christoffel_checks_the_domain():
     with pytest.raises(ValueError, match="outside chart domain"):
-        christoffel(page_pope_chart(EDGE_SMOOTH), (1.5, 1.0, 0.0, 0.0))
+        curvature_report(page_pope_chart(EDGE_SMOOTH), (1.5, 1.0, 0.0, 0.0)).christoffel
 
 
 def test_unsupported_dimension():
@@ -243,8 +240,8 @@ def test_chart_invariance_under_uv_inversion():
     inv = uv_inverted_chart(base)
     u, v = 0.2, 0.1
     q = u * u + v * v
-    r1 = einstein_residual(base, -3.0, (1.7, 0.4, u, v))
-    r2 = einstein_residual(inv, -3.0, (1.7, 0.4, u / q, v / q))
+    r1 = curvature_report(base, (1.7, 0.4, u, v), lam=-3.0).einstein_residual
+    r2 = curvature_report(inv, (1.7, 0.4, u / q, v / q), lam=-3.0).einstein_residual
     assert abs(r1 - r2) < 1e-6
     assert curvature_report(inv, (1.7, 0.4, u / q, v / q)).scalar == pytest.approx(-12.0, rel=1e-9)
 

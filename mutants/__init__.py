@@ -62,4 +62,16 @@ MUTANTS = [
         "return 0.5 * abs(curl + 2.0 * h.value)",
         "connection curvature residual halved",
     ),
+    (
+        "src/pelab/laurent.py",
+        "q_power *= q",
+        "q_power *= 1",
+        "exact evaluation: the q-power step of the Horner pass skipped",
+    ),
+    (
+        "src/pelab/laurent.py",
+        "(total, d * p**-lo)",
+        "(total, d * abs(p)**-lo)",
+        "exact evaluation: the sign of x dropped in the lo < 0 branch",
+    ),
 ]

@@ -309,6 +309,8 @@ def cmd_audit(args) -> int:
 def _sweep_values(args):
     if args.count < 2:
         raise UsageError("--count must be >= 2")
+    if args.count > 100_000:  # every value and row is built before the first row is written
+        raise UsageError("--count must be <= 100000")
     if not args.start < args.stop:
         raise UsageError("--start must be < --stop")
     if args.param == "k":
@@ -337,6 +339,8 @@ def _sweep_params(args, value) -> FamilyParams:
     if args.param == "r1":
         return _params_from_args(args, r1=exact)
     if args.param == "t":
+        if exact < 0:
+            raise UsageError(f"--param t needs t >= 0, got {exact}")
         return _params_from_args(args, r1=1 + exact)
     if args.param == "c":
         if args.c is not None:

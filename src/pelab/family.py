@@ -208,7 +208,11 @@ def _rhs_antiderivative(n: int, abs_Lambda: Fraction, lam_over_c: Fraction) -> L
 @functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def _profile(params: FamilyParams) -> LaurentPoly:
     q0 = _rhs_antiderivative(params.n, params.abs_Lambda, params.lam / params.c)
-    return LaurentPoly.var() * (q0 - q0(params.r1))
+    # r (q0 - q0(r1)): an antiderivative has no r^0 term, so the constant lands on r^1 alone
+    coeffs = {e + 1: c for e, c in q0.items()}
+    if root_value := q0(params.r1):
+        coeffs[1] = -root_value
+    return LaurentPoly._of_nonzero(coeffs)
 
 
 def solve_profile(params: FamilyParams) -> LaurentPoly:

@@ -53,6 +53,13 @@ class LaurentPoly:
                     clean[int(exponent)] = c
         object.__setattr__(self, "_coeffs", clean)
 
+    @classmethod
+    def _of_nonzero(cls, coeffs: dict[int, Fraction]) -> "LaurentPoly":
+        """Adopt a map whose values are already non-zero Fractions, skipping _coerce."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_coeffs", coeffs)
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
@@ -65,11 +72,6 @@ class LaurentPoly:
     @classmethod
     def term(cls, coeff, exponent: int) -> "LaurentPoly":
         return cls({exponent: _coerce(coeff)})
-
-    @classmethod
-    def var(cls) -> "LaurentPoly":
-        """The monomial r."""
-        return cls({1: Fraction(1)})
 
     # -- inspection ---------------------------------------------------
 
@@ -157,7 +159,7 @@ class LaurentPoly:
     # -- calculus -----------------------------------------------------
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({e - 1: c * e for e, c in self._coeffs.items() if e != 0})
+        return LaurentPoly._of_nonzero({e - 1: c * e for e, c in self._coeffs.items() if e != 0})
 
     def antiderivative(self) -> "LaurentPoly":
         """Term-by-term antiderivative with zero constant term.
@@ -188,13 +190,32 @@ class LaurentPoly:
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, x) -> Fraction:
-        """Exact evaluation at a rational point (x != 0 if negative exponents)."""
+        """Exact evaluation at a rational point (x != 0 if negative exponents).
+
+        One pass in integers: with x = p/q and A_e = D c_e (D the lcm of the
+        denominators), Horner's rule sums S = sum A_e p^(e-lo) q^(hi-e), and
+        P(x) = S p^lo / (D q^hi) is reduced by a single gcd.
+        """
         x = _coerce(x)
-        if x == 0:
-            if self._coeffs and self.min_exponent < 0:
+        coeffs = self._coeffs
+        if not coeffs:
+            return Fraction(0)
+        lo, hi = min(coeffs), max(coeffs)
+        p, q = x.numerator, x.denominator
+        if p == 0:
+            if lo < 0:
                 raise ZeroBase("negative exponents cannot be evaluated at 0")
             return self.coefficient(0)
-        return sum((c * x**e for e, c in self._coeffs.items()), Fraction(0))
+        d = math.lcm(*(c.denominator for c in coeffs.values()))
+        total, q_power = 0, 1
+        for e in range(hi, lo - 1, -1):
+            c = coeffs.get(e)
+            total *= p
+            if c is not None:
+                total += c.numerator * (d // c.denominator) * q_power
+            q_power *= q
+        num, den = (total, d * p**-lo) if lo < 0 else (total * p**lo, d)
+        return Fraction(num * q**-hi, den) if hi < 0 else Fraction(num, den * q**hi)
 
     def eval_float(self, x: float) -> float:
         """Floating evaluation; each term is rounded separately."""

@@ -127,6 +127,8 @@ USAGE_ERRORS = [
     ("family --n 1 --k 0 --r1 1", "k must be a positive integer, got 0"),
     ("sweep --param k --start 0 --stop 2 --count 3 --n 1 --r1 1", "k must be a positive integer, got 0"),
     ("sweep --param r1 --start 1/2 --stop 3 --count 3 --n 1 --k 1", "r1 must be >= 1, got 1/2"),
+    ("sweep --param t --start -1 --stop 1 --count 3 --n 1 --k 1", "--param t needs t >= 0, got -1"),
+    ("sweep --param r1 --start 1 --stop 2 --count 100001 --n 1 --k 1", "--count must be <= 100000"),
     ("sweep --param c --start 0 --stop 1 --count 3 --spacing log --n 1 --lambda 2 --Lambda -3 --r1 2", "log spacing requires --start > 0"),
     ("limit --n 1 --t-list 0.1,0.1", "t_values must be positive and decreasing"),
     ("limit --n 1 --t-list 0", "t_values must be positive and decreasing"),

@@ -338,7 +338,7 @@ def reference_profile(params):
     """r (q0 - q0(r1)) with q0 the antiderivative of the rhs, built by repeated products."""
     rhs = LaurentPoly.term(1, -2) * (params.abs_Lambda * W ** (params.n + 1) + (params.lam / params.c) * W**params.n)
     q0 = rhs.antiderivative()
-    return LaurentPoly.var() * (q0 - q0(params.r1))
+    return LaurentPoly({1: 1}) * (q0 - q0(params.r1))
 
 
 @pytest.fixture

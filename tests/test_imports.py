@@ -126,3 +126,20 @@ def test_traced_spans_name_public_layer_functions(monkeypatch):
     from pelab import geom
 
     assert inspect.isfunction(geom.CurvatureReport.__post_init__)
+
+
+def test_traced_solve_profile_counts_match_the_self_check(monkeypatch):
+    # The traced benchmark refuses to report when these counts move; this
+    # pins every entry in tier-1, not only in a traced benchmark run.
+    monkeypatch.syspath_prepend(str(SRC.parent))
+    run = importlib.import_module("perfbench.run")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    for argv, want in run.SELF_CHECK:
+        done = subprocess.run(
+            [sys.executable, "-m", "perfbench.tracer", "traced", "0", *argv],
+            cwd=SRC.parent, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        assert doc["code"] == 0, (argv, doc["stderr"])
+        assert doc["spans"]["family.solve_profile"]["calls"] == want, argv

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pelab.laurent import LaurentPoly, LaurentQuotient, NonIntegrableTerm, ZeroBase
 
-R = LaurentPoly.var()
+R = LaurentPoly({1: 1})
 R2M1 = LaurentPoly({2: 1, 0: -1})
 
 
@@ -66,6 +66,14 @@ def test_eval_exact():
         LaurentPoly({-1: 1}).eval_float(0.0)
 
 
+def test_eval_returns_a_reduced_fraction():
+    # (-1/2)^-3 = -8 and 2 (-1/2)^-1 = -4: a negative power of a negative base
+    value = LaurentPoly({-3: 1, -1: 2})(F(-1, 2))
+    assert type(value) is F and value == -12 and value.denominator == 1
+    assert LaurentPoly({2: F(1, 2)})(3) == F(9, 2)
+    assert LaurentPoly({0: 5, 2: 1})(0) == 5
+
+
 def test_eval_float():
     p = LaurentPoly({2: F(1, 2), -1: 3})
     assert p.eval_float(2.0) == pytest.approx(0.5 * 4 + 1.5, abs=1e-15)
@@ -120,6 +128,26 @@ def test_distributive(p, q, s):
 def test_eval_is_ring_homomorphism(p, q, x):
     assert (p * q)(x) == p(x) * q(x)
     assert (p + q)(x) == p(x) + q(x)
+
+
+def _termwise(p, x):
+    """sum c x^e, one Fraction term at a time: the reference for exact evaluation."""
+    return sum((c * x**e for e, c in p.items()), F(0))
+
+
+signed_points = st.fractions(min_value=-50, max_value=50, max_denominator=20).filter(bool)
+huge = st.integers(min_value=2**64, max_value=2**80)
+huge_fractions = st.builds(F, huge | huge.map(lambda v: -v), huge)
+negative_only = st.dictionaries(st.integers(min_value=-8, max_value=-1), coeffs, max_size=6).map(LaurentPoly)
+huge_entries = st.dictionaries(st.integers(min_value=-6, max_value=8), huge_fractions, min_size=1, max_size=5).map(LaurentPoly)
+
+
+@given(p=st.one_of(st.just(LaurentPoly()), polys, negative_only, huge_entries), x=signed_points | huge_fractions)
+def test_eval_matches_termwise_sum(p, x):
+    # x of both signs; only negative exponents; the zero polynomial; entries above 2^64
+    value = p(x)
+    assert type(value) is F and value == _termwise(p, x)
+    assert p.derivative()(x) == _termwise(p.derivative(), x)
 
 
 def _shift_reference(p, a):

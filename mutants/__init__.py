@@ -34,9 +34,15 @@ MUTANTS = [
     ),
     (
         "src/pelab/limits.py",
-        "dev_theta2 = abs(u_t - u_inf) * float(rho**2)",
-        "dev_theta2 = abs(u_t - u_inf) * float(rho**2) * (1 + 1e-9)",
-        "limit comparison: theta^2 deviation off by one part in 1e9",
+        "abs(x * x - ysq_m)",
+        "abs(x * x + ysq_m)",
+        "limit comparison: the conjugate's x^2 - y^2 m turned into x^2 + y^2 m",
+    ),
+    (
+        "src/pelab/limits.py",
+        "if (x < 0) != (y < 0):",
+        "if False:",
+        "limit comparison: the sign test forced to take the plain sum",
     ),
     (
         "src/pelab/family.py",

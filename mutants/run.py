@@ -13,8 +13,8 @@ Tier-1 first runs once on the unmutated copy: a mutant that only meets a
 suite that already fails has not been killed.  `tests/test_mutants.py`,
 which reads the sources and this record on purpose, is left out of these
 runs.
-One pytest runs at a time; the baseline and the eleven mutants take about a
-minute on a 2-core machine.
+One pytest runs at a time; the baseline and the twelve mutants take about two
+minutes on a 2-core machine.
 """
 
 from __future__ import annotations

@@ -445,15 +445,14 @@ def cmd_limit(args) -> int:
     if args.format == "json":
         payload = {
             "rows": [
-                {"t": str(t), "rho": str(rho), "dev_drho2": d1, "dev_theta2": d2, "dev_base": float(d3)}
+                {"t": str(t), "rho": str(rho), "dev_drho2": d1, "dev_theta2": d2, "dev_base": d3}
                 for t, rho, d1, d2, d3 in comparison.rows
             ],
             "summary": comparison.summary(),
         }
         _write_output(_json_text(payload), args.output)
         return 0
-    rows = [(t, rho, d1, d2, float(d3)) for t, rho, d1, d2, d3 in comparison.rows]
-    _write_output(_csv_text(["t", "rho", "dev_drho2", "dev_theta2", "dev_base"], rows), args.output)
+    _write_output(_csv_text(["t", "rho", "dev_drho2", "dev_theta2", "dev_base"], comparison.rows), args.output)
     if args.summary_output:
         _write_output(_json_text(comparison.summary()), args.summary_output)
     return 0

@@ -7,8 +7,7 @@ coefficients are never stored, so the representation is canonical and
 structural equality coincides with mathematical equality.
 
 All arithmetic (+, -, *, integer powers, derivative, antiderivative,
-Taylor shift, evaluation at rational points) is exact.  Floats enter only through
-:meth:`LaurentPoly.eval_float`, which rounds each term separately.
+Taylor shift, evaluation at rational points) is exact; nothing here rounds.
 Values are immutable after construction and safe to share.
 """
 
@@ -81,12 +80,6 @@ class LaurentPoly:
     def items(self) -> Iterator[tuple[int, Fraction]]:
         """Terms in decreasing exponent order."""
         return iter(sorted(self._coeffs.items(), reverse=True))
-
-    @property
-    def min_exponent(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._coeffs)
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -178,7 +171,7 @@ class LaurentPoly:
         P^(j)(a)/j!.  Negative exponents have no finite expansion here and
         raise ValueError.
         """
-        if self._coeffs and self.min_exponent < 0:
+        if self._coeffs and min(self._coeffs) < 0:
             raise ValueError("Taylor shift needs a genuine polynomial")
         a = _coerce(a)
         out: dict[int, Fraction] = {}
@@ -216,14 +209,6 @@ class LaurentPoly:
             q_power *= q
         num, den = (total, d * p**-lo) if lo < 0 else (total * p**lo, d)
         return Fraction(num * q**-hi, den) if hi < 0 else Fraction(num, den * q**hi)
-
-    def eval_float(self, x: float) -> float:
-        """Floating evaluation; each term is rounded separately."""
-        if x == 0.0:
-            if self._coeffs and self.min_exponent < 0:
-                raise ZeroBase("negative exponents cannot be evaluated at 0")
-            return float(self.coefficient(0))
-        return math.fsum(float(c) * x**e for e, c in self._coeffs.items())
 
     # -- text form ----------------------------------------------------
 

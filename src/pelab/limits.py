@@ -26,6 +26,7 @@ does not depend on the choice.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .family import AuditMismatch, FamilyParams, _loglog_slope, scaling_action, smooth_c, solve_profile
@@ -34,7 +35,7 @@ from .records import record
 
 
 class DomainError(ValueError):
-    """A grid point fell outside the admissible rho range."""
+    """A grid point fell outside the admissible rho range, or a value outside the float range."""
 
 
 @record
@@ -196,9 +197,9 @@ def flat_recovery(n: int) -> tuple[FamilyParams, RescaledProfile]:
 class LimitComparison:
     """Pointwise deviation table of the rescaled family from g_inf.
 
-    rows: (t, rho, dev_drho2, dev_theta2, dev_base) with floats for the
-    measured deviations; dev_base is exactly 0 since the ghat coefficient
-    equals rho^2 identically at every t.
+    rows: (t, rho, dev_drho2, dev_theta2, dev_base) with each deviation
+    computed exactly and rounded once to a float; dev_base is 0.0 since the
+    ghat coefficient equals rho^2 identically at every t.
     """
 
     t_values: tuple
@@ -222,6 +223,19 @@ class LimitComparison:
         }
 
 
+def _surd_float(x: int, y: int, m: int, z: int) -> float:
+    """|x + y sqrt(m)| / |z| for integers x, y, m >= 0 and z != 0, rounded to a float once.
+
+    |x| + |y| sqrt(m) is formed to 125 bits as conjugate / 2^(128 - j); where x and y have
+    opposite signs the sum cancels, and the exact x^2 - y^2 m over that conjugate is used."""
+    ysq_m = y * y * m
+    j = ysq_m.bit_length() // 2
+    conjugate = (abs(x) << 128 >> j) + math.isqrt(ysq_m << 256 >> 2 * j)
+    if (x < 0) != (y < 0):
+        return (abs(x * x - ysq_m) << 128) / (abs(z) * conjugate << j)
+    return (conjugate << j) / (abs(z) << 128)
+
+
 def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
     """Compare the 1/t-rescaled smooth-cone metrics against g_inf (lam = 2).
 
@@ -231,7 +245,7 @@ def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
     1/(U_t(rho) r(rho)^2) and the theta^2 coefficient is U_t(rho) rho^2,
     with U_t(rho) = C t P_t(r)/(r^2-1)^(n+1) and C = c/t.  Deviations
     from the g_inf coefficients are measured on rho_grid, whose points
-    must be positive and above the inner radius sqrt(C t (t+2)); the
+    must be positive and above the inner radius sqrt(C t (t+2)) = rho1; the
     fitted order is the log-log slope of the sup deviation against t.
     """
     ts = [_coerce(t) for t in t_values]
@@ -239,43 +253,45 @@ def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
         raise ValueError("t_values must not be empty")
     if any(t <= 0 for t in ts) or any(later >= t for t, later in zip(ts, ts[1:])):
         raise ValueError("t_values must be positive and decreasing")
+    if ts[-1] < sys.float_info.min or ts[0] > sys.float_info.max:
+        raise DomainError("t_values must lie in the float range, where the fitted order takes log t")
     grid = [_coerce(rho) for rho in rho_grid]
     if not grid:
         raise ValueError("rho_grid must not be empty")
     lam = Fraction(2)
     rho1 = rho1_limit(n)
     u_inf_poly = rescaled_profile(n, lam, rho1.derived_sq).as_laurent()
-
+    for rho in grid:  # C t (t+2) = c_t (t+2) = rho1^2 at every t, so the inner radius is rho1
+        if rho <= 0 or rho**2 <= rho1.derived_sq:
+            raise DomainError(f"rho = {rho} is below the inner radius for t = {ts[0]}")
+    u_inf = [u_inf_poly(rho) for rho in grid]
     rows = []
-    sups = {"dev_drho2": [], "dev_theta2": [], "dev_base": []}
     for t in ts:
         base_params = FamilyParams(n=n, lam=lam, c=smooth_c(n, lam, -(2 * n + 1), 1 + t), Lambda=Fraction(-(2 * n + 1)), r1=1 + t)
         scaled = scaling_action(base_params, Fraction(1) / t)
-        p_scaled = solve_profile(scaled)
-        big_c = scaled.c
-        lower_sq = big_c * ((1 + t) ** 2 - 1)
-        worst = [0.0, 0.0, Fraction(0)]
-        for rho in grid:
-            if rho <= 0 or rho**2 <= lower_sq:
-                raise DomainError(f"rho = {rho} is below the inner radius for t = {t}")
-            r_sq = 1 + rho**2 / big_c
+        # P is r times an antiderivative of the even ODE right-hand side, so C P(r) =
+        # A(r^2) + B r; times the common denominator d, B and A's coefficients are integers
+        cp = scaled.c * solve_profile(scaled)
+        d = math.lcm(*(c.denominator for _, c in cp.items()))
+        a_coeffs = [int(cp.coefficient(e) * d) for e in range(2 * n + 2, -1, -2)]
+        b = int(cp.coefficient(1) * d)
+        for rho, u in zip(grid, u_inf):
+            # w = r^2 - 1 = rho^2/C = wn/wd and s = r^2 = sn/wd, so r = sqrt(m)/wd and
+            # U_t = C P(r)/w^(n+1) = (x + y sqrt(m))/z with x = d wd^(n+1) A(s)
+            pn, pd, un, ud = rho.numerator**2, rho.denominator**2, u.numerator, u.denominator
+            wn, wd = pn * scaled.c.denominator, pd * scaled.c.numerator
+            sn = wn + wd
+            m, x = sn * wd, sum(a * sn ** (n + 1 - i) * wd**i for i, a in enumerate(a_coeffs))
+            y, z = b * wd**n, d * wn ** (n + 1)
+            k = x * x - y * y * m  # (x + y sqrt(m))(x - y sqrt(m)), so 1/(U_t s) = z wd (x - y sqrt(m))/(sn k)
             try:
-                r = math.sqrt(r_sq)
-                u_t = float(big_c) * p_scaled.eval_float(r) / (float(r_sq) - 1) ** (n + 1)
-                u_inf = u_inf_poly.eval_float(math.sqrt(rho**2))
-                dev_drho2 = abs(1.0 / (u_t * float(r_sq)) - 1.0 / u_inf)
-                dev_theta2 = abs(u_t - u_inf) * float(rho**2)
-            except (OverflowError, ZeroDivisionError) as exc:  # r_sq rounds to 1.0 once C passes about 1e16
-                fault = "overflows" if isinstance(exc, OverflowError) else "divides by zero"
-                raise DomainError(f"t = {t}, rho = {rho}: the float evaluation of the comparison {fault}") from None
-            dev_base = abs(big_c * (r_sq - 1) - rho**2)  # exact, identically zero
-            rows.append((t, rho, dev_drho2, dev_theta2, dev_base))
-            worst[0] = max(worst[0], dev_drho2)
-            worst[1] = max(worst[1], dev_theta2)
-            worst[2] = max(worst[2], dev_base)
-        sups["dev_drho2"].append(worst[0])
-        sups["dev_theta2"].append(worst[1])
-        sups["dev_base"].append(worst[2])
+                dev_drho2 = _surd_float(z * wd * un * x - ud * sn * k, -z * wd * un * y, m, sn * k * un)
+                dev_theta2 = _surd_float((x * ud - un * z) * pn, y * ud * pn, m, z * ud * pd)
+            except OverflowError:
+                raise DomainError(f"t = {t}, rho = {rho}: a deviation lies beyond the float range") from None
+            rows.append((t, rho, dev_drho2, dev_theta2, 0.0))  # dev_base: C (r^2-1) = rho^2 by definition of w
+    blocks = [rows[i : i + len(grid)] for i in range(0, len(rows), len(grid))]
+    sups = {key: [max(row[col] for row in block) for block in blocks] for col, key in enumerate(("dev_drho2", "dev_theta2", "dev_base"), 2)}
 
     orders = {
         key: None if any(v == 0 for v in values) or len(ts) < 2 else _loglog_slope(ts, values)

@@ -85,11 +85,11 @@ EXACT_GOLDENS = [
     ("family --n 4 --k 5 --r1 7/3", "fa6cc6cb310f6d6f0d04d528785962a90e22619ae7cd469f4c117e686cebc0a7"),
     ("family --n 4 --k 5 --r1 7/3 --format json", "d15490fa9edd48de67b550e56a085c32b10c324ffc1b30c31d1eaea655a26c6c"),
     ("family --n 2 --lambda 3 --c 1/2 --Lambda -5 --r1 3/2", "f5959651f2e9c12c1b87eeedfbc55571dc03e364f9d3dd9b3afa4728faba835e"),
-    ("limit --n 1", "3e02f6491cf82a421a420cdc84799ce9fbc5500eb5695fa200e4a6c33d6b5147"),
-    ("limit --n 1 --format json", "e41117ac75049c999a929117cf9b14233d27d79bb391f336c7467d452ac9b398"),
-    ("limit --n 2 --format json", "617b6c92501c5027f99a5e062a1e297a3faa2a5174ea46670e386384d16ab323"),
-    ("limit --n 2 --rho-grid 1:3:5", "d9848c57ea07222123b02a53ea3fb2789da1600d89024dff6abc0625c998b786"),
-    ("limit --n 1 --t-list 0.1,0.01 --rho-grid 1:2:5 --summary-output {summary}", "011ed40d5f5f49151c31a234cf9bf2e9692a626e0103de06c3a716f2d494fef9"),
+    ("limit --n 1", "0c5f0a97cbcf75d30a3a5cc16a65943112a59d57d78d07ba2bc099ee86146ba1"),
+    ("limit --n 1 --format json", "abcc4be94fab4deaab1aa70b7d43cf3cf1adb5cde8626bae2639480c0f55fbaf"),
+    ("limit --n 2 --format json", "dcc19af7eaa3f3ba6581a2aeb69361c341481d8c2e4dd3b565db0500ccf1d864"),
+    ("limit --n 2 --rho-grid 1:3:5", "19257dc4952b658887b85a715e82bd684b468b283b9c2b7f0af80cb22a9fd4e7"),
+    ("limit --n 1 --t-list 0.1,0.01 --rho-grid 1:2:5 --summary-output {summary}", "dc671137905a5a50489275c83d3dfd7857f548695c9913880791fef2d692893d"),
     ("sweep --param r1 --start 1.01 --stop 10 --count 7 --n 1 --k 1", "741e2c2853571ee9480b2ae636b3e59d052443475fdb5bcfa5c49e347e50a33d"),
     ("sweep --param r1 --start 2 --stop 3 --count 4 --n 1 --k 1 --format json", "1ccf9809d37d0ba0dc74e55a96b7430553c899a55c88c93f66a4f17181b909e3"),
     ("sweep --param t --start 1/10 --stop 2 --count 6 --n 1 --k 1", "1406c584ed3fedc32468a3775a87eafa3d799d64b32a21e51c435bcd3c351661"),
@@ -152,10 +152,9 @@ USAGE_ERRORS = [
     ("verify --lambda 2 --c 1e400 --Lambda -3 --r1 2 --points 2", f"page-pope n=1 lambda=2 c={10**400} Lambda=-3 r1=2: an exact value lies beyond the float range"),
     ("sweep --param r1 --start 1 --stop 1e400 --count 2 --k 1 --verify", f"page-pope n=1 lambda=4 c=1 Lambda=-3 r1={10**400}: an exact value lies beyond the float range"),
     ("verify --chart rescaled --rho1 1e400 --points 2", f"rescaled lambda=2 rho1^2={10**800}: an exact value lies beyond the float range"),
-    ("limit --n 1 --rho-grid 1e400", f"t = 1/10, rho = {10**400}: the float evaluation of the comparison overflows"),
-    # r^2 = 1 + rho^2 t / c_t rounds to 1.0 in floats once t is below about 1e-16
-    ("limit --n 1 --t-list 1e-20", f"t = 1/{10**20}, rho = 979795897/1000000000: the float evaluation of the comparison divides by zero"),
-    ("limit --n 1 --t-list 1e-17", f"t = 1/{10**17}, rho = 979795897/1000000000: the float evaluation of the comparison divides by zero"),
+    ("limit --n 1 --rho-grid 1e400", f"t = 1/10, rho = {10**400}: a deviation lies beyond the float range"),
+    # the fitted order takes log t in floats
+    ("limit --n 1 --t-list 1e-400", "t_values must lie in the float range, where the fitted order takes log t"),
     # r1 + 0.1 rounds back to r1, so the page-pope sampling window is empty
     ("verify --k 1 --r1 1e20 --points 2", "r1 = 1e+20 lies beyond the float sampling window (r1 + 0.1 rounds to r1)"),
     ("sweep --param r1 --start 1e20 --stop 2e20 --count 2 --k 1 --verify", "r1 = 1e+20 lies beyond the float sampling window (r1 + 0.1 rounds to r1)"),
@@ -336,6 +335,15 @@ def test_limit_grid_outside_domain_exits_2(capsys):
     code, _, err = run(capsys, "limit", "--n", "1", "--t-list", "0.1", "--rho-grid", "0.5,1")
     assert code == 2
     assert "inner radius" in err
+
+
+def test_limit_small_t_fits_first_order(capsys):
+    # each deviation is exact before its one rounding, so t far below 1e-16 still fits order 1
+    code, out, _ = run(capsys, "limit", "--n", "1", "--t-list", "1e-6,1e-8,1e-20", "--format", "json")
+    assert code == 0
+    orders = json.loads(out)["summary"]["fitted_order_per_coefficient"]
+    assert orders["dev_drho2"] == pytest.approx(1, abs=1e-3)
+    assert orders["dev_theta2"] == pytest.approx(1, abs=1e-3)
 
 
 @pytest.mark.parametrize("t_list", ["0.1,0.1", ",,"])

@@ -62,8 +62,6 @@ def test_eval_exact():
     assert R2M1(2) == 3
     with pytest.raises(ZeroBase):
         LaurentPoly({-1: 1})(0)
-    with pytest.raises(ZeroBase):
-        LaurentPoly({-1: 1}).eval_float(0.0)
 
 
 def test_eval_returns_a_reduced_fraction():
@@ -72,11 +70,6 @@ def test_eval_returns_a_reduced_fraction():
     assert type(value) is F and value == -12 and value.denominator == 1
     assert LaurentPoly({2: F(1, 2)})(3) == F(9, 2)
     assert LaurentPoly({0: 5, 2: 1})(0) == 5
-
-
-def test_eval_float():
-    p = LaurentPoly({2: F(1, 2), -1: 3})
-    assert p.eval_float(2.0) == pytest.approx(0.5 * 4 + 1.5, abs=1e-15)
 
 
 def test_derivative():

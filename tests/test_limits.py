@@ -1,12 +1,14 @@
 """Rescaled limit profile, the degeneration comparison and the inner radius."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pelab.cli import _default_rho_grid
 from pelab.family import AuditMismatch, FamilyParams, _r2m1, metric_coefficients, scaling_action, smooth_c, solve_profile
 from pelab.laurent import LaurentPoly, LaurentQuotient
 from pelab.limits import (
@@ -188,6 +190,36 @@ def test_theta_coefficient_identity(n, t):
     scaled = rescaled_member(n, t)
     p = solve_profile(scaled)
     assert metric_coefficients(scaled, p).b == LaurentQuotient(scaled.c**2 * p * _r2m1(1), _r2m1(n + 1))
+
+
+def _decimal(x):
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_limit_comparison_matches_a_200_digit_reference(n):
+    # every deviation, recomputed in 200-digit decimals with P(r) summed term by
+    # term at r = sqrt(s), is within a few units in the last place of the row
+    ts = [F(1, 10), F(1, 100), F(1, 1000), F(1, 10**7), F(1, 10**20)]
+    grid = _default_rho_grid(n)
+    rows = iter(limit_comparison(n, ts, grid).rows)
+    u_inf_poly = rescaled_profile(n, 2, rho1_limit(n).derived_sq).as_laurent()
+    with localcontext() as ctx:
+        ctx.prec = 200
+        for t in ts:
+            scaled = rescaled_member(n, t)
+            p = solve_profile(scaled)
+            for rho in grid:
+                w = rho**2 / scaled.c
+                r = (1 + _decimal(w)).sqrt()
+                u_t = _decimal(scaled.c) * sum(_decimal(c) * r**e for e, c in p.items()) / _decimal(w) ** (n + 1)
+                u_inf = _decimal(u_inf_poly(rho))
+                dev_drho2 = abs(1 / (u_t * r * r) - 1 / u_inf)
+                dev_theta2 = abs(u_t - u_inf) * _decimal(rho**2)
+                row = next(rows)
+                assert row[:2] == (t, rho)
+                for got, want in zip(row[2:4], (dev_drho2, dev_theta2)):
+                    assert abs(Decimal(got) - want) <= Decimal("2e-15") * want, (t, rho, got, want)
 
 
 def test_limit_comparison_domain_error():

@@ -80,4 +80,10 @@ MUTANTS = [
         "(total, d * abs(p)**-lo)",
         "exact evaluation: the sign of x dropped in the lo < 0 branch",
     ),
+    (
+        "src/pelab/geom.py",
+        "if lam == 0.0:",
+        "if False:",
+        "chart builders: the guard on a lambda whose float underflows to 0.0 removed",
+    ),
 ]

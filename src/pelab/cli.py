@@ -27,6 +27,9 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 AUDIT_ERROR = 3
 
+# sweep --count and limit --rho-grid build every value before the first row is written
+_MAX_COUNT = 100_000
+
 
 class UsageError(ValueError, argparse.ArgumentTypeError):
     """Exit 2.  Raised by a flag's type function, argparse reports it against the flag."""
@@ -159,8 +162,8 @@ def cmd_family(args) -> int:
 # -- verify --------------------------------------------------------------
 
 
-def _sample_points(rng, count: int, lower: float, upper: float):
-    """count chart points (radial, psi, u, v) as one (count, 4) draw.
+def _sample_points(seed: int, count: int, lower: float, upper: float):
+    """count chart points (radial, psi, u, v) as one (count, 4) draw of the generator seeded with seed.
 
     Each row takes four consecutive doubles from the stream: the radial
     coordinate in [lower, upper), psi, and a disk radius and angle for
@@ -168,7 +171,7 @@ def _sample_points(rng, count: int, lower: float, upper: float):
     """
     import numpy as np
 
-    draw = rng.uniform((lower, 0.05, 0.0, 0.0), (upper, 2 * math.pi - 0.05, 1.0, 2 * math.pi), size=(count, 4))
+    draw = np.random.default_rng(seed).uniform((lower, 0.05, 0.0, 0.0), (upper, 2 * math.pi - 0.05, 1.0, 2 * math.pi), size=(count, 4))
     disk_r = 0.9 * np.sqrt(draw[:, 2])
     draw[:, 2], draw[:, 3] = disk_r * np.cos(draw[:, 3]), disk_r * np.sin(draw[:, 3])
     return draw
@@ -188,6 +191,20 @@ def _radial_window(r1: float) -> tuple[float, float]:
     if not lower > r1:  # from about 2^50 on, r1 + 0.1 rounds back to r1
         raise UsageError(f"r1 = {r1!r} lies beyond the float sampling window (r1 + 0.1 rounds to r1)")
     return lower, max(10.0, r1 + 1.0)
+
+
+def _page_pope_batch(params: FamilyParams, seed: int, count: int, lam_check: float | None):
+    """The page-pope chart of params, count seeded points in its radial window, and lam_check (None: Lambda as a float)."""
+    from . import geom
+
+    chart = geom.page_pope_chart(params)
+    points = _sample_points(seed, count, *_radial_window(float(params.r1)))
+    if lam_check is None:
+        try:
+            lam_check = float(params.Lambda)
+        except OverflowError:
+            raise UsageError(f"Lambda = {params.Lambda} lies beyond the float range") from None
+    return chart, points, lam_check
 
 
 def _check_seed(seed: int):
@@ -221,22 +238,18 @@ def cmd_verify(args) -> int:
     given = [flag for flag, dest in _OTHER_CHART_FLAGS[args.chart] if getattr(args, dest) is not None]
     if given:
         raise UsageError(f"--chart {args.chart} does not take {', '.join(given)}")
-    rng = np.random.default_rng(args.seed)
-    params = _params_from_args(args) if args.chart == "page-pope" else None
-    if params is not None:
-        chart = geom.page_pope_chart(params)
-        lam_check = args.Lambda_check if args.Lambda_check is not None else float(params.Lambda)
-        points = _sample_points(rng, args.points, *_radial_window(float(params.r1)))
+    if args.chart == "page-pope":
+        chart, points, lam_check = _page_pope_batch(_params_from_args(args), args.seed, args.points, args.Lambda_check)
     else:
-        from .limits import rescaled_profile
+        from .limits import RescaledProfile
 
         profile_lambda = args.profile_lambda if args.profile_lambda is not None else Fraction(2)
-        profile = rescaled_profile(args.n, profile_lambda, _resolve_rho1_sq(args))
+        profile = RescaledProfile(args.n, profile_lambda, _resolve_rho1_sq(args))
         chart = geom.rescaled_chart(profile)
         lam_check = args.Lambda_check if args.Lambda_check is not None else 0.0
         rho1f = profile.rho1
         lower, upper = (1.1 * rho1f, 5.0 * rho1f) if rho1f > 0 else (0.5, 3.0)
-        points = _sample_points(rng, args.points, lower, upper)
+        points = _sample_points(args.seed, args.points, lower, upper)
     label = chart.label
 
     columns = _scan(chart, points, lam_check)
@@ -309,8 +322,8 @@ def cmd_audit(args) -> int:
 def _sweep_values(args):
     if args.count < 2:
         raise UsageError("--count must be >= 2")
-    if args.count > 100_000:  # every value and row is built before the first row is written
-        raise UsageError("--count must be <= 100000")
+    if args.count > _MAX_COUNT:
+        raise UsageError(f"--count must be <= {_MAX_COUNT}")
     if not args.start < args.stop:
         raise UsageError("--start must be < --stop")
     if args.param == "k":
@@ -331,7 +344,13 @@ def _sweep_values(args):
         lo, hi = math.log(float(args.start)), math.log(float(args.stop))
     except (OverflowError, ValueError):  # a float that overflows, or underflows to 0.0 for math.log
         raise UsageError("log spacing needs --start and --stop within the float range") from None
-    return [math.exp(lo + i * (hi - lo) / (args.count - 1)) for i in range(args.count)]
+    values = []
+    for i in range(args.count):
+        try:
+            values.append(math.exp(lo + i * (hi - lo) / (args.count - 1)))
+        except OverflowError:  # the last exponent rounded above hi = log(stop), and stop is near the float maximum
+            values.append(math.exp(hi))
+    return values
 
 
 def _sweep_params(args, value) -> FamilyParams:
@@ -384,18 +403,12 @@ def cmd_sweep(args) -> int:
             params.c,
             alpha,
             beta_sq,
-            fam.conformal_infinity(params).berger_coeff,
+            fam.conformal_infinity(params),
             fam.z_scale(params),
         ]
         if args.verify:
-            import numpy as np
-
-            from . import geom
-
-            chart = geom.page_pope_chart(params)
-            rng = np.random.default_rng(args.seed * 100003 + idx)
-            pts = _sample_points(rng, args.points, *_radial_window(float(params.r1)))
-            row.append(float(_scan(chart, pts, float(params.Lambda))[:, 0].max()))
+            chart, pts, lam_check = _page_pope_batch(params, args.seed * 100003 + idx, args.points, None)
+            row.append(float(_scan(chart, pts, lam_check)[:, 0].max()))
         rows.append(row)
 
     if args.format == "json":
@@ -419,6 +432,8 @@ def _parse_rho_grid(text: str):
             count = int(parts[2])
         except ValueError:
             raise UsageError(f"--rho-grid count must be an integer, got {parts[2]!r}") from None
+        if count > _MAX_COUNT:
+            raise UsageError(f"--rho-grid count must be <= {_MAX_COUNT}")
         if count < 2 or not start < stop:
             raise UsageError("rho grid range needs start < stop and count >= 2")
         step = (stop - start) / (count - 1)

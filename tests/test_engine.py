@@ -17,7 +17,7 @@ from pelab.geom import (
     point_scalars,
     rescaled_chart,
 )
-from pelab.limits import rescaled_profile, rho1_limit
+from pelab.limits import RescaledProfile, rho1_limit
 
 HYPERBOLIC = FamilyParams(n=1, lam=F(4), c=F(1), Lambda=F(-3), r1=F(1))
 EDGE_SMOOTH = FamilyParams(n=1, lam=F(2), c=F(2, 9), Lambda=F(-3), r1=F(2))
@@ -25,7 +25,7 @@ FIELDS = ("metric", "christoffel", "riemann", "ricci")
 
 
 def _edge_points(count, seed=0):
-    return _sample_points(np.random.default_rng(seed), count, 2.1, 10.0)
+    return _sample_points(seed, count, 2.1, 10.0)
 
 
 def test_batch_rows_are_bit_equal_to_single_points():
@@ -45,9 +45,9 @@ def test_batch_rows_are_bit_equal_to_single_points():
 
 
 def test_results_do_not_depend_on_block_size(monkeypatch):
-    profile = rescaled_profile(1, 2, rho1_limit(1).derived_sq)
+    profile = RescaledProfile(1, 2, rho1_limit(1).derived_sq)
     chart = rescaled_chart(profile)
-    pts = _sample_points(np.random.default_rng(5), 300, 1.1 * profile.rho1, 5.0 * profile.rho1)
+    pts = _sample_points(5, 300, 1.1 * profile.rho1, 5.0 * profile.rho1)
     by_block = []
     for block in (1, 7, 128):
         monkeypatch.setattr(geom, "BLOCK_POINTS", block)
@@ -91,7 +91,7 @@ GOLDENS = [
 @pytest.mark.parametrize("params, point, lam, golden", GOLDENS)
 def test_scalars_match_the_per_point_engine(params, point, lam, golden):
     if params == "rescaled":
-        chart = rescaled_chart(rescaled_profile(1, 2, rho1_limit(1).derived_sq))
+        chart = rescaled_chart(RescaledProfile(1, 2, rho1_limit(1).derived_sq))
     else:
         chart = page_pope_chart(params)
     rep = curvature_report(chart, point, lam=lam)

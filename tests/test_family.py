@@ -25,7 +25,6 @@ from pelab.family import (
     edge_model,
     expand_at_edge,
     family_report,
-    metric_coefficients,
     profile_ode_rhs,
     profile_slope_at_r1,
     scaling_action,
@@ -139,24 +138,20 @@ def test_profile_slope_positive_for_edge_params():
         assert profile_slope_at_r1(params, solve_profile(params)) > 0
 
 
-def test_metric_coefficients_hyperbolic():
-    coeffs = metric_coefficients(HYPERBOLIC, solve_profile(HYPERBOLIC))
-    one = LaurentPoly.constant(1)
-    w = LaurentPoly({2: 1, 0: -1})
-    from pelab.laurent import LaurentQuotient
-
-    assert coeffs.a == LaurentQuotient(one, w)
-    assert coeffs.b == LaurentQuotient(w, one)
-    assert coeffs.base == w
+def test_hyperbolic_profile_is_w_squared():
+    # P = W^2 (W = r^2 - 1, c = 1), so dr^2 W/P = dr^2/W, theta^2 P/W = W theta^2 and ghat c W = W ghat
+    assert HYPERBOLIC.c == 1
+    assert solve_profile(HYPERBOLIC) == W**2
 
 
-def test_metric_coefficients_identities():
+def test_metric_coefficient_identities():
+    # a = W^n/P, b = c^2 P/W^n: a b = c^2 by cross multiplication; base = c (r^2 - 1)
     rng = random.Random(3)
     for _ in range(10):
         params = random_params(rng)
-        coeffs = metric_coefficients(params, solve_profile(params))
-        assert coeffs.a * coeffs.b == params.c**2
-        assert coeffs.base(params.r1) == params.c * (params.r1**2 - 1)
+        p, w = solve_profile(params), fam._r2m1(params.n)
+        assert w * (params.c**2 * p) == params.c**2 * (p * w)
+        assert (params.c * fam._r2m1(1))(params.r1) == params.c * (params.r1**2 - 1)
 
 
 def test_positivity_fixtures():
@@ -305,9 +300,9 @@ def test_smooth_c_printed_differs_by_half_t():
 
 def test_conformal_infinity():
     for n in (1, 2, 3):
-        assert conformal_infinity(cpn_catalogue(n, 1)).berger_coeff == 1
+        assert conformal_infinity(cpn_catalogue(n, 1)) == 1
         for k in (2, 3, 5):
-            assert conformal_infinity(cpn_catalogue(n, k)).berger_coeff == F(1, k)
+            assert conformal_infinity(cpn_catalogue(n, k)) == F(1, k)
 
 
 def test_scaling_action():
@@ -325,7 +320,7 @@ def test_scaling_invariants():
         a = F(rng.randint(1, 9), rng.randint(1, 9))
         scaled = scaling_action(params, a)
         assert cone_angle(scaled) == cone_angle(params)
-        assert conformal_infinity(scaled).berger_coeff == conformal_infinity(params).berger_coeff
+        assert conformal_infinity(scaled) == conformal_infinity(params)
         assert solve_profile(scaled) == solve_profile(params) / a
 
 

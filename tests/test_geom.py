@@ -30,7 +30,7 @@ from pelab.geom import (
     sphere_chart,
     uv_inverted_chart,
 )
-from pelab.limits import rescaled_profile, rho1_limit
+from pelab.limits import RescaledProfile, rho1_limit
 
 HYPERBOLIC = FamilyParams(n=1, lam=F(4), c=F(1), Lambda=F(-3), r1=F(1))
 EDGE_SMOOTH = FamilyParams(n=1, lam=F(2), c=F(2, 9), Lambda=F(-3), r1=F(2))
@@ -133,7 +133,7 @@ def test_einstein_random_family_members():
 
 
 def test_rescaled_chart_flat():
-    chart = rescaled_chart(rescaled_profile(1, 4, 0))
+    chart = rescaled_chart(RescaledProfile(1, 4, 0))
     rng = random.Random(16)
     for _ in range(10):
         pt = sample_point(rng, 0.5, 3.0)
@@ -141,7 +141,7 @@ def test_rescaled_chart_flat():
 
 
 def test_rescaled_chart_ricci_flat():
-    profile = rescaled_profile(1, 2, rho1_limit(1).derived_sq)
+    profile = RescaledProfile(1, 2, rho1_limit(1).derived_sq)
     chart = rescaled_chart(profile)
     rho1 = profile.rho1
     rng = random.Random(17)
@@ -149,12 +149,12 @@ def test_rescaled_chart_ricci_flat():
         pt = sample_point(rng, 1.1 * rho1, 5.0 * rho1)
         assert curvature_report(chart, pt, lam=0.0).einstein_residual < 1e-6
     # both circulating rho1 values give a Ricci-flat metric
-    chart_paper = rescaled_chart(rescaled_profile(1, 2, rho1_limit(1).paper_sq))
+    chart_paper = rescaled_chart(RescaledProfile(1, 2, rho1_limit(1).paper_sq))
     assert curvature_report(chart_paper, (2.0, 1.0, 0.2, -0.1), lam=0.0).einstein_residual < 1e-6
 
 
 def test_rescaled_chart_finite_positive():
-    profile = rescaled_profile(1, 2, rho1_limit(1).derived_sq)
+    profile = RescaledProfile(1, 2, rho1_limit(1).derived_sq)
     chart = rescaled_chart(profile)
     pt = (2.0 * profile.rho1, 1.0, 0.3, -0.2)
     values = chart.metric_values(pt)
@@ -212,7 +212,7 @@ def test_unsupported_dimension():
     with pytest.raises(UnsupportedDimension):
         page_pope_chart(params)
     with pytest.raises(UnsupportedDimension):
-        rescaled_chart(rescaled_profile(2, 2, F(1, 2)))
+        rescaled_chart(RescaledProfile(2, 2, F(1, 2)))
 
 
 def test_singular_metric():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pelab.laurent import LaurentPoly, LaurentQuotient, NonIntegrableTerm, ZeroBase
+from pelab.laurent import LaurentPoly, NonIntegrableTerm, ZeroBase
 
 R = LaurentPoly({1: 1})
 R2M1 = LaurentPoly({2: 1, 0: -1})
@@ -81,14 +81,6 @@ def test_text_form():
     assert LaurentPoly().to_text() == "0"
     assert LaurentPoly({2: F(3, 2), -1: F(-2, 5)}).to_text() == "3/2*r^2 - 2/5*r^-1"
     assert LaurentPoly({1: -1, 0: 1}).to_text() == "-r + 1"
-
-
-def test_quotient_equality_and_eval():
-    a = LaurentQuotient(R2M1, R2M1**2)
-    b = LaurentQuotient(LaurentPoly.constant(1), R2M1)
-    assert a == b
-    assert a(2) == F(1, 3)
-    assert (a * R2M1) == 1
 
 
 coeffs = st.fractions(min_value=-100, max_value=100, max_denominator=30)

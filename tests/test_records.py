@@ -14,15 +14,13 @@ from pelab.records import record
 
 EDGE = fam.cpn_catalogue(1, 2, F(5, 2))
 CONIC = fam.cpn_catalogue(2, 3, 1)
-PROFILE = limits.rescaled_profile(1, 2, F(2, 3))
+PROFILE = RescaledProfile(1, 2, F(2, 3))
 
 # One instance of every record class, built by the library itself.
 INSTANCES = {
     "FamilyParams": lambda: EDGE,
-    "MetricCoefficients": lambda: fam.metric_coefficients(EDGE, fam.solve_profile(EDGE)),
     "EdgeModel": lambda: fam.edge_model(EDGE, fam.solve_profile(EDGE)),
     "ConicModel": lambda: fam.conic_model(CONIC, fam.solve_profile(CONIC)),
-    "ConformalInfinity": lambda: fam.conformal_infinity(EDGE),
     "AsymptoticsReport": lambda: fam.asymptotic_coefficients(EDGE, fam.solve_profile(EDGE)),
     "RescaledProfile": lambda: PROFILE,
     "RescalePoint": lambda: limits.rescale_map(EDGE, 3),
@@ -35,9 +33,9 @@ INSTANCES = {
 }
 # Fields that __post_init__ computes instead of taking them as arguments.
 COMPUTED = {"CurvatureReport": ("symmetry_max", "bianchi_max")}
-# Records with an unhashable field (a dict, an array, a LaurentQuotient):
-# hashing raises, as it did for the dataclass.
-UNHASHABLE = {"MetricCoefficients", "LimitComparison", "CurvatureReport"}
+# Records with an unhashable field (a dict, an array): hashing raises, as it
+# did for the dataclass.
+UNHASHABLE = {"LimitComparison", "CurvatureReport"}
 
 
 @pytest.fixture(params=INSTANCES, ids=INSTANCES)
@@ -150,7 +148,7 @@ def test_family_params_validation(kwargs, message):
     assert str(exc.value) == message
 
 
-def test_rescaled_profile_validation():
+def test_limit_profile_validation():
     with pytest.raises(ValueError) as exc:
         RescaledProfile(1, 2, -1)
     assert str(exc.value) == "rho1_sq must be >= 0, got -1"
@@ -158,7 +156,7 @@ def test_rescaled_profile_validation():
 
 
 @pytest.mark.parametrize("lam", [0, -2])
-def test_rescaled_profile_rejects_a_non_positive_lambda(lam):
+def test_limit_profile_rejects_a_non_positive_lambda(lam):
     # U = (lam/(2n+2)) (1 - (rho1/rho)^(2n+2)) is not a metric coefficient for lam <= 0
     with pytest.raises(ValueError) as exc:
         RescaledProfile(1, lam, F(2, 3))

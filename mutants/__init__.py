@@ -1,4 +1,7 @@
-"""The mutation gate: one-line mutants of `src/pelab` that tier-1 must kill.
+"""The mutation gate: one-line mutants that tier-1 must kill.
+
+Every mutant edits `src/pelab`, except one in the float references of
+`tests/oracles.py` that the tests compare the engine against.
 
 Each entry is (file, old, new, why).  `old` occurs exactly once in `file`
 (tier-1's `tests/test_mutants.py` checks this, so the list cannot rot);
@@ -63,7 +66,7 @@ MUTANTS = [
         "first-Bianchi guard loosened from 1e-8 to 1e-2",
     ),
     (
-        "src/pelab/geom.py",
+        "tests/oracles.py",
         "return abs(curl + 2.0 * h.value)",
         "return 0.5 * abs(curl + 2.0 * h.value)",
         "connection curvature residual halved",
@@ -85,5 +88,23 @@ MUTANTS = [
         "if lam == 0.0:",
         "if False:",
         "chart builders: the guard on a lambda whose float underflows to 0.0 removed",
+    ),
+    (
+        "src/pelab/cli.py",
+        "np.argmax(columns[:, 0])",
+        "np.argmax(columns[:, 1])",
+        "verify: the worst point picked by scalar curvature instead of by residual",
+    ),
+    (
+        "src/pelab/cli.py",
+        '"--tol", type=_real, default=1e-6',
+        '"--tol", type=_real, default=2e-6',
+        "verify: the default --tol doubled",
+    ),
+    (
+        "src/pelab/cli.py",
+        "1.1 * rho1f",
+        "1.1 / rho1f",
+        "verify --chart rescaled: the lower end of the sampling window divided by rho1",
     ),
 ]

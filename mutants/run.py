@@ -13,7 +13,7 @@ Tier-1 first runs once on the unmutated copy: a mutant that only meets a
 suite that already fails has not been killed.  `tests/test_mutants.py`,
 which reads the sources and this record on purpose, is left out of these
 runs.
-One pytest runs at a time; the baseline and the thirteen mutants take about two
+One pytest runs at a time; the baseline and the sixteen mutants take a few
 minutes on a 2-core machine.
 """
 

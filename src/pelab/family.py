@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, log
+from math import comb
 
 from .laurent import LaurentPoly, _coerce
 from .records import record
@@ -137,24 +137,6 @@ class ConicModel:
     k_quoted: Fraction
 
 
-@record
-class AsymptoticsReport:
-    """Leading coefficients of g for r -> infinity and the measured approach.
-
-    Claimed: g ~ dr2_coeff dr^2/r^2 + theta2_coeff r^2 theta^2 + base_coeff r^2 ghat.
-    deviations[j][i] is |actual coefficient i / claimed leading - 1| at
-    radius radii[j]; decade_factors[j][i] is deviations[j][i] /
-    deviations[j+1][i] (None where the later deviation is 0).
-    """
-
-    dr2_coeff: Fraction
-    theta2_coeff: Fraction
-    base_coeff: Fraction
-    radii: tuple
-    deviations: tuple
-    decade_factors: tuple
-
-
 # -- the profile polynomial ---------------------------------------------
 
 
@@ -169,20 +151,10 @@ def _r2m1(n: int) -> LaurentPoly:
     return LaurentPoly({2 * k: (-1) ** (n - k) * comb(n, k) for k in range(n + 1)})
 
 
-def _rhs(n: int, abs_Lambda: Fraction, lam_over_c: Fraction) -> LaurentPoly:
-    """r^-2 [ |Lambda| (r^2-1)^(n+1) + (lam/c) (r^2-1)^n ]."""
-    return LaurentPoly.term(1, -2) * (abs_Lambda * _r2m1(n + 1) + lam_over_c * _r2m1(n))
-
-
-def profile_ode_rhs(params: FamilyParams) -> LaurentPoly:
-    """Right-hand side r^-2 [ |Lambda| (r^2-1)^(n+1) + (lam/c) (r^2-1)^n ]."""
-    return _rhs(params.n, params.abs_Lambda, params.lam / params.c)
-
-
 @functools.lru_cache(maxsize=_ANTIDERIVATIVE_CACHE_SIZE)
 def _rhs_antiderivative(n: int, abs_Lambda: Fraction, lam_over_c: Fraction) -> LaurentPoly:
-    """The antiderivative of the rhs with zero constant term; r1 does not enter it."""
-    return _rhs(n, abs_Lambda, lam_over_c).antiderivative()
+    """The antiderivative with zero constant term of the rhs of the profile ODE; r1 does not enter it."""
+    return (LaurentPoly.term(1, -2) * (abs_Lambda * _r2m1(n + 1) + lam_over_c * _r2m1(n))).antiderivative()
 
 
 @functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
@@ -196,7 +168,7 @@ def _profile(params: FamilyParams) -> LaurentPoly:
 
 
 def solve_profile(params: FamilyParams) -> LaurentPoly:
-    """Exact profile polynomial P: d/dr(r^-1 P) = profile_ode_rhs, P(r1) = 0.
+    """Exact profile polynomial P: d/dr(r^-1 P) = r^-2 [ |Lambda| (r^2-1)^(n+1) + (lam/c) (r^2-1)^n ], P(r1) = 0.
 
     The rhs has only even exponents, so the r^-1 obstruction in
     antiderivative never triggers.  P is memoised on the frozen params
@@ -233,13 +205,6 @@ def cone_angle(params: FamilyParams) -> Fraction:
 def cone_angle_conic_limit(params: FamilyParams) -> Fraction:
     """Continuation of alpha to r1 = 1: the limit value lam/2."""
     return params.lam / 2
-
-
-def cone_angle_slope(params: FamilyParams, at_r1: Fraction | None = None) -> Fraction:
-    """d(alpha)/d(r1) at fixed (c, Lambda, lam): c|Lambda|/2 - (lam - c|Lambda|)/(2 r1^2)."""
-    r1 = params.r1 if at_r1 is None else _coerce(at_r1)
-    cL = params.c * params.abs_Lambda
-    return cL / 2 - (params.lam - cL) / (2 * r1**2)
 
 
 def edge_model(params: FamilyParams, p: LaurentPoly) -> EdgeModel:
@@ -369,69 +334,6 @@ def cpn_catalogue(n: int, k: int, r1=1) -> FamilyParams:
         Lambda=Fraction(-(2 * n + 1)),
         r1=_coerce(r1),
     )
-
-
-def asymptotic_coefficients(params: FamilyParams, p: LaurentPoly) -> AsymptoticsReport:
-    """Leading large-r form of g and the measured approach to it.
-
-    Claimed: g ~ ((2n+1)/|Lambda|) dr^2/r^2 + (c^2|Lambda|/(2n+1)) r^2 theta^2
-    + c r^2 ghat.  Each actual coefficient, divided by its claimed leading
-    term, is evaluated exactly at three geometrically spaced radii, and
-    the deviations from 1 and their decay per decade are reported, not
-    judged: how fast they decay depends on the scale of lam/(c|Lambda|),
-    which the radii do not follow.  The leading coefficient |Lambda|/(2n+1)
-    of P is proved by the tests.
-    """
-    n, cL = params.n, params.abs_Lambda
-    dr2 = Fraction(2 * n + 1) / cL
-    th2 = params.c**2 * cL / (2 * n + 1)
-    base = params.c
-    w = _r2m1(n)
-    r0 = 10 if params.r1 < 9 else 10 * (int(params.r1) + 1)
-    radii = tuple(Fraction(r0 * 10**j) for j in range(3))
-    devs = []
-    for r in radii:
-        # g = W/P dr^2 + c^2 P/W theta^2 + c (r^2-1) ghat with W = (r^2-1)^n
-        p_r, w_r = p(r), w(r)
-        ratio_a = w_r / p_r / (dr2 / r**2)
-        ratio_b = params.c**2 * p_r / w_r / (th2 * r**2)
-        ratio_c = params.c * (r**2 - 1) / (base * r**2)
-        devs.append(tuple(abs(x - 1) for x in (ratio_a, ratio_b, ratio_c)))
-    factors = tuple(
-        tuple(None if later == 0 else dev / later for dev, later in zip(devs[j], devs[j + 1])) for j in (0, 1)
-    )
-    return AsymptoticsReport(
-        dr2_coeff=dr2,
-        theta2_coeff=th2,
-        base_coeff=base,
-        radii=radii,
-        deviations=tuple(devs),
-        decade_factors=factors,
-    )
-
-
-def zero_section_collapse_exponents(n: int, t_values) -> tuple[float, float]:
-    """Measured scaling of the zero section as r1 = 1 + t collapses (c = 1 fixed).
-
-    Returns the log-log slopes in t of the ghat factor c (r1^2 - 1) and of
-    its square root (the diameter factor).  The factor behaves like 2t, so
-    the measured exponents are about 1 and 1/2; they are reported, not
-    asserted against any claimed order.
-    """
-    ts = [_coerce(t) for t in t_values]
-    if len(ts) < 2 or any(t <= 0 for t in ts):
-        raise ValueError("need at least two positive t values")
-    slope = _loglog_slope(ts, [z_scale(cpn_catalogue(n, 1, r1=1 + t)) for t in ts])
-    return slope, slope / 2
-
-
-def _loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log y against log x."""
-    logs_x = [log(float(x)) for x in xs]
-    logs_y = [log(float(y)) for y in ys]
-    xbar = sum(logs_x) / len(logs_x)
-    ybar = sum(logs_y) / len(logs_y)
-    return sum((a - xbar) * (b - ybar) for a, b in zip(logs_x, logs_y)) / sum((a - xbar) ** 2 for a in logs_x)
 
 
 def family_report(params: FamilyParams) -> dict:

@@ -12,8 +12,8 @@ where U solves d/drho (rho^(2n+2) U) = lam * rho^(2n+1) with U(rho1) = 0:
     U(rho) = (lam/(2n+2)) (1 - (rho1/rho)^(2n+2)).
 
 Only rho1^2 enters the closed form, so profiles carry it as an exact
-rational and every identity here (ODE residual, smoothness at rho1) is
-checked in exact arithmetic.  The theta^2 coefficient identity at finite t,
+rational; the tests check the ODE and the smoothness of g_inf at rho1 in
+exact arithmetic.  The theta^2 coefficient identity at finite t,
 c'^2 P (r^2-1)^-n == U_t rho^2, is algebra that holds for every P; the
 tests prove it, and limit_comparison only reports it.
 The inner radius circulates in two forms: the internally consistent
@@ -29,7 +29,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .family import AuditMismatch, FamilyParams, _loglog_slope, scaling_action, smooth_c, solve_profile
+from .family import AuditMismatch, FamilyParams, scaling_action, smooth_c, solve_profile
 from .laurent import LaurentPoly, _coerce
 from .records import record
 
@@ -75,51 +75,6 @@ class RescaledProfile:
         level = self.limit_value
         return LaurentPoly({0: level, -m: -level * self.rho1_sq ** (self.n + 1)})
 
-    def u_at_sq(self, rho_sq) -> Fraction:
-        """Exact U at a point given by rho^2 (U depends on rho only through it)."""
-        rho_sq = _coerce(rho_sq)
-        if rho_sq == 0:
-            if self.rho1_sq:
-                raise ZeroDivisionError("U undefined at rho = 0 when rho1 > 0")
-            return self.limit_value
-        return self.limit_value * (1 - self.rho1_sq ** (self.n + 1) / rho_sq ** (self.n + 1))
-
-
-def profile_ode_residual(profile: RescaledProfile, rho_samples) -> Fraction:
-    """Max |d/drho (rho^(2n+2) U) - lam rho^(2n+1)| over the samples.
-
-    The residual is formed by exact differentiation of the closed form,
-    so it is identically zero; sampling confirms this at each point.
-    """
-    m = 2 * profile.n + 2
-    combined = LaurentPoly.term(1, m) * profile.as_laurent()
-    residual = combined.derivative() - LaurentPoly.term(profile.lam, m - 1)
-    worst = Fraction(0)
-    for rho in rho_samples:
-        rho = _coerce(rho)
-        if rho <= 0 or rho**2 <= profile.rho1_sq:
-            raise DomainError(f"sample {rho} is not above rho1")
-        worst = max(worst, abs(residual(rho)))
-    return worst
-
-
-@record
-class RescalePoint:
-    """Image of a radius r under rho^2 = c (r^2-1), U = c P(r)/(r^2-1)^(n+1)."""
-
-    rho_sq: Fraction
-    u: Fraction
-
-
-def rescale_map(params: FamilyParams, r) -> RescalePoint:
-    """Exact (rho^2, U) data of the rescaling at a rational radius r > r1."""
-    r = _coerce(r)
-    if r <= max(params.r1, 1):
-        raise DomainError(f"need r > max(r1, 1), got {r}")
-    p = solve_profile(params)
-    w = r**2 - 1
-    return RescalePoint(rho_sq=params.c * w, u=params.c * p(r) / w ** (params.n + 1))
-
 
 @record
 class Rho1Limit:
@@ -143,45 +98,6 @@ def rho1_limit(n: int) -> Rho1Limit:
     if len(set(values)) != 1:
         raise AuditMismatch(f"rho1^2 = c_t (t+2) depends on t: {values}")
     return Rho1Limit(derived_sq=values[0], paper_sq=Fraction(4, 2 * n + 1), samples=values)
-
-
-@record
-class SmoothnessReport:
-    """Leading block of g_inf at rho = rho1 + s^2.
-
-    alpha_infinity = U'(rho1) rho1 / 2 = lam/2 exactly (rho1 cancels);
-    the metric block is ds2_coeff (ds^2 + alpha_infinity^2 s^2 theta^2)
-    + rho1^2 ghat with ds2_coeff = 4 rho1 / lam.
-    """
-
-    alpha_infinity: Fraction
-    ds2_coeff: float
-    theta_s2_coeff: float
-    base_coeff_sq: Fraction
-
-
-def limit_smoothness(profile: RescaledProfile) -> SmoothnessReport:
-    """Edge data of g_inf at its inner radius; alpha = 1 exactly iff lam = 2."""
-    if profile.rho1_sq <= 0:
-        raise ValueError("smoothness analysis needs rho1 > 0")
-    rho1 = profile.rho1
-    return SmoothnessReport(
-        alpha_infinity=profile.lam / 2,  # U'(rho1) rho1 = lam: rho1 cancels
-        ds2_coeff=4 * rho1 / float(profile.lam),
-        theta_s2_coeff=float(profile.lam) * rho1,
-        base_coeff_sq=profile.rho1_sq,
-    )
-
-
-def flat_recovery(n: int) -> tuple[FamilyParams, RescaledProfile]:
-    """The k = 1 catalogue entry together with the constant profile U = 1.
-
-    U = 1 solves the rescaled ODE with lam = 2n+2 and rho1 = 0; the
-    resulting g_inf = drho^2 + rho^2 theta^2 + rho^2 ghat is flat for n=1.
-    """
-    from .family import cpn_catalogue
-
-    return cpn_catalogue(n, 1), RescaledProfile(n, 2 * n + 2, 0)
 
 
 @record
@@ -225,6 +141,15 @@ def _surd_float(x: int, y: int, m: int, z: int) -> float:
     if (x < 0) != (y < 0):
         return (abs(x * x - ysq_m) << 128) / (abs(z) * conjugate << j)
     return (conjugate << j) / (abs(z) << 128)
+
+
+def _loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log y against log x."""
+    logs_x = [math.log(float(x)) for x in xs]
+    logs_y = [math.log(float(y)) for y in ys]
+    xbar = sum(logs_x) / len(logs_x)
+    ybar = sum(logs_y) / len(logs_y)
+    return sum((a - xbar) * (b - ybar) for a, b in zip(logs_x, logs_y)) / sum((a - xbar) ** 2 for a in logs_x)
 
 
 def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:

@@ -1,0 +1,187 @@
+"""Independent float references that the tests hold the curvature engine against.
+
+No pelab command reaches these: a 4th-order finite-difference route to the
+curvature that uses no jets, sectional curvature, a Cholesky test of positive
+definiteness, the residual of the connection equation dA = -2 omega, and four
+model charts (the base sphere, flat space, a constant multiple of a chart and
+the (u, v) inversion of a chart).  pytest puts tests/ on sys.path, so a test
+reads them with `from oracles import ...`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pelab.geom import ChartMetric, CurvatureReport, UnsupportedDimension, _base_blocks, _check_domain, _report, curvature_report
+from pelab.jets import Jet2
+
+
+class DegeneratePlane(ValueError):
+    """The two tangent vectors do not span a 2-plane."""
+
+
+class StepTooLarge(ValueError):
+    """Finite-difference stencil would leave the chart domain."""
+
+
+def metric_values(chart: ChartMetric, point) -> np.ndarray:
+    """The metric matrix of chart at a point, evaluated on plain floats."""
+    return np.array(chart.metric([float(x) for x in point]), dtype=float)
+
+
+_D1_OFFSETS = (-2, -1, 1, 2)
+_D1_WEIGHTS = (1.0, -8.0, 8.0, -1.0)  # divide by 12 h
+
+
+def metric_derivatives_fd(chart: ChartMetric, point, step: float):
+    """(G, dG, ddG) from 4th-order central differences, no jets involved."""
+    d = chart.dim
+    base = np.asarray(point, dtype=float)
+    margin = 10.0 * step
+    for i in range(d):
+        for sign in (-1.0, 1.0):
+            probe = base.copy()
+            probe[i] += sign * margin
+            if not chart.in_domain(probe):
+                raise StepTooLarge(f"margin {margin} leaves the domain along coordinate {i}")
+
+    cache: dict[tuple, np.ndarray] = {}
+
+    def value(offsets: tuple) -> np.ndarray:
+        if offsets not in cache:
+            p = base.copy()
+            for axis, k in offsets:
+                p[axis] += k * step
+            cache[offsets] = metric_values(chart, p)
+        return cache[offsets]
+
+    G = value(())
+    dG = np.zeros((d, d, d))
+    ddG = np.zeros((d, d, d, d))
+    for a in range(d):
+        dG[a] = sum(w * value(((a, k),)) for k, w in zip(_D1_OFFSETS, _D1_WEIGHTS)) / (12 * step)
+        ddG[a, a] = (
+            -value(((a, -2),)) + 16 * value(((a, -1),)) - 30 * G + 16 * value(((a, 1),)) - value(((a, 2),))
+        ) / (12 * step**2)
+    for a in range(d):
+        for b in range(a + 1, d):
+            acc = np.zeros((d, d))
+            for ka, wa in zip(_D1_OFFSETS, _D1_WEIGHTS):
+                for kb, wb in zip(_D1_OFFSETS, _D1_WEIGHTS):
+                    acc += wa * wb * value(((a, ka), (b, kb)))
+            ddG[a, b] = ddG[b, a] = acc / (12 * step) ** 2
+    return G, dG, ddG
+
+
+def fd_oracle(chart: ChartMetric, point, step: float = 1e-3) -> CurvatureReport:
+    """Curvature via 4th-order finite differences only; the cross-check path."""
+    pt = np.asarray(point, dtype=float)
+    _check_domain(chart, [pt])
+    return _report(pt, *metric_derivatives_fd(chart, pt, step), None)
+
+
+def sectional(chart: ChartMetric, point, x, y) -> float:
+    """Sectional curvature of the plane spanned by tangent vectors x, y."""
+    rep = curvature_report(chart, point)
+    G = rep.metric
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xx = float(x @ G @ x)
+    yy = float(y @ G @ y)
+    xy = float(x @ G @ y)
+    denom = xx * yy - xy**2
+    if denom < 1e-12 * xx * yy:
+        raise DegeneratePlane(f"plane denominator {denom:.3e}")
+    num = float(np.einsum("ijkl,i,j,k,l->", rep.riemann, x, y, y, x))
+    return num / denom
+
+
+def is_positive_definite(chart: ChartMetric, point) -> bool:
+    try:
+        np.linalg.cholesky(metric_values(chart, point))
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def connection_curvature_residual(lam: float, u: float, v: float) -> float:
+    """|dA + 2 omega| at (u, v), evaluated by jet exterior differentiation."""
+    ju = Jet2.variable(u, 0, 2)
+    jv = Jet2.variable(v, 1, 2)
+    h, a_u, a_v = _base_blocks(lam, ju, jv)
+    # dA = (d_u a_v - d_v a_u) du ^ dv ; omega = h du ^ dv
+    curl = a_v.grad[0] - a_u.grad[1]
+    return abs(curl + 2.0 * h.value)
+
+
+def sphere_chart(lam: float) -> ChartMetric:
+    """The base surface alone: ghat with Gauss curvature lam on the (u, v) disk."""
+
+    lamf = float(lam)
+
+    def metric(x):
+        h = _base_blocks(lamf, *x)[0]
+        return [[h, 0.0], [0.0, h]]
+
+    def in_domain(pt):
+        u, v = (float(t) for t in pt)
+        return u * u + v * v < 4.0
+
+    return ChartMetric(2, ("u", "v"), metric, in_domain, label=f"sphere lam={lam}")
+
+
+def euclidean_chart(dim: int = 4) -> ChartMetric:
+    def metric(x):
+        return [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+
+    return ChartMetric(dim, tuple(f"x{i}" for i in range(dim)), metric, lambda pt: True, label=f"euclidean d={dim}")
+
+
+def scaled_chart(chart: ChartMetric, factor: float) -> ChartMetric:
+    """The same chart with metric multiplied by a positive constant."""
+    if factor <= 0:
+        raise ValueError("factor must be positive")
+
+    def metric(x):
+        rows = chart.metric(x)
+        return [[factor * e for e in row] for row in rows]
+
+    return ChartMetric(chart.dim, chart.coords, metric, chart.in_domain, label=f"{chart.label} x{factor}")
+
+
+def uv_inverted_chart(chart: ChartMetric) -> ChartMetric:
+    """Pull the chart back under (u, v) -> (u, v)/(u^2+v^2) on the last two coordinates.
+
+    The inversion is a diffeomorphism of the punctured plane, so every
+    curvature invariant must agree with the base chart at corresponding
+    points; the new domain is the exterior Q > 1 of the unit circle.
+    """
+    if chart.dim != 4:
+        raise UnsupportedDimension("uv inversion expects a 4-dimensional chart")
+
+    def metric(x):
+        x0, x1, U, V = x
+        Q = U * U + V * V
+        M = chart.metric((x0, x1, U / Q, V / Q))
+        Qsq = Q * Q
+        # the symmetric Jacobian J of (U, V) -> (u, v)
+        j_uu = (V * V - U * U) / Qsq
+        j_uv = -2.0 * U * V / Qsq
+        j_vv = (U * U - V * V) / Qsq
+
+        def times_j(a, b):
+            return [a * j_uu + b * j_uv, a * j_uv + b * j_vv]
+
+        # [[M_ab, M_a. J], [J M_.b, J M J]]: M times the Jacobian, then its transpose times that
+        half = [[row[0], row[1], *times_j(row[2], row[3])] for row in M]
+        lower = [times_j(half[2][j], half[3][j]) for j in range(4)]
+        return [half[0], half[1], [e for e, _ in lower], [e for _, e in lower]]
+
+    def in_domain(pt):
+        x0, x1, U, V = (float(t) for t in pt)
+        Q = U * U + V * V
+        if Q <= 1.0:
+            return False
+        return chart.in_domain((x0, x1, U / Q, V / Q))
+
+    return ChartMetric(4, chart.coords, metric, in_domain, label=f"{chart.label} inverted")

@@ -11,29 +11,20 @@ from fractions import Fraction as F
 
 import numpy as np
 
-import pelab.limits as lim
+from oracles import fd_oracle, scaled_chart, sectional
 from pelab.audits import run_audits
 from pelab.family import (
     FamilyParams,
+    _r2m1,
     cone_angle,
     cone_angle_conic_limit,
-    cone_angle_slope,
     cpn_catalogue,
-    profile_ode_rhs,
     scaling_action,
     smooth_c,
     smooth_c_printed,
     solve_profile,
 )
-from pelab.geom import (
-    curvature_report,
-    curvature_reports,
-    fd_oracle,
-    page_pope_chart,
-    rescaled_chart,
-    scaled_chart,
-    sectional,
-)
+from pelab.geom import curvature_report, curvature_reports, page_pope_chart, rescaled_chart
 from pelab.laurent import LaurentPoly
 from pelab.limits import RescaledProfile, limit_comparison, rho1_limit
 
@@ -82,7 +73,8 @@ def test_criterion_01_exact_ode_identity():
     for _ in range(100):
         params = _random_params(rng, n_max=4)
         p = solve_profile(params)
-        assert (r_inv * p).derivative() - profile_ode_rhs(params) == LaurentPoly()
+        rhs = LaurentPoly.term(1, -2) * (params.abs_Lambda * _r2m1(params.n + 1) + params.lam / params.c * _r2m1(params.n))
+        assert (r_inv * p).derivative() - rhs == LaurentPoly()
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f} s"
 
@@ -154,14 +146,17 @@ def test_criterion_07_cone_angle_endpoints():
     # the conic continuation of the k=1 catalogue is n+1
     for n in (1, 2, 3):
         assert cone_angle_conic_limit(cpn_catalogue(n, 1)) == n + 1
-        catalogue = cpn_catalogue(n, 1, r1=2)
-        # exact derivative sign: (2n+1)/2 - 1/(2 r1^2) > 0 on r1 >= 1
+        # alpha = (c|Lambda|/2) r1 + (lam - c|Lambda|)/(2 r1) as a Laurent polynomial in r1 (c|Lambda| = 2n+1,
+        # lam = 2n+2); exact derivative sign: (2n+1)/2 - 1/(2 r1^2) > 0 on r1 >= 1
+        alpha_of_r1 = LaurentPoly({1: F(2 * n + 1, 2), -1: F(1, 2)})
+        slope = alpha_of_r1.derivative()
         for i in range(100):
-            assert cone_angle_slope(catalogue, at_r1=1 + F(i, 10)) > 0
+            assert slope(1 + F(i, 10)) > 0
         # 100-point strictly increasing sweep
         previous = None
         for i in range(100):
             alpha = cone_angle(cpn_catalogue(n, 1, r1=1 + F(i + 1, 10)))
+            assert alpha == alpha_of_r1(1 + F(i + 1, 10))
             assert previous is None or alpha > previous
             previous = alpha
 

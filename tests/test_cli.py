@@ -69,10 +69,11 @@ def test_family_invalid_params_exit_2(capsys):
     assert code == 2
 
 
-# sha256 of the full stdout of exact-only commands, of sweep --verify and of
-# every --help page: the edge and conic arbiters, the audit table, the CSV and
-# JSON writers and the option surface must stay byte-identical.  A command
-# with {summary} hashes its stdout followed by the --summary-output file.
+# sha256 of the full stdout of the exact-only commands, of verify on both
+# charts and sweep --verify, and of every --help page: the edge and conic
+# arbiters, the audit table, the float verdicts, the CSV and JSON writers and
+# the option surface must stay byte-identical.  A command with {summary}
+# hashes its stdout followed by the --summary-output file.
 EXACT_GOLDENS = [
     ("audit", "c2bc06070a51e07bb47a8abbf3a995a88e94c42c42ae4d5e71497b94a8a5945d"),
     ("audit --format json", "44b14f3c8c602897b7913c50da204fa2b6571ce92b9711466192a198e9f5f364"),
@@ -99,6 +100,12 @@ EXACT_GOLDENS = [
     ("sweep --param k --start 1 --stop 4 --count 4 --n 2 --r1 1 --format json", "c583ee63a18a4ec36b611c6d1c8e035af50ee2eed93293be3ede16ff0423c51b"),
     ("sweep --param k --start 1 --stop 3 --count 3 --n 1 --r1 5/2 --format json", "9a47ea56ab2e1ac7139a8844bc3fab20fc3c0a0018c87c3105318f66b4beb0f6"),
     ("sweep --param r1 --start 2 --stop 3 --count 3 --n 1 --k 1 --verify --seed 5", "323886e3304c2eb6fab27032375b39b9f20a5676e628707241a027ee7459dc53"),
+    ("verify --n 1 --k 1 --r1 1 --points 50 --seed 0", "f57948af7210d951f472bd99684db3dc552f5c44a28d1124f97d02fb242ce405"),
+    ("verify --n 1 --k 1 --r1 1 --points 50 --seed 0 --format json", "b36129f8e2a5d6b8b8cf366ee004ae0312b0dbc65e2fc74c1a06efccc5fb6e6d"),
+    ("verify --n 1 --k 1 --r1 1 --points 50 --seed 0 --format csv", "46ed3d698d1ecf4b25b8d0cdbd8db6b41c57b2e4a2d209f59f776737192188d5"),
+    ("verify --chart rescaled --points 20 --seed 3", "278cc026245ae80972792b65ab20ab0fa59150942908d387475042fbe5d65fe3"),
+    ("verify --chart rescaled --points 20 --seed 3 --format json", "25c308266e2701c1b848fc9a8d51381a941203f619b20febd0a9d995b8796448"),
+    ("verify --chart rescaled --points 20 --seed 3 --format csv", "3f9f04a4e5a8693870bd5c1e562da669d178b002a3971889773ec23c9eb46992"),
     ("--help", "56e99973dd81066e653ba0bba0026242831cb89e49484ad47dd9d400a0091f05"),
     ("family --help", "3a5eb7d77b2bc99900714ae525307688a75aeabcefa9b70a48cedd4ed554e0ad"),
     ("verify --help", "dcecb636ab74bc1718079d3e27574c88d55a0b8671cfd3a444c533b89d0cbca7"),
@@ -457,6 +464,36 @@ def test_verify_float_flags_accept_rationals(capsys, flag, rational, decimal):
     code, out, err = run(capsys, *argv, flag, rational)
     assert code != 2, err
     assert (code, out, err) == run(capsys, *argv, flag, decimal)
+
+
+def _fixed_scan(monkeypatch, columns):
+    """Make cli._scan return columns as the SCALAR_COLUMNS; the list returned receives each sampled point array."""
+    import pelab.cli as cli_mod
+
+    sampled = []
+
+    def scan(chart, points, lam):
+        sampled.append(points)
+        return np.array(columns)
+
+    monkeypatch.setattr(cli_mod, "_scan", scan)
+    return sampled
+
+
+def test_verify_judges_the_largest_residual_not_the_largest_scalar(monkeypatch, capsys):
+    # the failing point (row 1) has the smallest scalar curvature of the three
+    sampled = _fixed_scan(monkeypatch, [[1e-9, 5.0, 0.0, 0.0], [2e-6, 1.0, 0.0, 0.0], [1e-9, 3.0, 0.0, 0.0]])
+    code, out, _ = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "3")
+    assert code == 1
+    assert "max einstein residual: 2e-06 (tol 1e-06)" in out
+    assert out.endswith(f"FAIL at point {tuple(sampled[0][1].tolist())}\n")
+
+
+def test_verify_default_tol_fails_a_residual_of_1_5e_6(monkeypatch, capsys):
+    _fixed_scan(monkeypatch, [[1.5e-6, 1.0, 0.0, 0.0]])
+    code, out, _ = run(capsys, "verify", "--n", "1", "--k", "1", "--r1", "1", "--points", "1")
+    assert code == 1
+    assert "FAIL at point" in out
 
 
 @pytest.mark.parametrize("value", ["abc", "1/0"])

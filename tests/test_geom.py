@@ -8,27 +8,30 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from pelab import geom
-from pelab.family import FamilyParams, smooth_c
-from pelab.geom import (
-    ChartMetric,
-    CurvatureCheckError,
-    CurvatureReport,
+import oracles
+from oracles import (
     DegeneratePlane,
-    SingularMetric,
     StepTooLarge,
-    UnsupportedDimension,
     connection_curvature_residual,
-    curvature_report,
     euclidean_chart,
     fd_oracle,
     is_positive_definite,
-    page_pope_chart,
-    rescaled_chart,
+    metric_values,
     scaled_chart,
     sectional,
     sphere_chart,
     uv_inverted_chart,
+)
+from pelab.family import FamilyParams
+from pelab.geom import (
+    ChartMetric,
+    CurvatureCheckError,
+    CurvatureReport,
+    SingularMetric,
+    UnsupportedDimension,
+    curvature_report,
+    page_pope_chart,
+    rescaled_chart,
 )
 from pelab.limits import RescaledProfile, rho1_limit
 
@@ -87,13 +90,13 @@ def test_connection_potential_solves_curvature_equation():
 
 def test_connection_residual_measures_a_wrong_potential(monkeypatch):
     # with A doubled, dA = -4 omega and the residual |dA + 2 omega| is 2h
-    base_blocks = geom._base_blocks
+    base_blocks = oracles._base_blocks
 
     def doubled(lam, u, v):
         h, a_u, a_v = base_blocks(lam, u, v)
         return h, 2 * a_u, 2 * a_v
 
-    monkeypatch.setattr(geom, "_base_blocks", doubled)
+    monkeypatch.setattr(oracles, "_base_blocks", doubled)
     two_h = 2 * (4.0 / 2.0) / (1.0 + 0.3**2 + 0.2**2) ** 2
     assert two_h == pytest.approx(3.13259, abs=1e-5)
     assert connection_curvature_residual(2.0, 0.3, -0.2) == pytest.approx(two_h, rel=1e-12)
@@ -157,7 +160,7 @@ def test_rescaled_chart_finite_positive():
     profile = RescaledProfile(1, 2, rho1_limit(1).derived_sq)
     chart = rescaled_chart(profile)
     pt = (2.0 * profile.rho1, 1.0, 0.3, -0.2)
-    values = chart.metric_values(pt)
+    values = metric_values(chart, pt)
     assert np.all(np.isfinite(values))
     assert is_positive_definite(chart, pt)
 
@@ -259,8 +262,8 @@ def test_uv_inverted_metric_is_the_pullback():
             big_q = float(w @ w)
             jac = np.eye(4)
             jac[2:, 2:] = (big_q * np.eye(2) - 2.0 * np.outer(w, w)) / big_q**2
-            expected = jac.T @ base.metric_values((x0, x1, w[0] / big_q, w[1] / big_q)) @ jac
-            got = inv.metric_values((x0, x1, *w))
+            expected = jac.T @ metric_values(base, (x0, x1, w[0] / big_q, w[1] / big_q)) @ jac
+            got = metric_values(inv, (x0, x1, *w))
             assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 

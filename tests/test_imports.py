@@ -1,8 +1,11 @@
-"""Import boundary: each command loads only the layers it uses, and none loads dataclasses."""
+"""Import boundary: each command loads only the layers it uses, none loads dataclasses,
+and every public layer function is one that a command runs."""
 
+import contextlib
 import functools
 import importlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import pelab
+from pelab.cli import main
 
 SRC = Path(pelab.__file__).resolve().parents[1]
 FLOAT_MODULES = ("numpy", "pelab.jets", "pelab.geom")
@@ -143,3 +147,44 @@ def test_traced_solve_profile_counts_match_the_self_check(monkeypatch):
         doc = json.loads(done.stdout)
         assert doc["code"] == 0, (argv, doc["stderr"])
         assert doc["spans"]["family.solve_profile"]["calls"] == want, argv
+
+
+# Every subcommand and both charts, with --tol and --rho-grid given once.
+REACH = [
+    FAMILY,
+    FAMILY_JSON,
+    ("audit",),
+    ("limit", "--n", "2", "--rho-grid", "1:3:5"),
+    SWEEP + ("--verify",),
+    VERIFY + ("--tol", "1e-7"),
+    ("verify", "--chart", "rescaled", "--points", "5", "--format", "csv"),
+]
+# The single-point report stays a library entry: the tests hold every row of
+# the batch path bit-equal to it.
+NOT_REACHED = {"geom.curvature_report"}
+
+
+def test_every_public_layer_function_is_reached_by_a_command():
+    # Code that only tests call belongs in tests/ (the float references live
+    # in tests/oracles.py); methods and _private helpers are not listed here.
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(list(argv)) for argv in REACH]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(REACH)
+    unreached = {
+        f"{layer}.{name}"
+        for layer in ("cli", "laurent", "family", "limits", "audits", "jets", "geom")
+        for name, fn in vars(importlib.import_module(f"pelab.{layer}")).items()
+        if inspect.isfunction(fn) and fn.__module__ == f"pelab.{layer}" and not name.startswith("_") and fn.__code__ not in called
+    }
+    assert unreached == NOT_REACHED

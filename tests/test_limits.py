@@ -9,35 +9,42 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pelab.cli import _default_rho_grid
-from pelab.family import AuditMismatch, FamilyParams, _r2m1, scaling_action, smooth_c, solve_profile
+from pelab.family import AuditMismatch, FamilyParams, _r2m1, cpn_catalogue, scaling_action, smooth_c, solve_profile
 from pelab.laurent import LaurentPoly
-from pelab.limits import (
-    DomainError,
-    RescaledProfile,
-    flat_recovery,
-    limit_comparison,
-    limit_smoothness,
-    profile_ode_residual,
-    rescale_map,
-    rho1_limit,
-)
+from pelab.limits import DomainError, RescaledProfile, limit_comparison, rho1_limit
 
 HYPERBOLIC = FamilyParams(n=1, lam=F(4), c=F(1), Lambda=F(-3), r1=F(1))
 CONIC = FamilyParams(n=1, lam=F(2), c=F(1, 3), Lambda=F(-3), r1=F(1))
+
+
+def at_sq(poly, rho_sq):
+    """A Laurent polynomial with even exponents only, evaluated exactly at the point given by rho^2."""
+    return sum(c * rho_sq ** (e // 2) for e, c in poly.items())
+
+
+def ode_residual(profile):
+    """d/drho (rho^(2n+2) U) - lam rho^(2n+1) as an exact Laurent polynomial."""
+    m = 2 * profile.n + 2
+    return (LaurentPoly.term(1, m) * profile.as_laurent()).derivative() - LaurentPoly.term(profile.lam, m - 1)
+
+
+def alpha_infinity(profile):
+    """U'(rho1) rho1 / 2: rho U' has even exponents only, so it is exact at rho1^2."""
+    return at_sq(LaurentPoly.term(1, 1) * profile.as_laurent().derivative(), profile.rho1_sq) / 2
 
 
 def test_profile_closed_form():
     prof = RescaledProfile(1, 2, F(2, 3))
     # U = 1/2 (1 - rho1^4/rho^4), the n = 1 gravitational-instanton profile
     assert prof.as_laurent() == LaurentPoly({0: F(1, 2), -4: -F(2, 9)})
-    assert prof.u_at_sq(prof.rho1_sq) == 0
+    assert at_sq(prof.as_laurent(), prof.rho1_sq) == 0
     assert prof.as_laurent()(F(2)) == F(1, 2) * (1 - F(4, 9) / 16)
     assert prof.limit_value == F(1, 2)
 
 
 def test_profile_monotone_and_limit():
     prof = RescaledProfile(2, 3, F(1, 2))
-    values = [prof.u_at_sq(prof.rho1_sq + F(k, 3)) for k in range(1, 8)]
+    values = [at_sq(prof.as_laurent(), prof.rho1_sq + F(k, 3)) for k in range(1, 8)]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert prof.as_laurent()(F(10**6)) < prof.limit_value
 
@@ -49,43 +56,30 @@ def test_constant_profile():
 
 
 def test_ode_residual_fixtures():
-    assert profile_ode_residual(RescaledProfile(1, 2, F(2, 3)), [F(2)]) == 0
-    assert profile_ode_residual(RescaledProfile(2, 2, F(1, 4)), [F(3)]) == 0
-    assert profile_ode_residual(RescaledProfile(1, 4, 0), [F(1)]) == 0
+    assert ode_residual(RescaledProfile(1, 2, F(2, 3))) == LaurentPoly()
+    assert ode_residual(RescaledProfile(2, 2, F(1, 4))) == LaurentPoly()
+    assert ode_residual(RescaledProfile(1, 4, 0)) == LaurentPoly()
 
 
 @given(
     n=st.integers(min_value=1, max_value=5),
     lam=st.fractions(min_value=F(1, 10), max_value=10, max_denominator=10),
     rho1_sq=st.fractions(min_value=0, max_value=4, max_denominator=10),
-    rho=st.fractions(min_value=3, max_value=9, max_denominator=10),
 )
-def test_ode_residual_property(n, lam, rho1_sq, rho):
-    assert profile_ode_residual(RescaledProfile(n, lam, rho1_sq), [rho]) == 0
-
-
-def test_ode_residual_domain():
-    with pytest.raises(DomainError):
-        profile_ode_residual(RescaledProfile(1, 2, F(4)), [F(1)])
+def test_ode_residual_property(n, lam, rho1_sq):
+    assert ode_residual(RescaledProfile(n, lam, rho1_sq)) == LaurentPoly()
 
 
 def test_rescale_map_hyperbolic():
-    # P = (r^2-1)^2 and c = 1 give U identically 1 (the flat-limit profile)
-    for r in (F(2), F(7, 2), F(13, 3)):
-        assert rescale_map(HYPERBOLIC, r).u == 1
+    # P = (r^2-1)^2 and c = 1: U = c P/(r^2-1)^(n+1) is identically 1 (the flat-limit profile)
+    assert HYPERBOLIC.c * solve_profile(HYPERBOLIC) == _r2m1(2)
 
 
 def test_rescale_map_fixture():
-    point = rescale_map(CONIC, F(2))
-    assert point.rho_sq == 1
-    assert point.u == F(11, 27)
-    # rho^2 = c (r^2 - 1) by definition
-    assert rescale_map(CONIC, F(3)).rho_sq == CONIC.c * 8
-
-
-def test_rescale_map_domain():
-    with pytest.raises(DomainError):
-        rescale_map(CONIC, F(1))
+    # rho^2 = c (r^2 - 1) and U = c P(r)/(r^2-1)^(n+1) at r = 2
+    r = F(2)
+    assert CONIC.c * _r2m1(1)(r) == 1
+    assert CONIC.c * solve_profile(CONIC)(r) / _r2m1(2)(r) == F(11, 27)
 
 
 def test_rho1_limit():
@@ -115,17 +109,15 @@ def test_rho1_limit_rejects_any_t_dependence(monkeypatch, capsys):
 def test_limit_smoothness_lam2():
     # alpha = 1 exactly for lam = 2, independent of n and rho1
     for n, rho1_sq in [(1, F(4, 3)), (1, F(2, 3)), (3, F(7, 5)), (2, F(1, 9))]:
-        report = limit_smoothness(RescaledProfile(n, 2, rho1_sq))
-        assert report.alpha_infinity == 1
+        assert alpha_infinity(RescaledProfile(n, 2, rho1_sq)) == 1
 
 
 def test_limit_smoothness_block():
+    # at rho = rho1 + s^2, U^-1 drho^2 + U rho^2 theta^2 leads with (4/U'(rho1)) ds^2 + U'(rho1) rho1^2 s^2 theta^2;
+    # U'(rho1) rho1 = 2 gives the block 2 rho1 (ds^2 + s^2 theta^2) + rho1^2 ghat
     prof = RescaledProfile(1, 2, F(2, 3))
-    report = limit_smoothness(prof)
-    # leading block 2 rho1 (ds^2 + s^2 theta^2) + rho1^2 ghat
-    assert report.ds2_coeff == pytest.approx(2 * prof.rho1, rel=1e-15)
-    assert report.theta_s2_coeff == pytest.approx(2 * prof.rho1, rel=1e-15)
-    assert report.base_coeff_sq == F(2, 3)
+    slope_times_rho1 = 2 * alpha_infinity(prof)
+    assert 4 / slope_times_rho1 == slope_times_rho1 == 2
 
 
 @given(
@@ -133,22 +125,22 @@ def test_limit_smoothness_block():
     rho1_sq=st.fractions(min_value=F(1, 10), max_value=10, max_denominator=12),
 )
 def test_limit_smoothness_property(n, rho1_sq):
-    assert limit_smoothness(RescaledProfile(n, 2, rho1_sq)).alpha_infinity == 1
+    assert alpha_infinity(RescaledProfile(n, 2, rho1_sq)) == 1
 
 
 def test_limit_smoothness_general_lam():
-    assert limit_smoothness(RescaledProfile(1, 4, F(1))).alpha_infinity == 2
-    with pytest.raises(ValueError):
-        limit_smoothness(RescaledProfile(1, 2, 0))
+    assert alpha_infinity(RescaledProfile(1, 4, F(1))) == 2
+    # rho1 = 0 leaves no inner radius to smooth: U is the constant lam/(2n+2)
+    assert RescaledProfile(1, 2, 0).as_laurent() == LaurentPoly({0: F(1, 2)})
 
 
 def test_flat_recovery():
-    params, profile = flat_recovery(1)
-    assert params == HYPERBOLIC
+    # the k = 1 catalogue entry rescales to U = 1 (test_rescale_map_hyperbolic), the constant
+    # profile with lam = 2n+2 and rho1 = 0; g_inf = drho^2 + rho^2 theta^2 + rho^2 ghat
+    profile = RescaledProfile(1, 4, 0)
+    assert cpn_catalogue(1, 1) == HYPERBOLIC
     assert profile.as_laurent() == LaurentPoly.constant(1)
-    assert profile.rho1_sq == 0
-    # U = 1 solves the generalised profile ODE with lam = 2n+2
-    assert profile_ode_residual(profile, [F(1), F(2)]) == 0
+    assert ode_residual(profile) == LaurentPoly()
 
 
 def _default_grid():

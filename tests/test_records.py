@@ -21,11 +21,8 @@ INSTANCES = {
     "FamilyParams": lambda: EDGE,
     "EdgeModel": lambda: fam.edge_model(EDGE, fam.solve_profile(EDGE)),
     "ConicModel": lambda: fam.conic_model(CONIC, fam.solve_profile(CONIC)),
-    "AsymptoticsReport": lambda: fam.asymptotic_coefficients(EDGE, fam.solve_profile(EDGE)),
     "RescaledProfile": lambda: PROFILE,
-    "RescalePoint": lambda: limits.rescale_map(EDGE, 3),
     "Rho1Limit": lambda: limits.rho1_limit(1),
-    "SmoothnessReport": lambda: limits.limit_smoothness(PROFILE),
     "LimitComparison": lambda: limits.limit_comparison(1, [F(1, 10), F(1, 100)], [F(1), F(3, 2), F(2)]),
     "AuditRow": lambda: run_audits()[0],
     "ChartMetric": lambda: geom.page_pope_chart(EDGE),

@@ -107,4 +107,28 @@ MUTANTS = [
         "1.1 / rho1f",
         "verify --chart rescaled: the lower end of the sampling window divided by rho1",
     ),
+    (
+        "src/pelab/geom.py",
+        "[coeffs.get(e, 0.0) for e in exponents]",
+        "[terms[0].get(e, 0.0) for e in exponents]",
+        "page_pope_block: every row takes row 0's coefficients of P",
+    ),
+    (
+        "src/pelab/geom.py",
+        "np.repeat(np.array(rows), counts, axis=0)",
+        "np.repeat(np.array(rows[1:] + rows[:1]), counts, axis=0)",
+        "page_pope_block: the per-point data shifted by one row (each run of points takes the next row's data)",
+    ),
+    (
+        "src/pelab/geom.py",
+        "point_scalars(chart, row_points, lam)",
+        "None",
+        "sweep --verify: a failing block not evaluated again row by row, so a later row's singular metric hides an earlier row's failed check",
+    ),
+    (
+        "src/pelab/geom.py",
+        "(x > inner)",
+        "~(x <= inner)",
+        "domain check: a NaN radial coordinate counted as inside the chart",
+    ),
 ]

@@ -13,8 +13,9 @@ Tier-1 first runs once on the unmutated copy: a mutant that only meets a
 suite that already fails has not been killed.  `tests/test_mutants.py`,
 which reads the sources and this record on purpose, is left out of these
 runs.
-One pytest runs at a time; the baseline and the sixteen mutants take a few
-minutes on a 2-core machine.
+One pytest runs at a time; the baseline and the mutants take a few
+minutes on a 2-core machine.  SIGTERM ends the run as an exception does:
+the running pytest is killed and the temporary tree removed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -74,7 +76,12 @@ def _tier1(files: list[str], mutant=None) -> str:
     return failed[0] if failed else f"pytest exit {done.returncode}"
 
 
+def _exit(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, _exit)
     files = _tree()
     baseline = _tier1(files)
     if baseline != "survived":

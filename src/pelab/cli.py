@@ -11,6 +11,10 @@ numpy and the float engine (jets, geom) are imported only by the commands
 that evaluate curvature, verify and sweep --verify.
 """
 
+# (The docstring is the --help text.)  The page-pope points of verify and of
+# all rows of sweep --verify are one stream of blocks that span rows
+# (geom.RowScan); each row draws its points from its own seed.
+
 from __future__ import annotations
 
 import argparse
@@ -213,12 +217,12 @@ def _check_seed(seed: int):
         raise UsageError("--seed must be >= 0")
 
 
-def _scan(chart, points, lam: float):
-    """Per-point geom.SCALAR_COLUMNS; a singular metric or a failed check is a verification failure."""
+def _checked(run, *args):
+    """run(*args), where a singular metric or a failed curvature check is a verification failure."""
     from . import geom
 
     try:
-        return geom.point_scalars(chart, points, lam)
+        return run(*args)
     except (geom.SingularMetric, geom.CurvatureCheckError) as exc:
         raise VerificationFailure(str(exc)) from exc
 
@@ -240,6 +244,9 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--chart {args.chart} does not take {', '.join(given)}")
     if args.chart == "page-pope":
         chart, points, lam_check = _page_pope_batch(_params_from_args(args), args.seed, args.points, args.Lambda_check)
+        scan = geom.RowScan(lambda columns: columns)
+        _checked(scan.add, chart, points, lam_check)
+        [columns] = _checked(scan.finish)
     else:
         from .limits import RescaledProfile
 
@@ -250,9 +257,9 @@ def cmd_verify(args) -> int:
         rho1f = profile.rho1
         lower, upper = (1.1 * rho1f, 5.0 * rho1f) if rho1f > 0 else (0.5, 3.0)
         points = _sample_points(args.seed, args.points, lower, upper)
+        columns = _checked(geom.point_scalars, chart, points, lam_check)
     label = chart.label
 
-    columns = _scan(chart, points, lam_check)
     worst = int(np.argmax(columns[:, 0]))
     worst_point = tuple(points[worst].tolist())
     max_res = float(columns[worst, 0])
@@ -377,6 +384,19 @@ def _sweep_params(args, value) -> FamilyParams:
     return fam.cpn_catalogue(args.n, int(exact), args.r1)
 
 
+def _sweep_row(args, value) -> tuple[FamilyParams, list]:
+    """The family member of one sweep value and its exact row."""
+    params = _sweep_params(args, value)
+    if params.is_conic:
+        alpha = fam.cone_angle_conic_limit(params)
+        beta_sq = None
+    else:
+        p = fam.solve_profile(params)
+        em = fam.edge_model(params, p)
+        alpha, beta_sq = em.alpha, em.beta_sq_derived
+    return params, [params.r1, params.c, alpha, beta_sq, fam.conformal_infinity(params), fam.z_scale(params)]
+
+
 def cmd_sweep(args) -> int:
     if args.param in ("r1", "t") and args.r1 is not None:
         raise UsageError(f"--r1 conflicts with sweeping {args.param}")
@@ -386,30 +406,28 @@ def cmd_sweep(args) -> int:
         _check_seed(args.seed)
     values = _sweep_values(args)
     header = ["r1", "c", "alpha", "beta_sq_derived", "berger_coeff", "z_scale"]
+    scan = None
     if args.verify:
+        from . import geom
+
         header.append("max_einstein_residual")
+        scan = geom.RowScan(lambda columns: float(columns[:, 0].max()))
     rows = []
     for idx, value in enumerate(values):
-        params = _sweep_params(args, value)
-        if params.is_conic:
-            alpha = fam.cone_angle_conic_limit(params)
-            beta_sq = None
-        else:
-            p = fam.solve_profile(params)
-            em = fam.edge_model(params, p)
-            alpha, beta_sq = em.alpha, em.beta_sq_derived
-        row = [
-            params.r1,
-            params.c,
-            alpha,
-            beta_sq,
-            fam.conformal_infinity(params),
-            fam.z_scale(params),
-        ]
-        if args.verify:
-            chart, pts, lam_check = _page_pope_batch(params, args.seed * 100003 + idx, args.points, None)
-            row.append(float(_scan(chart, pts, lam_check)[:, 0].max()))
+        try:
+            params, row = _sweep_row(args, value)
+            if scan:
+                batch = _page_pope_batch(params, args.seed * 100003 + idx, args.points, None)
+        except (ValueError, AuditMismatch):
+            if scan:
+                _checked(scan.finish)  # a failure among the earlier rows is reported first
+            raise
         rows.append(row)
+        if scan:
+            _checked(scan.add, *batch)
+    if scan:
+        for row, residual in zip(rows, _checked(scan.finish)):
+            row.append(residual)
 
     if args.format == "json":
         payload = [{name: _fmt(v) if not isinstance(v, float) else v for name, v in zip(header, row)} for row in rows]

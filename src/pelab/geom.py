@@ -74,7 +74,9 @@ class ChartMetric:
 
     metric(point) must accept a sequence of floats or Jet2 values and
     return a dim x dim nested list; entries may be plain numbers where a
-    component is constant.  in_domain is a predicate on float points.
+    component is constant.  in_domain maps float points of shape B + (dim,)
+    to booleans of shape B.  data holds the floats a chart was built from
+    (a page-pope chart: P's coefficients, c, lambda and r1).
     """
 
     dim: int
@@ -82,6 +84,7 @@ class ChartMetric:
     metric: Callable
     in_domain: Callable
     label: str = ""
+    data: tuple = ()
 
 
 def metric_derivatives_jet(chart: ChartMetric, points):
@@ -193,7 +196,8 @@ class CurvatureReport:
     field: point (N, d), metric (N, d, d), scalar (N,), and so on.
 
     einstein_residual is max_ij |Ric_ij - lam g_ij| / max_ij |g_ij| for the
-    lam the report was asked for, and None without one.
+    lam the report was asked for (one for the batch, or one per point), and
+    None without one.
     """
 
     point: tuple | np.ndarray
@@ -229,6 +233,8 @@ class CurvatureReport:
 def _report(points: np.ndarray, G, dG, ddG, lam) -> CurvatureReport:
     """Report of one point (points of shape (d,)) or of a batch (shape (N, d))."""
     _, Gamma, r_low, ricci, scal = assemble_curvature(G, dG, ddG, points)
+    if lam is not None:
+        lam = np.asarray(lam, dtype=float)[..., None, None]
     residual = None if lam is None else _per_point(_amax(ricci - lam * G, 2) / _amax(G, 2))
     return CurvatureReport(
         point=tuple(points.tolist()) if points.ndim == 1 else points,
@@ -242,16 +248,19 @@ def _report(points: np.ndarray, G, dG, ddG, lam) -> CurvatureReport:
 
 
 def _check_domain(chart: ChartMetric, points):
-    for pt in points:
-        if not chart.in_domain(pt):
-            raise ValueError(f"point {tuple(float(x) for x in pt)} outside chart domain")
+    """Raise ValueError naming the first point of the (N, d) batch outside the chart, from one in_domain call."""
+    pts = np.asarray(points, dtype=float)
+    outside = np.flatnonzero(np.logical_not(chart.in_domain(pts)))
+    if outside.size:
+        raise ValueError(f"point {_point_at(pts, int(outside[0]))} outside chart domain")
 
 
-def curvature_reports(chart: ChartMetric, points, lam: float | None = None) -> CurvatureReport:
+def curvature_reports(chart: ChartMetric, points, lam: float | np.ndarray | None = None) -> CurvatureReport:
     """Batch curvature report of N points (shape (N, d)) from one jet pass.
 
     Every operation acts point by point, so entry i of every field is
-    bit-equal to the report of point i evaluated alone.  A singular metric
+    bit-equal to the report of point i evaluated alone.  lam is one float,
+    or an (N,) array with one Einstein constant per point.  A singular metric
     or a failed check raises at the first offending point, naming it.
     """
     pts = np.asarray(points, dtype=float)
@@ -276,13 +285,14 @@ BLOCK_POINTS = 128
 SCALAR_COLUMNS = ("einstein_residual", "scalar", "bianchi_max", "symmetry_max")
 
 
-def point_scalars(chart: ChartMetric, points, lam: float) -> np.ndarray:
+def point_scalars(chart: ChartMetric, points, lam: float | np.ndarray) -> np.ndarray:
     """The SCALAR_COLUMNS of every point, shape (N, 4).
 
     Points are evaluated in blocks of at most BLOCK_POINTS, and each block
     is reduced to these columns before the next starts, so memory does not
     grow with N beyond the (N, 4) result.  Rows do not depend on the block
-    size.
+    size.  A chart or lam with one value per point (:func:`page_pope_block`)
+    describes one block, so it takes at most BLOCK_POINTS points.
     """
     pts = np.asarray(points, dtype=float)
     out = np.empty((len(pts), len(SCALAR_COLUMNS)))
@@ -291,6 +301,66 @@ def point_scalars(chart: ChartMetric, points, lam: float) -> np.ndarray:
         rep = curvature_reports(chart, pts[start:stop], lam)
         out[start:stop] = np.stack([getattr(rep, name) for name in SCALAR_COLUMNS], axis=-1)
     return out
+
+
+class RowScan:
+    """Per-row SCALAR_COLUMNS of consecutive page-pope rows, evaluated as one stream of points.
+
+    add(chart, points, lam) queues a row: its page-pope chart, its (n, 4)
+    points and its Einstein constant.  The queued points are evaluated in
+    blocks of BLOCK_POINTS that fill across row boundaries, each on a
+    page_pope_block chart, and a row leaves the queue as reduce(its
+    columns) once its last point is evaluated, so memory does not grow
+    with the number of rows.  finish() evaluates the rest and returns the
+    reduced rows in order.
+    """
+
+    def __init__(self, reduce: Callable):
+        self.reduce = reduce
+        self.queue = []  # (chart, points, lam, evaluated column parts) of the rows with points left
+        self.start = 0  # points of queue[0] already evaluated
+        self.waiting = 0  # points in the queue not yet evaluated
+        self.results = []
+
+    def add(self, chart: ChartMetric, points: np.ndarray, lam: float):
+        self.queue.append((chart, points, lam, []))
+        self.waiting += len(points)
+        while self.waiting >= BLOCK_POINTS:
+            self._evaluate(BLOCK_POINTS)
+
+    def finish(self) -> list:
+        if self.waiting:
+            self._evaluate(self.waiting)
+        return self.results
+
+    def _evaluate(self, size: int):
+        rows, spans, start, left = [], [], self.start, size
+        for row in self.queue:
+            stop = min(len(row[1]), start + left)
+            rows.append(row)
+            spans.append((start, stop))
+            left -= stop - start
+            if not left:
+                break
+            start = 0
+        counts = [stop - start for start, stop in spans]
+        points = np.concatenate([row[1][start:stop] for row, (start, stop) in zip(rows, spans)])
+        try:
+            columns = point_scalars(page_pope_block([row[0] for row in rows], counts), points, np.repeat([row[2] for row in rows], counts))
+        except (SingularMetric, CurvatureCheckError):
+            # A block finds a singular metric before any failed check; each
+            # row alone raises its own first failure, so the first failing
+            # row names the point that a row-by-row evaluation names.
+            for chart, row_points, lam, _ in rows:
+                point_scalars(chart, row_points, lam)
+            raise
+        for (_, row_points, _, parts), (start, stop), part in zip(rows, spans, np.split(columns, np.cumsum(counts)[:-1])):
+            parts.append(part)
+            if stop == len(row_points):
+                self.queue.pop(0)
+                self.results.append(self.reduce(np.concatenate(parts)))
+        self.start = stop if stop < len(row_points) else 0  # the block's last row may have points left
+        self.waiting -= size
 
 
 # -- base-surface data -------------------------------------------------
@@ -311,17 +381,23 @@ def _base_blocks(lam: float, u, v):
     return h, a_u, a_v
 
 
-def _fibration_chart(n: int, coords: tuple, inner: float, radial: Callable, lam: float, label: str) -> ChartMetric:
+def _check_fibration(n: int, lam: float, label: str):
+    """The charts cover the base dimension n = 1, and ghat needs a float lam > 0."""
+    if n != 1:
+        raise UnsupportedDimension("the chart verification covers n = 1")
+    if lam == 0.0:  # ghat divides by lam; an exact lam > 0 can underflow
+        raise BeyondFloatRange(f"{label}: lambda > 0 rounds to 0.0 as a float")
+
+
+def _fibration_chart(coords: tuple, inner, radial: Callable, lam, label: str, data: tuple = ()) -> ChartMetric:
     """The chart (x, psi, u, v) of the fibration a dx^2 + b theta^2 + c ghat.
 
     radial(x) returns the radial coefficients (a, b, c) at the radial
     coordinate x; theta = dpsi + A has psi-independent components.
     Domain: x > inner, psi in (0, 2 pi), (u, v) in the open unit disk.
+    inner, lam and the data behind radial are floats, or arrays with one
+    entry per point of the one batch the chart is evaluated on.
     """
-    if n != 1:
-        raise UnsupportedDimension("the chart verification covers n = 1")
-    if lam == 0.0:  # ghat divides by lam; an exact lam > 0 can underflow
-        raise BeyondFloatRange(f"{label}: lambda > 0 rounds to 0.0 as a float")
 
     def metric(pt):
         x, _, u, v = pt
@@ -335,28 +411,51 @@ def _fibration_chart(n: int, coords: tuple, inner: float, radial: Callable, lam:
             [0.0, b_coef * a_v, b_coef * a_u * a_v, b_coef * a_v * a_v + ch],
         ]
 
-    def in_domain(pt):
-        x, psi, u, v = (float(t) for t in pt)
-        return x > inner and 0.0 < psi < 2 * math.pi and u * u + v * v < 1.0
+    def in_domain(points):
+        x, psi, u, v = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+        # every comparison is False on NaN, so a NaN coordinate lies outside
+        return (x > inner) & (0.0 < psi) & (psi < 2 * math.pi) & (u * u + v * v < 1.0)
 
-    return ChartMetric(4, coords, metric, in_domain, label=label)
+    return ChartMetric(4, coords, metric, in_domain, label=label, data=data)
 
 
-def page_pope_chart(params: FamilyParams) -> ChartMetric:
-    """The chart (r, psi, u, v) of the family metric W/P dr^2 + c^2 P/W theta^2 + c W ghat, W = r^2 - 1."""
-    p = solve_profile(params)
-    with _rounding_to_floats(f"page-pope n={params.n} lambda={params.lam} c={params.c} Lambda={params.Lambda} r1={params.r1}"):
-        pcoeffs = {e: float(c) for e, c in p.items()}
-        cf = float(params.c)
-        lamf = float(params.lam)
-        r1f = float(params.r1)
+def _page_pope(data: tuple, label: str) -> ChartMetric:
+    """The page-pope chart of data = (P's (exponent, coefficient) pairs in decreasing exponent order, c, lambda, r1)."""
+    terms, cf, lamf, r1f = data
+    pcoeffs = dict(terms)
 
     def radial(r):
         w = r * r - 1.0
         pval = laurent_eval(pcoeffs, r)
         return w / pval, cf * cf * pval / w, cf * w
 
-    return _fibration_chart(params.n, ("r", "psi", "u", "v"), r1f, radial, lamf, f"page-pope n={params.n} r1={params.r1}")
+    return _fibration_chart(("r", "psi", "u", "v"), r1f, radial, lamf, label, data)
+
+
+def page_pope_chart(params: FamilyParams) -> ChartMetric:
+    """The chart (r, psi, u, v) of the family metric W/P dr^2 + c^2 P/W theta^2 + c W ghat, W = r^2 - 1."""
+    p = solve_profile(params)
+    with _rounding_to_floats(f"page-pope n={params.n} lambda={params.lam} c={params.c} Lambda={params.Lambda} r1={params.r1}"):
+        data = (tuple((e, float(c)) for e, c in p.items()), float(params.c), float(params.lam), float(params.r1))
+    label = f"page-pope n={params.n} r1={params.r1}"
+    _check_fibration(params.n, data[2], label)
+    return _page_pope(data, label)
+
+
+def page_pope_block(charts: list[ChartMetric], counts: list[int]) -> ChartMetric:
+    """One chart over consecutive runs of points: counts[i] points of the page-pope chart charts[i], in order.
+
+    Each datum becomes an array with one entry per point: P's coefficients
+    over the union of the charts' exponents, c, lambda and r1.  A chart
+    without a term gets 0.0 in its slot, and adding that zero term is
+    exact, so every point's metric is bit-equal to the one its own chart
+    gives.  Evaluate the block on exactly those sum(counts) points.
+    """
+    terms = [dict(chart.data[0]) for chart in charts]
+    exponents = sorted(set().union(*terms), reverse=True)
+    rows = [[coeffs.get(e, 0.0) for e in exponents] + list(chart.data[1:]) for coeffs, chart in zip(terms, charts)]
+    fields = np.repeat(np.array(rows), counts, axis=0).T
+    return _page_pope((tuple(zip(exponents, fields)), *fields[len(exponents):]), " + ".join(chart.label for chart in charts))
 
 
 def rescaled_chart(profile: RescaledProfile) -> ChartMetric:
@@ -365,10 +464,12 @@ def rescaled_chart(profile: RescaledProfile) -> ChartMetric:
         ucoeffs = {e: float(c) for e, c in profile.as_laurent().items()}
         lamf = float(profile.lam)
         rho1f = profile.rho1
+    label = f"rescaled rho1^2={profile.rho1_sq}"
+    _check_fibration(profile.n, lamf, label)
 
     def radial(rho):
         uval = laurent_eval(ucoeffs, rho)
         rho_sq = rho * rho
         return 1.0 / uval, uval * rho_sq, rho_sq
 
-    return _fibration_chart(profile.n, ("rho", "psi", "u", "v"), rho1f, radial, lamf, f"rescaled rho1^2={profile.rho1_sq}")
+    return _fibration_chart(("rho", "psi", "u", "v"), rho1f, radial, lamf, label)

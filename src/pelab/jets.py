@@ -11,7 +11,10 @@ Every jet has a leading batch shape B: the value has shape B, the
 gradient B + (d,) and the hessian B + (d, d).  B = () is a single point;
 B = (N,) evaluates N points in one pass of array operations.  Every
 operation is elementwise over B, so a point's derivatives do not depend
-on which batch it was evaluated in.
+on which batch it was evaluated in.  The other operand of +, -, * and /
+may be a jet, a number, or a float array of the batch shape B (one value
+per point), which scales the gradient and hessian of each point by its own
+entry.
 
 Hessians stay symmetric by construction (every update is a symmetrized
 outer product), so no resymmetrization is ever required.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_NUMERIC = (int, float)
+_OPERAND = (int, float, np.ndarray)
 
 
 def _outer(a, b):
@@ -60,7 +63,7 @@ class Jet2:
     def __add__(self, other):
         if isinstance(other, Jet2):
             return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
-        if isinstance(other, _NUMERIC):
+        if isinstance(other, _OPERAND):
             return Jet2(self.value + other, self.grad, self.hess)
         return NotImplemented
 
@@ -72,27 +75,29 @@ class Jet2:
     def __sub__(self, other):
         if isinstance(other, Jet2):
             return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
-        if isinstance(other, _NUMERIC):
+        if isinstance(other, _OPERAND):
             return Jet2(self.value - other, self.grad, self.hess)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _NUMERIC):
+        if isinstance(other, _OPERAND):
             return Jet2(other - self.value, -self.grad, -self.hess)
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, _NUMERIC):
+        if isinstance(other, Jet2):
+            a, b = self.value[..., None], other.value[..., None]
+            cross = _outer(self.grad, other.grad)
+            return Jet2(
+                self.value * other.value,
+                a * other.grad + b * self.grad,
+                a[..., None] * other.hess + b[..., None] * self.hess + cross + cross.swapaxes(-1, -2),
+            )
+        if isinstance(other, np.ndarray):
+            return Jet2(self.value * other, self.grad * other[..., None], self.hess * other[..., None, None])
+        if isinstance(other, _OPERAND):
             return Jet2(self.value * other, self.grad * other, self.hess * other)
-        if not isinstance(other, Jet2):
-            return NotImplemented
-        a, b = self.value[..., None], other.value[..., None]
-        cross = _outer(self.grad, other.grad)
-        return Jet2(
-            self.value * other.value,
-            a * other.grad + b * self.grad,
-            a[..., None] * other.hess + b[..., None] * self.hess + cross + cross.swapaxes(-1, -2),
-        )
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -108,11 +113,11 @@ class Jet2:
         )
 
     def __truediv__(self, other):
-        if isinstance(other, _NUMERIC):
+        if isinstance(other, Jet2):
+            return self * other.reciprocal()
+        if isinstance(other, _OPERAND):
             return self * (1.0 / other)
-        if not isinstance(other, Jet2):
-            return NotImplemented
-        return self * other.reciprocal()
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other

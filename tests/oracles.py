@@ -123,8 +123,8 @@ def sphere_chart(lam: float) -> ChartMetric:
         h = _base_blocks(lamf, *x)[0]
         return [[h, 0.0], [0.0, h]]
 
-    def in_domain(pt):
-        u, v = (float(t) for t in pt)
+    def in_domain(points):
+        u, v = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
         return u * u + v * v < 4.0
 
     return ChartMetric(2, ("u", "v"), metric, in_domain, label=f"sphere lam={lam}")
@@ -177,11 +177,10 @@ def uv_inverted_chart(chart: ChartMetric) -> ChartMetric:
         lower = [times_j(half[2][j], half[3][j]) for j in range(4)]
         return [half[0], half[1], [e for e, _ in lower], [e for _, e in lower]]
 
-    def in_domain(pt):
-        x0, x1, U, V = (float(t) for t in pt)
+    def in_domain(points):
+        x0, x1, U, V = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
         Q = U * U + V * V
-        if Q <= 1.0:
-            return False
-        return chart.in_domain((x0, x1, U / Q, V / Q))
+        with np.errstate(divide="ignore", invalid="ignore"):  # Q = 0 lies outside either way
+            return (Q > 1.0) & chart.in_domain(np.stack((x0, x1, U / Q, V / Q), axis=-1))
 
     return ChartMetric(4, chart.coords, metric, in_domain, label=f"{chart.label} inverted")

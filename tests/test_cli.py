@@ -100,6 +100,14 @@ EXACT_GOLDENS = [
     ("sweep --param k --start 1 --stop 4 --count 4 --n 2 --r1 1 --format json", "c583ee63a18a4ec36b611c6d1c8e035af50ee2eed93293be3ede16ff0423c51b"),
     ("sweep --param k --start 1 --stop 3 --count 3 --n 1 --r1 5/2 --format json", "9a47ea56ab2e1ac7139a8844bc3fab20fc3c0a0018c87c3105318f66b4beb0f6"),
     ("sweep --param r1 --start 2 --stop 3 --count 3 --n 1 --k 1 --verify --seed 5", "323886e3304c2eb6fab27032375b39b9f20a5676e628707241a027ee7459dc53"),
+    # sweep --verify with lambda and c varying per row, a conic first row, a c sweep, a 30-row
+    # sweep whose row 25 straddles the 128-point block boundary, 7 points per row, and JSON
+    ("sweep --param k --start 1 --stop 5 --count 5 --n 1 --r1 5/2 --verify --seed 3", "59d140279f738a421f42a8218be4196d51c977b44e990eb1df1d8c44473a5b21"),
+    ("sweep --param t --start 0 --stop 1 --count 6 --n 1 --k 2 --verify --seed 1", "eb23aac189b3b063dc4d1d5d4b3da183228d1109f6f9a0f58b8c8158a14865ba"),
+    ("sweep --param c --start 1/4 --stop 2 --count 5 --n 1 --lambda 2 --Lambda -3 --r1 3/2 --verify --seed 2", "62bac437aaaeb329cd1ee0e0bced24a715dfe42c3977ef93ea3fe4ae56e24c10"),
+    ("sweep --param r1 --start 1 --stop 9 --count 30 --n 1 --k 1 --verify --seed 4", "aa604133690727e91175a960e3cd4b06c59bacf87c6abaf047460105ee5a0668"),
+    ("sweep --param r1 --start 2 --stop 8 --count 25 --n 1 --k 3 --verify --points 7 --seed 6", "30a39b5bca842c3230a92b78afa80373f31c96d10554e0d7babc52a24e748e5b"),
+    ("sweep --param r1 --start 3/2 --stop 4 --count 5 --n 1 --k 2 --verify --format json --seed 8", "c9989aa5f51f2af50dca047878195aaf9e3146b05f06bec4e98b651b9c413d36"),
     ("verify --n 1 --k 1 --r1 1 --points 50 --seed 0", "f57948af7210d951f472bd99684db3dc552f5c44a28d1124f97d02fb242ce405"),
     ("verify --n 1 --k 1 --r1 1 --points 50 --seed 0 --format json", "b36129f8e2a5d6b8b8cf366ee004ae0312b0dbc65e2fc74c1a06efccc5fb6e6d"),
     ("verify --n 1 --k 1 --r1 1 --points 50 --seed 0 --format csv", "46ed3d698d1ecf4b25b8d0cdbd8db6b41c57b2e4a2d209f59f776737192188d5"),
@@ -467,8 +475,8 @@ def test_verify_float_flags_accept_rationals(capsys, flag, rational, decimal):
 
 
 def _fixed_scan(monkeypatch, columns):
-    """Make cli._scan return columns as the SCALAR_COLUMNS; the list returned receives each sampled point array."""
-    import pelab.cli as cli_mod
+    """Make geom.point_scalars return columns as the SCALAR_COLUMNS; the list returned receives each sampled point array."""
+    import pelab.geom as geom_mod
 
     sampled = []
 
@@ -476,7 +484,7 @@ def _fixed_scan(monkeypatch, columns):
         sampled.append(points)
         return np.array(columns)
 
-    monkeypatch.setattr(cli_mod, "_scan", scan)
+    monkeypatch.setattr(geom_mod, "point_scalars", scan)
     return sampled
 
 
@@ -652,23 +660,23 @@ def test_sweep_verify_needs_points(capsys):
 
 
 def _broken_chart(monkeypatch, is_bad, corrupt):
-    """Make pelab.geom build page-pope charts whose metric is corrupted where is_bad(r) holds."""
+    """Make pelab.geom build charts (a row's, a block's) whose metric is corrupted where is_bad(r) holds."""
     import pelab.geom as geom_mod
     from pelab.jets import Jet2
 
-    real = geom_mod.page_pope_chart
+    real = geom_mod._fibration_chart
 
-    def chart_factory(params):
-        chart = real(params)
+    def chart_factory(*args, **kwargs):
+        chart = real(*args, **kwargs)
 
         def metric(x):
             rows = chart.metric(x)
             corrupt(rows, x, Jet2.constant(is_bad(x[0].value).astype(float), chart.dim))
             return rows
 
-        return geom_mod.ChartMetric(chart.dim, chart.coords, metric, chart.in_domain, chart.label)
+        return geom_mod.ChartMetric(chart.dim, chart.coords, metric, chart.in_domain, chart.label, chart.data)
 
-    monkeypatch.setattr(geom_mod, "page_pope_chart", chart_factory)
+    monkeypatch.setattr(geom_mod, "_fibration_chart", chart_factory)
 
 
 def _verify_points(seed, count):
@@ -712,6 +720,61 @@ def test_sweep_verify_failure_exits_1(monkeypatch, capsys, corrupt, message):
     assert f"verification failed: {message}" in err
     # row 0 draws its points from seed 0 * 100003 + 0; the first one fails
     assert str(tuple(_verify_points(0, 1)[0].tolist())) in err
+
+
+def test_sweep_verify_reports_an_earlier_rows_failure_before_a_later_rows_domain_error(capsys):
+    # row 1 (r1 = 1e10) has a singular metric; row 2 (r1 = 1e17) alone would exit 2
+    # with "beyond the float sampling window"
+    argv = "sweep --param r1 --start 1000 --stop 1e17 --count 3 --spacing log --k 1 --n 1 --verify"
+    assert run(capsys, *argv.split()) == (
+        1,
+        "",
+        "verification failed: metric condition number 1.35e+30 at "
+        "(10000000000.560644, 5.926893162130123, 0.32408272701336605, -0.1083497685945077)\n",
+    )
+
+
+def test_sweep_verify_names_the_first_failing_row_before_a_later_rows_singular_metric(monkeypatch, capsys):
+    # one block holds both rows; the singular metric of row 1 must not hide the
+    # failed symmetry check of row 0, which a row-by-row evaluation meets first
+    from pelab.cli import _sample_points
+    from pelab.jets import Jet2
+
+    row0, row1 = _sample_points(0, 5, 2.1, 10.0), _sample_points(1, 5, 3.1, 10.0)
+
+    def corrupt(rows, x, _):
+        r = x[0].value
+        _zero_drr(rows, x, Jet2.constant(np.isin(r, row1[[0], 0]).astype(float), 4))
+        _asymmetric(rows, x, Jet2.constant(np.isin(r, row0[[3], 0]).astype(float), 4))
+
+    _broken_chart(monkeypatch, lambda r: r > 0, corrupt)
+    argv = "sweep --param r1 --start 2 --stop 3 --count 2 --n 1 --k 1 --verify"
+    assert run(capsys, *argv.split()) == (
+        1,
+        "",
+        "verification failed: Riemann symmetry violation 2.348e-02 at "
+        "(8.873493785041799, 0.25766583576192076, 0.3461936129035612, 0.6864188910519828)\n",
+    )
+
+
+def test_sweep_verify_blocks_span_rows_and_stay_bounded(monkeypatch):
+    import pelab.geom as geom_mod
+
+    real = geom_mod.metric_derivatives_jet
+    sizes = []
+
+    def counted(chart, points):
+        sizes.append(len(points))
+        return real(chart, points)
+
+    monkeypatch.setattr(geom_mod, "metric_derivatives_jet", counted)
+    argv = ["sweep", "--param", "r1", "--start", "2", "--stop", "9", "--count", "1000", "--n", "1", "--k", "1", "--verify"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    # 1000 rows of 5 points: full blocks across row boundaries, not one engine pass per row
+    full, rest = divmod(1000 * 5, geom_mod.BLOCK_POINTS)
+    assert max(sizes) <= geom_mod.BLOCK_POINTS
+    assert sizes == [geom_mod.BLOCK_POINTS] * full + [rest] * (rest > 0)
 
 
 def test_verify_memory_is_flat_in_points():

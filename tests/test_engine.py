@@ -13,6 +13,7 @@ from pelab.geom import (
     curvature_report,
     curvature_reports,
     metric_derivatives_jet,
+    page_pope_block,
     page_pope_chart,
     point_scalars,
     rescaled_chart,
@@ -53,6 +54,23 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
         monkeypatch.setattr(geom, "BLOCK_POINTS", block)
         by_block.append(point_scalars(chart, pts, 0.0))
     assert all(np.array_equal(by_block[0], other) for other in by_block[1:])
+
+
+def test_a_block_chart_gives_every_point_the_bits_of_its_own_chart():
+    # a conic member (its P has no r^1 term), an edge member, and one with other c, lambda and Lambda
+    members = [
+        FamilyParams(n=1, lam=F(4), c=F(1), Lambda=F(-3), r1=F(1)),
+        FamilyParams(n=1, lam=F(4), c=F(1), Lambda=F(-3), r1=F(5, 4)),
+        FamilyParams(n=1, lam=F(3), c=F(1, 2), Lambda=F(-5), r1=F(3, 2)),
+    ]
+    counts = [3, 60, 40]
+    charts = [page_pope_chart(params) for params in members]
+    points = [_sample_points(i, count, float(params.r1) + 0.1, 10.0) for i, (params, count) in enumerate(zip(members, counts))]
+    lam = np.repeat([float(params.Lambda) for params in members], counts)
+    block = point_scalars(page_pope_block(charts, counts), np.concatenate(points), lam)
+    alone = np.concatenate([point_scalars(chart, pts, float(params.Lambda)) for chart, pts, params in zip(charts, points, members)])
+    assert block.tobytes() == alone.tobytes()
+    assert block[:, 0].max() < 1e-12
 
 
 def test_single_point_shapes_match_the_scalar_api():

@@ -30,6 +30,8 @@ from pelab.geom import (
     SingularMetric,
     UnsupportedDimension,
     curvature_report,
+    curvature_reports,
+    page_pope_block,
     page_pope_chart,
     rescaled_chart,
 )
@@ -203,6 +205,29 @@ def test_chart_domain_checks():
     assert not chart.in_domain((3.0, 1.0, 0.8, 0.7))
     with pytest.raises(ValueError, match="outside chart domain"):
         curvature_report(chart, (1.5, 1.0, 0.0, 0.0))
+
+
+def test_domain_check_names_the_first_point_outside():
+    chart = page_pope_chart(EDGE_SMOOTH)
+    points = [(3.0, 1.0, 0.1, 0.1), (1.5, 1.0, 0.0, 0.0), (3.0, 1.0, 0.8, 0.7)]
+    assert chart.in_domain(np.array(points)).tolist() == [True, False, False]
+    with pytest.raises(ValueError, match=r"^point \(1\.5, 1\.0, 0\.0, 0\.0\) outside chart domain$"):
+        curvature_reports(chart, points)
+
+
+@pytest.mark.parametrize("axis", range(4))
+def test_a_nan_coordinate_lies_outside_the_domain(axis):
+    chart = page_pope_chart(EDGE_SMOOTH)
+    point = [3.0, 1.0, 0.1, 0.1]
+    point[axis] = math.nan
+    assert not chart.in_domain(point)
+    with pytest.raises(ValueError, match=r"^point \(.*nan.*\) outside chart domain$"):
+        curvature_reports(chart, [(3.0, 1.0, 0.1, 0.1), point])
+
+
+def test_a_block_chart_tests_each_point_against_its_own_inner_radius():
+    block = page_pope_block([page_pope_chart(HYPERBOLIC), page_pope_chart(EDGE_SMOOTH)], [1, 2])  # r1 = 1, 2, 2
+    assert block.in_domain(np.array([(1.5, 1.0, 0.0, 0.0), (2.5, 1.0, 0.0, 0.0), (1.5, 1.0, 0.0, 0.0)])).tolist() == [True, True, False]
 
 
 def test_christoffel_checks_the_domain():

@@ -86,3 +86,19 @@ def test_hessian_symmetry_preserved():
     x, y = _xy(0.9, 1.7)
     f = (x * y + 1) ** 3 / (x + y)
     assert np.allclose(f.hess, f.hess.T, atol=0)
+
+
+def test_array_operands_act_point_by_point():
+    # a float array of the batch shape is one operand per point: each point's
+    # value, gradient and hessian are those of its own scalar operand, bit for bit
+    pts = np.array([[1.3, -0.4], [0.7, 2.1], [-1.1, 0.5]])
+    a = np.array([0.3, -2.5, 7.0])
+
+    def ops(x, y, s):
+        return [x * s, s * x, x + s, s + x, x - s, s - x, x / s, s / x, (x * y + 1) * s / y]
+
+    batch = ops(*seed_point(pts), a)
+    for i, pt in enumerate(pts):
+        for got, want in zip(batch, ops(*seed_point(pt), float(a[i]))):
+            for field in ("value", "grad", "hess"):
+                assert getattr(got, field)[i].tobytes() == getattr(want, field).tobytes(), (i, field)

@@ -101,16 +101,22 @@ EXACT_GOLDENS = [
     ("sweep --param k --start 1 --stop 3 --count 3 --n 1 --r1 5/2 --format json", "9a47ea56ab2e1ac7139a8844bc3fab20fc3c0a0018c87c3105318f66b4beb0f6"),
     ("sweep --param r1 --start 2 --stop 3 --count 3 --n 1 --k 1 --verify --seed 5", "323886e3304c2eb6fab27032375b39b9f20a5676e628707241a027ee7459dc53"),
     # sweep --verify with lambda and c varying per row, a conic first row, a c sweep, a 30-row
-    # sweep whose row 25 straddles the 128-point block boundary, 7 points per row, and JSON
+    # sweep that takes two blocks, 7 points per row, JSON, two rows to a block (64 points),
+    # one row to a block (65) and rows longer than a block (130)
     ("sweep --param k --start 1 --stop 5 --count 5 --n 1 --r1 5/2 --verify --seed 3", "59d140279f738a421f42a8218be4196d51c977b44e990eb1df1d8c44473a5b21"),
     ("sweep --param t --start 0 --stop 1 --count 6 --n 1 --k 2 --verify --seed 1", "eb23aac189b3b063dc4d1d5d4b3da183228d1109f6f9a0f58b8c8158a14865ba"),
     ("sweep --param c --start 1/4 --stop 2 --count 5 --n 1 --lambda 2 --Lambda -3 --r1 3/2 --verify --seed 2", "62bac437aaaeb329cd1ee0e0bced24a715dfe42c3977ef93ea3fe4ae56e24c10"),
     ("sweep --param r1 --start 1 --stop 9 --count 30 --n 1 --k 1 --verify --seed 4", "aa604133690727e91175a960e3cd4b06c59bacf87c6abaf047460105ee5a0668"),
     ("sweep --param r1 --start 2 --stop 8 --count 25 --n 1 --k 3 --verify --points 7 --seed 6", "30a39b5bca842c3230a92b78afa80373f31c96d10554e0d7babc52a24e748e5b"),
     ("sweep --param r1 --start 3/2 --stop 4 --count 5 --n 1 --k 2 --verify --format json --seed 8", "c9989aa5f51f2af50dca047878195aaf9e3146b05f06bec4e98b651b9c413d36"),
+    ("sweep --param r1 --start 2 --stop 4 --count 5 --n 1 --k 1 --verify --points 64 --seed 9", "26f21e02abb9bf6c2f6c1fff029e7db0134b794f7bc3a7fac4a68892fefaef1a"),
+    ("sweep --param t --start 0 --stop 1 --count 4 --n 1 --k 2 --verify --points 65 --seed 10", "e153badfae25d0354521f736a9708c8ce0d6757b6284a66ffcdee8a186cfbf87"),
+    ("sweep --param r1 --start 1 --stop 3 --count 4 --n 1 --k 1 --verify --points 130 --seed 11", "bc94dda0a4b62d160edb0fc7dba9e8efc66d47750292120cf268546743a5a07d"),
     ("verify --n 1 --k 1 --r1 1 --points 50 --seed 0", "f57948af7210d951f472bd99684db3dc552f5c44a28d1124f97d02fb242ce405"),
     ("verify --n 1 --k 1 --r1 1 --points 50 --seed 0 --format json", "b36129f8e2a5d6b8b8cf366ee004ae0312b0dbc65e2fc74c1a06efccc5fb6e6d"),
     ("verify --n 1 --k 1 --r1 1 --points 50 --seed 0 --format csv", "46ed3d698d1ecf4b25b8d0cdbd8db6b41c57b2e4a2d209f59f776737192188d5"),
+    # more points than one block holds
+    ("verify --n 1 --k 2 --r1 7/2 --points 300 --seed 5 --format csv", "ca0498ba85759009ffbaf7a07759597a44ebd6a0c2018938f41373c86e4f490f"),
     ("verify --chart rescaled --points 20 --seed 3", "278cc026245ae80972792b65ab20ab0fa59150942908d387475042fbe5d65fe3"),
     ("verify --chart rescaled --points 20 --seed 3 --format json", "25c308266e2701c1b848fc9a8d51381a941203f619b20febd0a9d995b8796448"),
     ("verify --chart rescaled --points 20 --seed 3 --format csv", "3f9f04a4e5a8693870bd5c1e562da669d178b002a3971889773ec23c9eb46992"),

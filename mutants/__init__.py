@@ -121,9 +121,21 @@ MUTANTS = [
     ),
     (
         "src/pelab/geom.py",
-        "point_scalars(chart, row_points, lam)",
+        "point_scalars(*row)",
         "None",
         "sweep --verify: a failing block not evaluated again row by row, so a later row's singular metric hides an earlier row's failed check",
+    ),
+    (
+        "src/pelab/geom.py",
+        "if len(points) > BLOCK_POINTS:",
+        "if False:",
+        "sweep --verify: the single-row branch removed, so a row longer than a block goes through page_pope_block",
+    ),
+    (
+        "src/pelab/geom.py",
+        "+ len(points) > BLOCK_POINTS",
+        "> BLOCK_POINTS",
+        "sweep --verify: a block takes one row past BLOCK_POINTS",
     ),
     (
         "src/pelab/geom.py",

@@ -11,9 +11,9 @@ numpy and the float engine (jets, geom) are imported only by the commands
 that evaluate curvature, verify and sweep --verify.
 """
 
-# (The docstring is the --help text.)  The page-pope points of verify and of
-# all rows of sweep --verify are one stream of blocks that span rows
-# (geom.RowScan); each row draws its points from its own seed.
+# (The docstring is the --help text.)  The rows of sweep --verify are
+# evaluated in blocks of whole rows (geom.RowScan); each row draws its points
+# from its own seed.
 
 from __future__ import annotations
 
@@ -244,9 +244,6 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--chart {args.chart} does not take {', '.join(given)}")
     if args.chart == "page-pope":
         chart, points, lam_check = _page_pope_batch(_params_from_args(args), args.seed, args.points, args.Lambda_check)
-        scan = geom.RowScan(lambda columns: columns)
-        _checked(scan.add, chart, points, lam_check)
-        [columns] = _checked(scan.finish)
     else:
         from .limits import RescaledProfile
 
@@ -257,7 +254,7 @@ def cmd_verify(args) -> int:
         rho1f = profile.rho1
         lower, upper = (1.1 * rho1f, 5.0 * rho1f) if rho1f > 0 else (0.5, 3.0)
         points = _sample_points(args.seed, args.points, lower, upper)
-        columns = _checked(geom.point_scalars, chart, points, lam_check)
+    columns = _checked(geom.point_scalars, chart, points, lam_check)
     label = chart.label
 
     worst = int(np.argmax(columns[:, 0]))

@@ -28,7 +28,6 @@ area form omega of ghat in the rotationally symmetric gauge.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from typing import TYPE_CHECKING, Callable
 
@@ -138,13 +137,17 @@ def _inverse(G: np.ndarray, points=None) -> np.ndarray:
 
 
 def _sum(terms):
-    """Left-to-right sum of arrays.
+    """Left-to-right sum of fresh arrays, accumulated in place into the first.
 
     Contractions are written as explicit sums of elementwise products, so
     each point's result has one fixed rounding order whatever the batch it
     was evaluated in (a batched einsum may reorder its inner loops).
     """
-    return functools.reduce(np.add, terms)
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
 
 
 def _christoffel(Ginv, dG):
@@ -291,8 +294,10 @@ def point_scalars(chart: ChartMetric, points, lam: float | np.ndarray) -> np.nda
     Points are evaluated in blocks of at most BLOCK_POINTS, and each block
     is reduced to these columns before the next starts, so memory does not
     grow with N beyond the (N, 4) result.  Rows do not depend on the block
-    size.  A chart or lam with one value per point (:func:`page_pope_block`)
-    describes one block, so it takes at most BLOCK_POINTS points.
+    size.  verify evaluates its chart here; :class:`RowScan` evaluates a
+    block of whole rows here, or one row longer than a block.  A chart or
+    lam with one value per point (:func:`page_pope_block`) describes one
+    block, so it takes at most BLOCK_POINTS points.
     """
     pts = np.asarray(points, dtype=float)
     out = np.empty((len(pts), len(SCALAR_COLUMNS)))
@@ -304,63 +309,47 @@ def point_scalars(chart: ChartMetric, points, lam: float | np.ndarray) -> np.nda
 
 
 class RowScan:
-    """Per-row SCALAR_COLUMNS of consecutive page-pope rows, evaluated as one stream of points.
+    """Per-row SCALAR_COLUMNS of consecutive page-pope rows, evaluated in blocks of whole rows.
 
-    add(chart, points, lam) queues a row: its page-pope chart, its (n, 4)
-    points and its Einstein constant.  The queued points are evaluated in
-    blocks of BLOCK_POINTS that fill across row boundaries, each on a
-    page_pope_block chart, and a row leaves the queue as reduce(its
-    columns) once its last point is evaluated, so memory does not grow
-    with the number of rows.  finish() evaluates the rest and returns the
-    reduced rows in order.
+    add(chart, points, lam) adds a row: its page-pope chart, its (n, 4)
+    points and its Einstein constant.  A row joins the pending block while
+    the block stays within BLOCK_POINTS points; otherwise the pending block
+    is evaluated first, on one page_pope_block chart.  A row longer than a
+    block is evaluated alone on its own chart.  Each row is kept only as
+    reduce(its columns), so memory does not grow with the number of rows.
+    finish() evaluates the pending block and returns the reduced rows in
+    order.
     """
 
     def __init__(self, reduce: Callable):
         self.reduce = reduce
-        self.queue = []  # (chart, points, lam, evaluated column parts) of the rows with points left
-        self.start = 0  # points of queue[0] already evaluated
-        self.waiting = 0  # points in the queue not yet evaluated
+        self.pending = []  # (chart, points, lam) of the rows of the next block
         self.results = []
 
     def add(self, chart: ChartMetric, points: np.ndarray, lam: float):
-        self.queue.append((chart, points, lam, []))
-        self.waiting += len(points)
-        while self.waiting >= BLOCK_POINTS:
-            self._evaluate(BLOCK_POINTS)
+        if sum(len(row[1]) for row in self.pending) + len(points) > BLOCK_POINTS:
+            self.finish()
+        if len(points) > BLOCK_POINTS:
+            self.results.append(self.reduce(point_scalars(chart, points, lam)))
+        else:
+            self.pending.append((chart, points, lam))
 
     def finish(self) -> list:
-        if self.waiting:
-            self._evaluate(self.waiting)
+        rows, self.pending = self.pending, []
+        if rows:
+            charts, points, lams = zip(*rows)
+            counts = [len(row_points) for row_points in points]
+            try:
+                columns = point_scalars(page_pope_block(charts, counts), np.concatenate(points), np.repeat(lams, counts))
+            except (SingularMetric, CurvatureCheckError):
+                # A block finds a singular metric before any failed check; each
+                # row alone raises its own first failure, so the first failing
+                # row names the point that a row-by-row evaluation names.
+                for row in rows:
+                    point_scalars(*row)
+                raise
+            self.results.extend(map(self.reduce, np.split(columns, np.cumsum(counts)[:-1])))
         return self.results
-
-    def _evaluate(self, size: int):
-        rows, spans, start, left = [], [], self.start, size
-        for row in self.queue:
-            stop = min(len(row[1]), start + left)
-            rows.append(row)
-            spans.append((start, stop))
-            left -= stop - start
-            if not left:
-                break
-            start = 0
-        counts = [stop - start for start, stop in spans]
-        points = np.concatenate([row[1][start:stop] for row, (start, stop) in zip(rows, spans)])
-        try:
-            columns = point_scalars(page_pope_block([row[0] for row in rows], counts), points, np.repeat([row[2] for row in rows], counts))
-        except (SingularMetric, CurvatureCheckError):
-            # A block finds a singular metric before any failed check; each
-            # row alone raises its own first failure, so the first failing
-            # row names the point that a row-by-row evaluation names.
-            for chart, row_points, lam, _ in rows:
-                point_scalars(chart, row_points, lam)
-            raise
-        for (_, row_points, _, parts), (start, stop), part in zip(rows, spans, np.split(columns, np.cumsum(counts)[:-1])):
-            parts.append(part)
-            if stop == len(row_points):
-                self.queue.pop(0)
-                self.results.append(self.reduce(np.concatenate(parts)))
-        self.start = stop if stop < len(row_points) else 0  # the block's last row may have points left
-        self.waiting -= size
 
 
 # -- base-surface data -------------------------------------------------
@@ -455,7 +444,7 @@ def page_pope_block(charts: list[ChartMetric], counts: list[int]) -> ChartMetric
     exponents = sorted(set().union(*terms), reverse=True)
     rows = [[coeffs.get(e, 0.0) for e in exponents] + list(chart.data[1:]) for coeffs, chart in zip(terms, charts)]
     fields = np.repeat(np.array(rows), counts, axis=0).T
-    return _page_pope((tuple(zip(exponents, fields)), *fields[len(exponents):]), " + ".join(chart.label for chart in charts))
+    return _page_pope((tuple(zip(exponents, fields)), *fields[len(exponents):]), "")
 
 
 def rescaled_chart(profile: RescaledProfile) -> ChartMetric:

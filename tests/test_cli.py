@@ -763,7 +763,8 @@ def test_sweep_verify_names_the_first_failing_row_before_a_later_rows_singular_m
     )
 
 
-def test_sweep_verify_blocks_span_rows_and_stay_bounded(monkeypatch):
+def _jet_call_sizes(monkeypatch, argv):
+    """The number of points of every metric_derivatives_jet call that main(argv) makes."""
     import pelab.geom as geom_mod
 
     real = geom_mod.metric_derivatives_jet
@@ -773,14 +774,23 @@ def test_sweep_verify_blocks_span_rows_and_stay_bounded(monkeypatch):
         sizes.append(len(points))
         return real(chart, points)
 
-    monkeypatch.setattr(geom_mod, "metric_derivatives_jet", counted)
-    argv = ["sweep", "--param", "r1", "--start", "2", "--stop", "9", "--count", "1000", "--n", "1", "--k", "1", "--verify"]
-    with contextlib.redirect_stdout(io.StringIO()):
+    with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(geom_mod, "metric_derivatives_jet", counted)
         assert main(argv) == 0
-    # 1000 rows of 5 points: full blocks across row boundaries, not one engine pass per row
-    full, rest = divmod(1000 * 5, geom_mod.BLOCK_POINTS)
-    assert max(sizes) <= geom_mod.BLOCK_POINTS
-    assert sizes == [geom_mod.BLOCK_POINTS] * full + [rest] * (rest > 0)
+    return sizes
+
+
+def test_sweep_verify_blocks_hold_whole_rows_and_stay_bounded(monkeypatch):
+    from pelab.geom import BLOCK_POINTS
+
+    sweep = "sweep --param r1 --start 2 --stop 9 --n 1 --k 1 --verify".split()
+    # 1000 rows of 5 points: 25 whole rows to a block, not one engine pass per row
+    sizes = _jet_call_sizes(monkeypatch, [*sweep, "--count", "1000"])
+    assert len(sizes) == 40
+    assert all(size <= BLOCK_POINTS and size % 5 == 0 for size in sizes)
+    # a row longer than a block is evaluated alone, in blocks of its own points
+    sizes = _jet_call_sizes(monkeypatch, [*sweep, "--count", "3", "--points", "130"])
+    assert sizes == [BLOCK_POINTS, 2] * 3
 
 
 def test_verify_memory_is_flat_in_points():

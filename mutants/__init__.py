@@ -139,6 +139,18 @@ MUTANTS = [
     ),
     (
         "src/pelab/geom.py",
+        "_block_maxima(pending)  # raises",
+        "None  # raises",
+        "sweep --verify: the pending rows not evaluated before a later row's error, so that error hides an earlier row's failure",
+    ),
+    (
+        "src/pelab/geom.py",
+        "b_u * a_u",
+        "b_u * a_v",
+        "fibration chart: the shared product b a_u taken with a_v in the (u, u) entry",
+    ),
+    (
+        "src/pelab/geom.py",
         "(x > inner)",
         "~(x <= inner)",
         "domain check: a NaN radial coordinate counted as inside the chart",

@@ -12,8 +12,8 @@ that evaluate curvature, verify and sweep --verify.
 """
 
 # (The docstring is the --help text.)  The rows of sweep --verify are
-# evaluated in blocks of whole rows (geom.RowScan); each row draws its points
-# from its own seed.
+# evaluated in blocks of whole rows (geom.row_maxima); each row draws its
+# points from its own seed.
 
 from __future__ import annotations
 
@@ -403,27 +403,21 @@ def cmd_sweep(args) -> int:
         _check_seed(args.seed)
     values = _sweep_values(args)
     header = ["r1", "c", "alpha", "beta_sq_derived", "berger_coeff", "z_scale"]
-    scan = None
-    if args.verify:
+    if not args.verify:
+        rows = [_sweep_row(args, value)[1] for value in values]
+    else:
         from . import geom
 
         header.append("max_einstein_residual")
-        scan = geom.RowScan(lambda columns: float(columns[:, 0].max()))
-    rows = []
-    for idx, value in enumerate(values):
-        try:
-            params, row = _sweep_row(args, value)
-            if scan:
-                batch = _page_pope_batch(params, args.seed * 100003 + idx, args.points, None)
-        except (ValueError, AuditMismatch):
-            if scan:
-                _checked(scan.finish)  # a failure among the earlier rows is reported first
-            raise
-        rows.append(row)
-        if scan:
-            _checked(scan.add, *batch)
-    if scan:
-        for row, residual in zip(rows, _checked(scan.finish)):
+        rows = []
+
+        def batches():
+            for idx, value in enumerate(values):
+                params, row = _sweep_row(args, value)
+                rows.append(row)
+                yield _page_pope_batch(params, args.seed * 100003 + idx, args.points, None)
+
+        for row, residual in zip(rows, _checked(geom.row_maxima, batches())):
             row.append(residual)
 
     if args.format == "json":

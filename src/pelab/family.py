@@ -177,15 +177,6 @@ def solve_profile(params: FamilyParams) -> LaurentPoly:
     return _profile(params)
 
 
-def profile_slope_at_r1(params: FamilyParams, p: LaurentPoly) -> Fraction:
-    """P'(r1), the polynomial derivative of P at the root.
-
-    Its closed form (1/r1) [ |Lambda| (r1^2-1)^(n+1) + (lam/c) (r1^2-1)^n ]
-    is checked in the tests.
-    """
-    return p.derivative()(params.r1)
-
-
 # -- edge and conic geometry ---------------------------------------------
 
 
@@ -198,7 +189,7 @@ def cone_angle(params: FamilyParams) -> Fraction:
     """
     if params.is_conic:
         raise ConicCase("r1 = 1 has no edge; use conic_model")
-    pp = profile_slope_at_r1(params, solve_profile(params))
+    pp = solve_profile(params).derivative()(params.r1)
     return params.c * pp / (2 * (params.r1**2 - 1) ** params.n)
 
 
@@ -211,7 +202,7 @@ def edge_model(params: FamilyParams, p: LaurentPoly) -> EdgeModel:
     """Closed-form near-edge model data for r1 > 1 (see EdgeModel)."""
     if params.is_conic:
         raise ConicCase("r1 = 1 has no edge; use conic_model")
-    pp = profile_slope_at_r1(params, p)
+    pp = p.derivative()(params.r1)
     w = params.r1**2 - 1
     alpha = cone_angle(params)
     return EdgeModel(

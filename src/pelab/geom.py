@@ -95,7 +95,7 @@ def metric_derivatives_jet(chart: ChartMetric, points):
     d = chart.dim
     pts = np.asarray(points, dtype=float)
     batch = pts.shape[:-1]
-    rows = chart.metric(seed_point(pts, d))
+    rows = chart.metric(seed_point(pts))
     G = np.zeros(batch + (d, d))
     dG = np.zeros(batch + (d, d, d))
     ddG = np.zeros(batch + (d, d, d, d))
@@ -117,7 +117,7 @@ def _point_at(points, i: int) -> tuple:
     return tuple(pts.reshape(-1, pts.shape[-1])[i].tolist())
 
 
-def _inverse(G: np.ndarray, points=None) -> np.ndarray:
+def _inverse(G: np.ndarray, points) -> np.ndarray:
     """Inverse of every metric in the batch, guarded point by point.
 
     The first point in batch order whose condition number is not finite or
@@ -128,8 +128,7 @@ def _inverse(G: np.ndarray, points=None) -> np.ndarray:
     bad = np.flatnonzero(~(cond <= 1e12))
     if bad.size:
         i = int(bad[0])
-        where = "" if points is None else f" at {_point_at(points, i)}"
-        raise SingularMetric(f"metric condition number {np.ravel(cond)[i]:.3g}{where}")
+        raise SingularMetric(f"metric condition number {np.ravel(cond)[i]:.3g} at {_point_at(points, i)}")
     try:
         return np.linalg.inv(G)
     except np.linalg.LinAlgError as exc:
@@ -157,11 +156,11 @@ def _christoffel(Ginv, dG):
     return 0.5 * _sum(Ginv[..., :, l, None, None] * T[..., None, :, :, l] for l in range(d)), T
 
 
-def assemble_curvature(G, dG, ddG, points=None):
+def assemble_curvature(G, dG, ddG, points):
     """Christoffel, lowered Riemann, Ricci and scalar from component data.
 
-    Every array carries a leading batch shape B (G is B + (d, d)); points,
-    when given, names the offending point if a metric is singular.  The
+    Every array carries a leading batch shape B (G is B + (d, d)); points
+    (shape B + (d,)) names the offending point if a metric is singular.  The
     lowered tensor comes straight from the second derivatives and the
     Christoffel symbols, with W_abce = (d_a d_b g_ce + d_c d_e g_ab)/2 +
     g_zy Gamma^z_ab Gamma^y_ce and R_ijkl = W_jlik - W_jkil, which is the
@@ -177,7 +176,7 @@ def assemble_curvature(G, dG, ddG, points=None):
     # Ric_jk = g^il R_ijkl
     ricci = _sum(Ginv[..., i, l, None, None] * r_low[..., i, :, :, l] for i in range(d) for l in range(d))
     scal = _sum(Ginv[..., s, n] * ricci[..., s, n] for s in range(d) for n in range(d))
-    return Ginv, Gamma, r_low, ricci, scal
+    return Gamma, r_low, ricci, scal
 
 
 def _amax(x, axes: int):
@@ -235,7 +234,7 @@ class CurvatureReport:
 
 def _report(points: np.ndarray, G, dG, ddG, lam) -> CurvatureReport:
     """Report of one point (points of shape (d,)) or of a batch (shape (N, d))."""
-    _, Gamma, r_low, ricci, scal = assemble_curvature(G, dG, ddG, points)
+    Gamma, r_low, ricci, scal = assemble_curvature(G, dG, ddG, points)
     if lam is not None:
         lam = np.asarray(lam, dtype=float)[..., None, None]
     residual = None if lam is None else _per_point(_amax(ricci - lam * G, 2) / _amax(G, 2))
@@ -294,7 +293,7 @@ def point_scalars(chart: ChartMetric, points, lam: float | np.ndarray) -> np.nda
     Points are evaluated in blocks of at most BLOCK_POINTS, and each block
     is reduced to these columns before the next starts, so memory does not
     grow with N beyond the (N, 4) result.  Rows do not depend on the block
-    size.  verify evaluates its chart here; :class:`RowScan` evaluates a
+    size.  verify evaluates its chart here; :func:`row_maxima` evaluates a
     block of whole rows here, or one row longer than a block.  A chart or
     lam with one value per point (:func:`page_pope_block`) describes one
     block, so it takes at most BLOCK_POINTS points.
@@ -308,48 +307,50 @@ def point_scalars(chart: ChartMetric, points, lam: float | np.ndarray) -> np.nda
     return out
 
 
-class RowScan:
-    """Per-row SCALAR_COLUMNS of consecutive page-pope rows, evaluated in blocks of whole rows.
+def _block_maxima(rows: list) -> list[float]:
+    """The max Einstein residual of each (chart, points, lam) row, from one engine pass over their page_pope_block."""
+    if not rows:
+        return []
+    charts, points, lams = zip(*rows)
+    counts = [len(row_points) for row_points in points]
+    try:
+        columns = point_scalars(page_pope_block(charts, counts), np.concatenate(points), np.repeat(lams, counts))
+    except (SingularMetric, CurvatureCheckError):
+        # A block finds a singular metric before any failed check; each
+        # row alone raises its own first failure, so the first failing
+        # row names the point that a row-by-row evaluation names.
+        for row in rows:
+            point_scalars(*row)
+        raise
+    return [float(row[:, 0].max()) for row in np.split(columns, np.cumsum(counts)[:-1])]
 
-    add(chart, points, lam) adds a row: its page-pope chart, its (n, 4)
-    points and its Einstein constant.  A row joins the pending block while
-    the block stays within BLOCK_POINTS points; otherwise the pending block
-    is evaluated first, on one page_pope_block chart.  A row longer than a
-    block is evaluated alone on its own chart.  Each row is kept only as
-    reduce(its columns), so memory does not grow with the number of rows.
-    finish() evaluates the pending block and returns the reduced rows in
-    order.
+
+def row_maxima(rows) -> list[float]:
+    """The max Einstein residual of each (chart, points, lam) row, in order.
+
+    rows is an iterable of page-pope rows: a chart, its (n, 4) points and
+    its Einstein constant.  A row joins the pending block while the block
+    stays within BLOCK_POINTS points; otherwise the pending block is
+    evaluated first, on one page_pope_block chart.  A row longer than a
+    block is evaluated alone on its own chart.  Rows are drawn one at a
+    time and kept only as their maximum, so memory does not grow with the
+    number of rows.  When rows raises, the pending rows are evaluated
+    first, so a failure among the earlier rows is the one reported.
     """
-
-    def __init__(self, reduce: Callable):
-        self.reduce = reduce
-        self.pending = []  # (chart, points, lam) of the rows of the next block
-        self.results = []
-
-    def add(self, chart: ChartMetric, points: np.ndarray, lam: float):
-        if sum(len(row[1]) for row in self.pending) + len(points) > BLOCK_POINTS:
-            self.finish()
-        if len(points) > BLOCK_POINTS:
-            self.results.append(self.reduce(point_scalars(chart, points, lam)))
-        else:
-            self.pending.append((chart, points, lam))
-
-    def finish(self) -> list:
-        rows, self.pending = self.pending, []
-        if rows:
-            charts, points, lams = zip(*rows)
-            counts = [len(row_points) for row_points in points]
-            try:
-                columns = point_scalars(page_pope_block(charts, counts), np.concatenate(points), np.repeat(lams, counts))
-            except (SingularMetric, CurvatureCheckError):
-                # A block finds a singular metric before any failed check; each
-                # row alone raises its own first failure, so the first failing
-                # row names the point that a row-by-row evaluation names.
-                for row in rows:
-                    point_scalars(*row)
-                raise
-            self.results.extend(map(self.reduce, np.split(columns, np.cumsum(counts)[:-1])))
-        return self.results
+    maxima, pending = [], []
+    try:
+        for chart, points, lam in rows:
+            if sum(len(row[1]) for row in pending) + len(points) > BLOCK_POINTS:
+                block, pending = pending, []
+                maxima += _block_maxima(block)
+            if len(points) > BLOCK_POINTS:
+                maxima.append(float(point_scalars(chart, points, lam)[:, 0].max()))
+            else:
+                pending.append((chart, points, lam))
+    except Exception:
+        _block_maxima(pending)  # raises an earlier row's failure in place of this error
+        raise
+    return maxima + _block_maxima(pending)
 
 
 # -- base-surface data -------------------------------------------------
@@ -393,11 +394,13 @@ def _fibration_chart(coords: tuple, inner, radial: Callable, lam, label: str, da
         a_coef, b_coef, c_coef = radial(x)
         h, a_u, a_v = _base_blocks(lam, u, v)
         ch = c_coef * h
+        b_u, b_v = b_coef * a_u, b_coef * a_v
+        b_uv = b_u * a_v
         return [
             [a_coef, 0.0, 0.0, 0.0],
-            [0.0, b_coef, b_coef * a_u, b_coef * a_v],
-            [0.0, b_coef * a_u, b_coef * a_u * a_u + ch, b_coef * a_u * a_v],
-            [0.0, b_coef * a_v, b_coef * a_u * a_v, b_coef * a_v * a_v + ch],
+            [0.0, b_coef, b_u, b_v],
+            [0.0, b_u, b_u * a_u + ch, b_uv],
+            [0.0, b_v, b_uv, b_v * a_v + ch],
         ]
 
     def in_domain(points):

@@ -142,11 +142,11 @@ class Jet2:
         return f"Jet2({self.value!r}, grad={self.grad!r})"
 
 
-def seed_point(points, dim: int | None = None) -> list[Jet2]:
+def seed_point(points) -> list[Jet2]:
     """Coordinates of a point (shape (d,)) or of N points (shape (N, d)) as jet variables."""
     pts = np.asarray(points, dtype=float)
-    d = pts.shape[-1] if dim is None else dim
-    return [Jet2.variable(pts[..., i], i, d) for i in range(pts.shape[-1])]
+    d = pts.shape[-1]
+    return [Jet2.variable(pts[..., i], i, d) for i in range(d)]
 
 
 def laurent_eval(coeffs: dict[int, float], x):

@@ -763,6 +763,29 @@ def test_sweep_verify_names_the_first_failing_row_before_a_later_rows_singular_m
     )
 
 
+def test_sweep_verify_reports_an_earlier_rows_failure_before_a_later_rows_audit_mismatch(monkeypatch, capsys):
+    # rows 0 and 1 wait in one block when row 2 raises; row 0's failed check is reported, not the mismatch
+    import pelab.cli as cli_mod
+    from pelab.family import AuditMismatch
+
+    real = cli_mod._sweep_row
+
+    def sweep_row(args, value):
+        if value == 3:
+            raise AuditMismatch("row 2")
+        return real(args, value)
+
+    _broken_chart(monkeypatch, lambda r: np.isin(r, _verify_points(0, 5)[:, 0]), _asymmetric)
+    monkeypatch.setattr(cli_mod, "_sweep_row", sweep_row)
+    argv = "sweep --param r1 --start 1 --stop 3 --count 3 --n 1 --k 1 --verify"
+    assert run(capsys, *argv.split()) == (
+        1,
+        "",
+        "verification failed: Riemann symmetry violation 2.572e-04 at "
+        "(6.7689590171609435, 1.7181412446170277, 0.18119584058847893, 0.018884431200124122)\n",
+    )
+
+
 def _jet_call_sizes(monkeypatch, argv):
     """The number of points of every metric_derivatives_jet call that main(argv) makes."""
     import pelab.geom as geom_mod

@@ -24,7 +24,6 @@ from pelab.family import (
     edge_model,
     expand_at_edge,
     family_report,
-    profile_slope_at_r1,
     scaling_action,
     smooth_c,
     smooth_c_printed,
@@ -74,6 +73,11 @@ def alpha_of_r1(params):
     return LaurentPoly({1: cL / 2, -1: (params.lam - cL) / 2})
 
 
+def profile_slope(params):
+    """P'(r1), the polynomial derivative of P at the root, as cone_angle and edge_model read it."""
+    return solve_profile(params).derivative()(params.r1)
+
+
 def closed_form_slope(params):
     """P'(r1) = (1/r1) [ |Lambda| (r1^2-1)^(n+1) + (lam/c) (r1^2-1)^n ], from the ODE at P(r1) = 0."""
     w = params.r1**2 - 1
@@ -88,7 +92,7 @@ def closed_form_cone_angles(params):
 
 @given(params=st.one_of(EDGE_TUPLES, CONIC_TUPLES))
 def test_profile_slope_matches_its_closed_form(params):
-    assert profile_slope_at_r1(params, solve_profile(params)) == closed_form_slope(params)
+    assert profile_slope(params) == closed_form_slope(params)
 
 
 @given(params=EDGE_TUPLES)
@@ -137,15 +141,15 @@ def test_profile_ode_identity_exact():
 
 
 def test_profile_slope():
-    assert profile_slope_at_r1(HYPERBOLIC, solve_profile(HYPERBOLIC)) == 0
-    assert profile_slope_at_r1(EDGE, solve_profile(EDGE)) == F(45, 2)
+    assert profile_slope(HYPERBOLIC) == 0
+    assert profile_slope(EDGE) == F(45, 2)
 
 
 def test_profile_slope_positive_for_edge_params():
     rng = random.Random(23)
     for _ in range(25):
         params = random_params(rng, r1_min=1 + F(1, 7))
-        assert profile_slope_at_r1(params, solve_profile(params)) > 0
+        assert profile_slope(params) > 0
 
 
 def test_hyperbolic_profile_is_w_squared():
@@ -225,7 +229,7 @@ def test_expand_at_edge_fixture():
     assert beta_sq == F(15, 8)
     assert scale > 0
     # the raw theta^2 s^2 coefficient is scale * alpha_sq by definition
-    pp = profile_slope_at_r1(EDGE, solve_profile(EDGE))
+    pp = profile_slope(EDGE)
     assert scale * alpha_sq == EDGE.c**2 * pp / (EDGE.r1**2 - 1) ** EDGE.n
 
 

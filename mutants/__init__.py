@@ -155,4 +155,16 @@ MUTANTS = [
         "~(x <= inner)",
         "domain check: a NaN radial coordinate counted as inside the chart",
     ),
+    (
+        "src/pelab/geom.py",
+        'np.errstate(over="raise", divide="raise", invalid="raise")',
+        'np.errstate(all="ignore")',
+        "float classification: the engine's overflow, division by zero and invalid values ignored, so a non-finite float reaches the guards",
+    ),
+    (
+        "src/pelab/geom.py",
+        "except (SingularMetric, CurvatureCheckError, BeyondFloatRange):",
+        "except (SingularMetric, CurvatureCheckError):",
+        "sweep --verify: a block's float fault not re-run row by row, so it hides an earlier row's singular metric",
+    ),
 ]

@@ -55,7 +55,7 @@ class CurvatureCheckError(AssertionError):
 
 
 class BeyondFloatRange(ValueError):
-    """An exact value of a chart does not fit in a float."""
+    """An exact value of a chart, or a float the engine computes from it, does not fit in a float."""
 
 
 @contextlib.contextmanager
@@ -120,19 +120,15 @@ def _point_at(points, i: int) -> tuple:
 def _inverse(G: np.ndarray, points) -> np.ndarray:
     """Inverse of every metric in the batch, guarded point by point.
 
-    The first point in batch order whose condition number is not finite or
-    exceeds 1e12 raises SingularMetric naming that point.
+    The first point in batch order whose condition number exceeds 1e12
+    (inf for a singular metric) raises SingularMetric naming that point.
     """
-    finite = np.isfinite(G).all(axis=(-2, -1))
-    cond = np.where(finite, np.linalg.cond(np.where(finite[..., None, None], G, np.eye(G.shape[-1]))), np.inf)
+    cond = np.linalg.cond(G)
     bad = np.flatnonzero(~(cond <= 1e12))
     if bad.size:
         i = int(bad[0])
         raise SingularMetric(f"metric condition number {np.ravel(cond)[i]:.3g} at {_point_at(points, i)}")
-    try:
-        return np.linalg.inv(G)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(str(exc)) from exc
+    return np.linalg.inv(G)
 
 
 def _sum(terms):
@@ -297,13 +293,19 @@ def point_scalars(chart: ChartMetric, points, lam: float | np.ndarray) -> np.nda
     block of whole rows here, or one row longer than a block.  A chart or
     lam with one value per point (:func:`page_pope_block`) describes one
     block, so it takes at most BLOCK_POINTS points.
+
+    A float fault (overflow, division by zero, invalid) raises BeyondFloatRange.
     """
     pts = np.asarray(points, dtype=float)
     out = np.empty((len(pts), len(SCALAR_COLUMNS)))
-    for start in range(0, len(pts), BLOCK_POINTS):
-        stop = start + BLOCK_POINTS
-        rep = curvature_reports(chart, pts[start:stop], lam)
-        out[start:stop] = np.stack([getattr(rep, name) for name in SCALAR_COLUMNS], axis=-1)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for start in range(0, len(pts), BLOCK_POINTS):
+                stop = start + BLOCK_POINTS
+                rep = curvature_reports(chart, pts[start:stop], lam)
+                out[start:stop] = np.stack([getattr(rep, name) for name in SCALAR_COLUMNS], axis=-1)
+    except FloatingPointError as exc:
+        raise BeyondFloatRange(f"{chart.label}: a float of the curvature engine leaves the float range ({exc})") from None
     return out
 
 
@@ -315,10 +317,10 @@ def _block_maxima(rows: list) -> list[float]:
     counts = [len(row_points) for row_points in points]
     try:
         columns = point_scalars(page_pope_block(charts, counts), np.concatenate(points), np.repeat(lams, counts))
-    except (SingularMetric, CurvatureCheckError):
-        # A block finds a singular metric before any failed check; each
-        # row alone raises its own first failure, so the first failing
-        # row names the point that a row-by-row evaluation names.
+    except (SingularMetric, CurvatureCheckError, BeyondFloatRange):
+        # A block meets a float fault or a singular metric before any
+        # failed check; each row alone raises its own first failure, so
+        # the first failing row names what a row-by-row evaluation names.
         for row in rows:
             point_scalars(*row)
         raise

@@ -102,8 +102,6 @@ class Jet2:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet2":
-        if np.any(self.value == 0.0):
-            raise ZeroDivisionError("jet with zero value part")
         inv = 1.0 / self.value
         inv2 = inv * inv
         return Jet2(

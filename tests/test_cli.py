@@ -6,13 +6,20 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pelab
 from pelab.cli import main
+
+SRC = Path(pelab.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -140,6 +147,8 @@ def test_exact_output_golden(monkeypatch, tmp_path, capsys, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
+FLOAT_FAULT = "a float of the curvature engine leaves the float range"
+
 # Domain and validation errors raised below the CLI reach the user as
 # "error: <message>" with exit code 2 and nothing on stdout.
 USAGE_ERRORS = [
@@ -182,6 +191,18 @@ USAGE_ERRORS = [
     ("verify --chart rescaled --profile-lambda 1e-400 --points 3", "rescaled rho1^2=2/3: lambda > 0 rounds to 0.0 as a float"),
     ("sweep --param r1 --start 2 --stop 3 --count 2 --n 1 --lambda 1e-400 --c 1 --Lambda -3 --verify --points 2", "page-pope n=1 r1=2: lambda > 0 rounds to 0.0 as a float"),
     ("limit --n 1 --rho-grid 1e400", f"t = 1/10, rho = {10**400}: a deviation lies beyond the float range"),
+    # every exact value fits in a float, but a float of the engine overflows, divides by zero or is invalid
+    ("verify --chart rescaled --profile-lambda 5e-324 --points 3", f"rescaled rho1^2=2/3: {FLOAT_FAULT} (divide by zero encountered in divide)"),
+    ("verify --n 1 --lambda 3e298 --c 1e-10 --Lambda -2e308 --r1 1 --points 3 --Lambda-check -3", f"page-pope n=1 r1=1: {FLOAT_FAULT} (overflow encountered in multiply)"),
+    ("verify --n 1 --lambda 5e-324 --c 1 --Lambda -3 --r1 2 --points 3", f"page-pope n=1 r1=2: {FLOAT_FAULT} (invalid value encountered in multiply)"),
+    ("verify --n 1 --lambda 1e-300 --c 1 --Lambda -3 --r1 2 --points 3", f"page-pope n=1 r1=2: {FLOAT_FAULT} (overflow encountered in multiply)"),
+    ("verify --n 1 --lambda 2 --c 1e-300 --Lambda -3 --r1 2 --points 3", f"page-pope n=1 r1=2: {FLOAT_FAULT} (overflow encountered in multiply)"),
+    ("verify --n 1 --lambda 2 --c 1e300 --Lambda -3 --r1 2 --points 3", f"page-pope n=1 r1=2: {FLOAT_FAULT} (invalid value encountered in multiply)"),
+    ("verify --chart rescaled --profile-lambda 1e300 --points 3", f"rescaled rho1^2=2/3: {FLOAT_FAULT} (overflow encountered in multiply)"),
+    ("verify --chart rescaled --profile-lambda 1e-300 --points 3", f"rescaled rho1^2=2/3: {FLOAT_FAULT} (overflow encountered in multiply)"),
+    ("sweep --param c --start 1e-300 --stop 1 --count 3 --lambda 2 --Lambda -3 --r1 2 --verify", f"page-pope n=1 r1=2: {FLOAT_FAULT} (overflow encountered in multiply)"),
+    # every metric entry is finite; lam * G overflows in the Einstein residual
+    ("verify --n 1 --k 1 --r1 1 --points 3 --Lambda-check 1e308", f"page-pope n=1 r1=1: {FLOAT_FAULT} (overflow encountered in multiply)"),
     # the fitted order takes log t in floats
     ("limit --n 1 --t-list 1e-400", "t_values must lie in the float range, where the fitted order takes log t"),
     # r1 + 0.1 rounds back to r1, so the page-pope sampling window is empty
@@ -212,6 +233,23 @@ USAGE_ERRORS = [
 @pytest.mark.parametrize("command, message", USAGE_ERRORS, ids=[command for command, _ in USAGE_ERRORS])
 def test_usage_error_message(capsys, command, message):
     assert run(capsys, *command.split()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify --n 1 --lambda 2 --c 1e300 --Lambda -3 --r1 2 --points 3",
+        "verify --chart rescaled --profile-lambda 5e-324 --points 3",
+        "sweep --param c --start 1e-300 --stop 1 --count 3 --lambda 2 --Lambda -3 --r1 2 --verify",
+    ],
+)
+def test_float_fault_prints_one_line_in_a_fresh_interpreter(command):
+    # In process, filterwarnings = error turns a numpy RuntimeWarning into an
+    # exception; a user's interpreter prints it and goes on.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-m", "pelab.cli", *command.split()], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {dict(USAGE_ERRORS)[command]}\n")
 
 
 def test_missing_subcommand_exits_2():
@@ -737,6 +775,18 @@ def test_sweep_verify_reports_an_earlier_rows_failure_before_a_later_rows_domain
         "",
         "verification failed: metric condition number 1.35e+30 at "
         "(10000000000.560644, 5.926893162130123, 0.32408272701336605, -0.1083497685945077)\n",
+    )
+
+
+def test_sweep_verify_reports_an_earlier_rows_singular_metric_before_a_later_rows_float_fault(capsys):
+    # one block holds rows 1 and 2: row 1 (c = 1e150) has a finite singular
+    # metric, row 2 (c = 1e300) overflows in the jets, which the block meets first
+    argv = "sweep --param c --spacing log --start 1 --stop 1e300 --count 3 --lambda 2 --Lambda -3 --r1 2 --verify"
+    assert run(capsys, *argv.split()) == (
+        1,
+        "",
+        "verification failed: metric condition number 1.54e+303 at "
+        "(6.143390835132028, 5.926893162130123, 0.32408272701336605, -0.1083497685945077)\n",
     )
 
 

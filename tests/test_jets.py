@@ -47,9 +47,7 @@ def test_quotient_and_negative_powers():
 
 
 def test_division_errors():
-    x = Jet2.variable(0.0, 0, 1)
-    with pytest.raises(ZeroDivisionError):
-        1 / x
+    # 1/x of a zero jet is a float fault that geom.point_scalars classifies (test_cli's USAGE_ERRORS)
     with pytest.raises(TypeError):
         Jet2.variable(1.0, 0, 1) ** 0.5
 

@@ -167,4 +167,28 @@ MUTANTS = [
         "except (SingularMetric, CurvatureCheckError):",
         "sweep --verify: a block's float fault not re-run row by row, so it hides an earlier row's singular metric",
     ),
+    (
+        "src/pelab/geom.py",
+        '- np.einsum("...jkil->...ijkl", W)',
+        '- np.einsum("...jkli->...ijkl", W)',
+        "lowered Riemann: W's last pair read in the other order, so R + R_ijlk is rounding, not exactly 0.0",
+    ),
+    (
+        "src/pelab/pcg64.py",
+        "rot = hi >> 58",
+        "rot = hi >> 57",
+        "seeded points: the XSL-RR rotation read from the top 7 bits of the state instead of 6",
+    ),
+    (
+        "src/pelab/pcg64.py",
+        "(rotated >> 11) * 2.0**-53",
+        "(rotated >> 12) * 2.0**-53",
+        "seeded points: the double built from the top 52 bits of the output instead of 53",
+    ),
+    (
+        "src/pelab/pcg64.py",
+        "if src != dst:",
+        "if False:",
+        "seeded points: SeedSequence's cross-mix of the pool words skipped",
+    ),
 ]

@@ -11,9 +11,11 @@ numpy and the float engine (jets, geom) are imported only by the commands
 that evaluate curvature, verify and sweep --verify.
 """
 
-# (The docstring is the --help text.)  The rows of sweep --verify are
-# evaluated in blocks of whole rows (geom.row_maxima); each row draws its
-# points from its own seed.
+# (The docstring is the --help text.)  The seeded points are numpy's
+# PCG64/SeedSequence stream, the doubles of default_rng(seed).random(),
+# drawn by pelab.pcg64 without importing numpy's random package.  The
+# rows of sweep --verify are evaluated in blocks of whole rows
+# (geom.row_maxima); each row draws its points from its own seed.
 
 from __future__ import annotations
 
@@ -167,15 +169,21 @@ def cmd_family(args) -> int:
 
 
 def _sample_points(seed: int, count: int, lower: float, upper: float):
-    """count chart points (radial, psi, u, v) as one (count, 4) draw of the generator seeded with seed.
+    """count chart points (radial, psi, u, v) as one (count, 4) draw of the stream seeded with seed.
 
-    Each row takes four consecutive doubles from the stream: the radial
-    coordinate in [lower, upper), psi, and a disk radius and angle for
-    (u, v) inside the disk of radius 0.9.
+    Each row takes four consecutive doubles u of default_rng(seed).random()
+    and scales each as low + (high - low) * u, which is what
+    Generator.uniform computes: the radial coordinate in [lower, upper),
+    psi, and a disk radius and angle for (u, v) inside the disk of radius 0.9.
     """
     import numpy as np
 
-    draw = np.random.default_rng(seed).uniform((lower, 0.05, 0.0, 0.0), (upper, 2 * math.pi - 0.05, 1.0, 2 * math.pi), size=(count, 4))
+    from . import pcg64
+
+    low, high = np.array((lower, 0.05, 0.0, 0.0)), np.array((upper, 2 * math.pi - 0.05, 1.0, 2 * math.pi))
+    draw = pcg64.random(seed, 4 * count).reshape(count, 4)
+    draw *= high - low
+    draw += low
     disk_r = 0.9 * np.sqrt(draw[:, 2])
     draw[:, 2], draw[:, 3] = disk_r * np.cos(draw[:, 3]), disk_r * np.sin(draw[:, 3])
     return draw
@@ -212,7 +220,7 @@ def _page_pope_batch(params: FamilyParams, seed: int, count: int, lam_check: flo
 
 
 def _check_seed(seed: int):
-    """numpy seeds only from non-negative integers."""
+    """SeedSequence seeds only from non-negative integers."""
     if seed < 0:
         raise UsageError("--seed must be >= 0")
 

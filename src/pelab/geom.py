@@ -211,10 +211,9 @@ class CurvatureReport:
     def __post_init__(self):
         R = self.riemann
         scale = np.maximum(np.maximum(_amax(R, 4), _amax(self.metric, 2) ** 2), 1e-300)
-        sym = np.maximum(
-            np.maximum(_amax(R + np.einsum("...jikl->...ijkl", R), 4), _amax(R + np.einsum("...ijlk->...ijkl", R), 4)),
-            _amax(R - np.einsum("...klij->...ijkl", R), 4),
-        )
+        # R + R_ijlk is exactly 0.0 by construction (r_low swaps the operands
+        # of one subtraction); tier-1 checks that identity once.
+        sym = np.maximum(_amax(R + np.einsum("...jikl->...ijkl", R), 4), _amax(R - np.einsum("...klij->...ijkl", R), 4))
         bianchi = _amax(R + np.einsum("...iklj->...ijkl", R) + np.einsum("...iljk->...ijkl", R), 4)
         object.__setattr__(self, "symmetry_max", _per_point(sym / scale))
         object.__setattr__(self, "bianchi_max", _per_point(bianchi / scale))

@@ -2,10 +2,11 @@
 
 No pelab command reaches these: a 4th-order finite-difference route to the
 curvature that uses no jets, sectional curvature, a Cholesky test of positive
-definiteness, the residual of the connection equation dA = -2 omega, and four
+definiteness, the residual of the connection equation dA = -2 omega, four
 model charts (the base sphere, flat space, a constant multiple of a chart and
-the (u, v) inversion of a chart).  pytest puts tests/ on sys.path, so a test
-reads them with `from oracles import ...`.
+the (u, v) inversion of a chart), and the numpy.random draw that the seeded
+chart points reproduce.  pytest puts tests/ on sys.path, so a test reads them
+with `from oracles import ...`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ class DegeneratePlane(ValueError):
 
 class StepTooLarge(ValueError):
     """Finite-difference stencil would leave the chart domain."""
+
+
+def sample_points(seed: int, count: int, lower: float, upper: float) -> np.ndarray:
+    """cli._sample_points as numpy.random draws it: Generator.uniform, then the same disk map."""
+    draw = np.random.default_rng(seed).uniform((lower, 0.05, 0.0, 0.0), (upper, 2 * np.pi - 0.05, 1.0, 2 * np.pi), size=(count, 4))
+    disk_r = 0.9 * np.sqrt(draw[:, 2])
+    draw[:, 2], draw[:, 3] = disk_r * np.cos(draw[:, 3]), disk_r * np.sin(draw[:, 3])
+    return draw
 
 
 def metric_values(chart: ChartMetric, point) -> np.ndarray:

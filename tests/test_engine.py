@@ -73,6 +73,20 @@ def test_a_block_chart_gives_every_point_the_bits_of_its_own_chart():
     assert block[:, 0].max() < 1e-12
 
 
+def test_riemann_is_exactly_antisymmetric_in_its_last_pair():
+    # R_ijkl = W_jlik - W_jkil: swapping k and l swaps the operands of one
+    # subtraction, so R + R_ijlk is 0.0 in floats, not only to rounding.
+    # CurvatureReport leaves this term out of symmetry_max; it is checked here.
+    members = [HYPERBOLIC, EDGE_SMOOTH, FamilyParams(n=1, lam=F(3), c=F(1, 2), Lambda=F(-5), r1=F(3, 2))]
+    batches = [(page_pope_chart(params), _sample_points(i, 128, float(params.r1) + 0.1, 10.0)) for i, params in enumerate(members)]
+    profile = RescaledProfile(1, 2, rho1_limit(1).derived_sq)
+    batches.append((rescaled_chart(profile), _sample_points(5, 128, 1.1 * profile.rho1, 5.0 * profile.rho1)))
+    for chart, points in batches:
+        R = curvature_reports(chart, points).riemann
+        assert np.abs(R).max() > 0.1
+        assert np.abs(R + np.einsum("...ijlk->...ijkl", R)).max() == 0.0, chart.label
+
+
 def test_single_point_shapes_match_the_scalar_api():
     chart = page_pope_chart(HYPERBOLIC)
     G, dG, ddG = metric_derivatives_jet(chart, (1.7, 0.4, 0.2, 0.1))

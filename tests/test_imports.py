@@ -18,10 +18,13 @@ import pelab
 from pelab.cli import main
 
 SRC = Path(pelab.__file__).resolve().parents[1]
-FLOAT_MODULES = ("numpy", "pelab.jets", "pelab.geom")
+FLOAT_MODULES = ("numpy", "pelab.jets", "pelab.geom", "pelab.pcg64")
 # Start-up cost that the exact commands do not need: dataclasses (which
 # loads inspect), and the limits and audits layers.
 LEAN_MODULES = ("dataclasses", "inspect", "pelab.limits", "pelab.audits")
+# What importing numpy.random would load for one seeded draw: its bit
+# generators, and OpenSSL's hashlib through secrets.
+RANDOM_MODULES = ("numpy.random", "secrets", "hashlib")
 
 # Runs main(argv) in a fresh interpreter, then reports the exit code and
 # which of the watched modules are loaded.
@@ -30,7 +33,7 @@ import contextlib, io, json, sys
 from pelab.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, [m for m in {FLOAT_MODULES + LEAN_MODULES!r} if m in sys.modules]]))
+print(json.dumps([code, [m for m in {FLOAT_MODULES + LEAN_MODULES + RANDOM_MODULES!r} if m in sys.modules]]))
 """
 
 FAMILY = ("family", "--n", "1", "--k", "1", "--r1", "2")
@@ -93,6 +96,12 @@ def test_family_and_sweep_skip_dataclasses_limits_and_audits(argv):
 
 def test_page_pope_verify_skips_dataclasses_and_limits():
     assert _loaded_after(*VERIFY, watch=("dataclasses", "pelab.limits")) == []
+
+
+@pytest.mark.parametrize("name", ["verify", "verify-rescaled", "sweep-verify"])
+def test_seeded_commands_leave_numpy_random_unloaded(name):
+    # pelab.pcg64 draws the seeded points
+    assert _loaded_after(*EVERY_COMMAND[name], watch=RANDOM_MODULES) == []
 
 
 @pytest.mark.parametrize("argv", EVERY_COMMAND.values(), ids=EVERY_COMMAND.keys())
@@ -183,7 +192,7 @@ def test_every_public_layer_function_is_reached_by_a_command():
     assert codes == [0] * len(REACH)
     unreached = {
         f"{layer}.{name}"
-        for layer in ("cli", "laurent", "family", "limits", "audits", "jets", "geom")
+        for layer in ("cli", "laurent", "family", "limits", "audits", "jets", "geom", "pcg64")
         for name, fn in vars(importlib.import_module(f"pelab.{layer}")).items()
         if inspect.isfunction(fn) and fn.__module__ == f"pelab.{layer}" and not name.startswith("_") and fn.__code__ not in called
     }

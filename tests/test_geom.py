@@ -22,7 +22,8 @@ from oracles import (
     sphere_chart,
     uv_inverted_chart,
 )
-from pelab.family import FamilyParams
+from pelab.cli import _sample_points
+from pelab.family import FamilyParams, cpn_catalogue
 from pelab.geom import (
     ChartMetric,
     CurvatureCheckError,
@@ -156,6 +157,50 @@ def test_rescaled_chart_ricci_flat():
     # both circulating rho1 values give a Ricci-flat metric
     chart_paper = rescaled_chart(RescaledProfile(1, 2, rho1_limit(1).paper_sq))
     assert curvature_report(chart_paper, (2.0, 1.0, 0.2, -0.1), lam=0.0).einstein_residual < 1e-6
+
+
+def _kretschmann(rep):
+    """R_ijkl R^ijkl of every point of a batch report, indices raised with the inverse metric."""
+    ginv = np.linalg.inv(rep.metric)
+    raised = np.einsum("nabcd,nia,njb,nkc,nld->nijkl", rep.riemann, ginv, ginv, ginv, ginv, optimize=True)
+    return np.einsum("nijkl,nijkl->n", rep.riemann, raised)
+
+
+def _relative_spread(values):
+    return (values.max() - values.min()) / np.abs(values).max()
+
+
+# The isometries of the family act transitively on each level set of the
+# radial coordinate, so every curvature invariant is a function of it
+# alone: at fixed r, 64 seeded (psi, u, v) must give one value.  This
+# reference uses no Lambda, no Einstein tolerance and no FD step.  The
+# measured relative spreads are at most 1.4e-14 (page-pope scalar and
+# Kretschmann) and 8.4e-15 (rescaled Kretschmann up to 2 rho1; it grows to
+# 2.4e-13 at 4.5 rho1 as the invariant falls towards 0), so 1e-12 leaves a
+# margin of 70 over rounding, while a connection form off by one part in
+# 1e3 (dA != -2 omega) spreads the page-pope scalar by 6e-6 or more.
+INVARIANCE_BOUND = 1e-12
+
+
+@pytest.mark.parametrize("k, r1", [(2, F(1)), (1, F(5, 2)), (3, F(7, 3))], ids=["conic", "edge-k1", "edge-k3"])
+def test_page_pope_invariants_depend_on_r_alone(k, r1):
+    chart = page_pope_chart(cpn_catalogue(1, k, r1))
+    for seed, r in enumerate((float(r1) + 0.1, float(r1) + 1.5, float(r1) + 6.5, 100.0)):
+        points = _sample_points(seed, 64, 1.0, 2.0)
+        points[:, 0] = r
+        rep = curvature_reports(chart, points)
+        assert _relative_spread(rep.scalar) < INVARIANCE_BOUND, r
+        assert _relative_spread(_kretschmann(rep)) < INVARIANCE_BOUND, r
+
+
+def test_rescaled_kretschmann_depends_on_rho_alone():
+    # the scalar is 0 up to rounding on this Ricci-flat chart, so its spread checks nothing
+    profile = RescaledProfile(1, 2, rho1_limit(1).derived_sq)
+    chart = rescaled_chart(profile)
+    for seed, factor in enumerate((1.05, 1.2, 1.5, 2.0)):
+        points = _sample_points(seed, 64, 1.0, 2.0)
+        points[:, 0] = factor * profile.rho1
+        assert _relative_spread(_kretschmann(curvature_reports(chart, points))) < INVARIANCE_BOUND, factor
 
 
 def test_rescaled_chart_finite_positive():

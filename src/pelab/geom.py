@@ -89,8 +89,8 @@ class ChartMetric:
 def metric_derivatives_jet(chart: ChartMetric, points):
     """(G, dG, ddG) from one jet evaluation of the metric components.
 
-    points has shape B + (d,): one point, or N points for B = (N,).  The
-    results have shapes B + (d, d), B + (d, d, d) and B + (d, d, d, d).
+    points has shape (N, d); the results have shapes (N, d, d),
+    (N, d, d, d) and (N, d, d, d, d).
     """
     d = chart.dim
     pts = np.asarray(points, dtype=float)
@@ -112,9 +112,8 @@ def metric_derivatives_jet(chart: ChartMetric, points):
 
 
 def _point_at(points, i: int) -> tuple:
-    """Point i of a (d,) or (N, d) point array, as a tuple of floats."""
-    pts = np.asarray(points, dtype=float)
-    return tuple(pts.reshape(-1, pts.shape[-1])[i].tolist())
+    """Point i of an (N, d) point array, as a tuple of floats."""
+    return tuple(np.asarray(points, dtype=float)[i].tolist())
 
 
 def _inverse(G: np.ndarray, points) -> np.ndarray:
@@ -127,7 +126,7 @@ def _inverse(G: np.ndarray, points) -> np.ndarray:
     bad = np.flatnonzero(~(cond <= 1e12))
     if bad.size:
         i = int(bad[0])
-        raise SingularMetric(f"metric condition number {np.ravel(cond)[i]:.3g} at {_point_at(points, i)}")
+        raise SingularMetric(f"metric condition number {cond[i]:.3g} at {_point_at(points, i)}")
     return np.linalg.inv(G)
 
 
@@ -155,8 +154,8 @@ def _christoffel(Ginv, dG):
 def assemble_curvature(G, dG, ddG, points):
     """Christoffel, lowered Riemann, Ricci and scalar from component data.
 
-    Every array carries a leading batch shape B (G is B + (d, d)); points
-    (shape B + (d,)) names the offending point if a metric is singular.  The
+    Every array carries a leading batch axis N (G is (N, d, d)); points
+    (shape (N, d)) names the offending point if a metric is singular.  The
     lowered tensor comes straight from the second derivatives and the
     Christoffel symbols, with W_abce = (d_a d_b g_ce + d_c d_e g_ab)/2 +
     g_zy Gamma^z_ab Gamma^y_ce and R_ijkl = W_jlik - W_jkil, which is the
@@ -180,44 +179,35 @@ def _amax(x, axes: int):
     return np.max(np.abs(x), axis=tuple(range(-axes, 0)))
 
 
-def _per_point(x):
-    """A float for a single point, the array itself for a batch."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 @record(computed=("symmetry_max", "bianchi_max"))
 class CurvatureReport:
-    """Curvature data with symmetry and Bianchi checks built in.
+    """Curvature data of N points with symmetry and Bianchi checks built in.
 
-    A single-point report has a tuple point and float scalars.  The batch
-    report of :func:`curvature_reports` has a leading axis N on every
-    field: point (N, d), metric (N, d, d), scalar (N,), and so on.
-
-    einstein_residual is max_ij |Ric_ij - lam g_ij| / max_ij |g_ij| for the
-    lam the report was asked for (one for the batch, or one per point), and
-    None without one.
+    Every field has a leading axis N: point (N, d), metric (N, d, d),
+    scalar (N,), and so on.  einstein_residual is
+    max_ij |Ric_ij - lam g_ij| / max_ij |g_ij| for the lam the report was
+    asked for (one for the batch, or one per point), and None without one.
     """
 
-    point: tuple | np.ndarray
+    point: np.ndarray
     metric: np.ndarray
     christoffel: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
-    scalar: float | np.ndarray
-    einstein_residual: float | np.ndarray | None
-    symmetry_max: float | np.ndarray
-    bianchi_max: float | np.ndarray
+    scalar: np.ndarray
+    einstein_residual: np.ndarray | None
+    symmetry_max: np.ndarray
+    bianchi_max: np.ndarray
 
     def __post_init__(self):
         R = self.riemann
         scale = np.maximum(np.maximum(_amax(R, 4), _amax(self.metric, 2) ** 2), 1e-300)
         # R + R_ijlk is exactly 0.0 by construction (r_low swaps the operands
         # of one subtraction); tier-1 checks that identity once.
-        sym = np.maximum(_amax(R + np.einsum("...jikl->...ijkl", R), 4), _amax(R - np.einsum("...klij->...ijkl", R), 4))
-        bianchi = _amax(R + np.einsum("...iklj->...ijkl", R) + np.einsum("...iljk->...ijkl", R), 4)
-        object.__setattr__(self, "symmetry_max", _per_point(sym / scale))
-        object.__setattr__(self, "bianchi_max", _per_point(bianchi / scale))
-        sym, bianchi = np.ravel(self.symmetry_max), np.ravel(self.bianchi_max)
+        sym = np.maximum(_amax(R + np.einsum("...jikl->...ijkl", R), 4), _amax(R - np.einsum("...klij->...ijkl", R), 4)) / scale
+        bianchi = _amax(R + np.einsum("...iklj->...ijkl", R) + np.einsum("...iljk->...ijkl", R), 4) / scale
+        object.__setattr__(self, "symmetry_max", sym)
+        object.__setattr__(self, "bianchi_max", bianchi)
         failed = np.flatnonzero((sym > 1e-8) | (bianchi > 1e-8))
         if failed.size:
             i = int(failed[0])
@@ -228,18 +218,18 @@ class CurvatureReport:
 
 
 def _report(points: np.ndarray, G, dG, ddG, lam) -> CurvatureReport:
-    """Report of one point (points of shape (d,)) or of a batch (shape (N, d))."""
+    """Report of the (N, d) points from their metric data."""
     Gamma, r_low, ricci, scal = assemble_curvature(G, dG, ddG, points)
     if lam is not None:
         lam = np.asarray(lam, dtype=float)[..., None, None]
-    residual = None if lam is None else _per_point(_amax(ricci - lam * G, 2) / _amax(G, 2))
+    residual = None if lam is None else _amax(ricci - lam * G, 2) / _amax(G, 2)
     return CurvatureReport(
-        point=tuple(points.tolist()) if points.ndim == 1 else points,
+        point=points,
         metric=G,
         christoffel=Gamma,
         riemann=r_low,
         ricci=ricci,
-        scalar=_per_point(scal),
+        scalar=scal,
         einstein_residual=residual,
     )
 
@@ -256,7 +246,7 @@ def curvature_reports(chart: ChartMetric, points, lam: float | np.ndarray | None
     """Batch curvature report of N points (shape (N, d)) from one jet pass.
 
     Every operation acts point by point, so entry i of every field is
-    bit-equal to the report of point i evaluated alone.  lam is one float,
+    bit-equal to the report of a batch holding point i alone.  lam is one float,
     or an (N,) array with one Einstein constant per point.  A singular metric
     or a failed check raises at the first offending point, naming it.
     """
@@ -266,16 +256,6 @@ def curvature_reports(chart: ChartMetric, points, lam: float | np.ndarray | None
     _check_domain(chart, pts)
     G, dG, ddG = metric_derivatives_jet(chart, pts)
     return _report(pts, G, dG, ddG, lam)
-
-
-def curvature_report(chart: ChartMetric, point, lam: float | None = None) -> CurvatureReport:
-    """Full curvature data at a point.
-
-    Runs the code of :func:`curvature_reports` with an empty batch shape.
-    """
-    pt = np.asarray(point, dtype=float)
-    _check_domain(chart, [pt])
-    return _report(pt, *metric_derivatives_jet(chart, pt), lam)
 
 
 BLOCK_POINTS = 128

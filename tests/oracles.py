@@ -5,15 +5,18 @@ curvature that uses no jets, sectional curvature, a Cholesky test of positive
 definiteness, the residual of the connection equation dA = -2 omega, four
 model charts (the base sphere, flat space, a constant multiple of a chart and
 the (u, v) inversion of a chart), and the numpy.random draw that the seeded
-chart points reproduce.  pytest puts tests/ on sys.path, so a test reads them
-with `from oracles import ...`.
+chart points reproduce.  The engine reports batches only; curvature_at reads
+one point as a batch of one.  pytest puts tests/ on sys.path, so a test reads
+them with `from oracles import ...`.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from pelab.geom import ChartMetric, CurvatureReport, UnsupportedDimension, _base_blocks, _check_domain, _report, curvature_report
+from pelab.geom import ChartMetric, CurvatureReport, UnsupportedDimension, _base_blocks, _check_domain, _report, curvature_reports
 from pelab.jets import Jet2
 
 
@@ -82,16 +85,33 @@ def metric_derivatives_fd(chart: ChartMetric, point, step: float):
     return G, dG, ddG
 
 
-def fd_oracle(chart: ChartMetric, point, step: float = 1e-3) -> CurvatureReport:
-    """Curvature via 4th-order finite differences only; the cross-check path."""
+def _row(report: CurvatureReport) -> SimpleNamespace:
+    """Row 0 of every field of a batch report: the point as a tuple, the scalar columns as floats."""
+    row = {}
+    for name in type(report).__annotations__:
+        value = getattr(report, name)
+        if value is not None:
+            value = tuple(value[0].tolist()) if name == "point" else value[0].item() if value.ndim == 1 else value[0]
+        row[name] = value
+    return SimpleNamespace(**row)
+
+
+def curvature_at(chart: ChartMetric, point, lam: float | None = None) -> SimpleNamespace:
+    """The curvature report of one point: row 0 of the engine's report of a batch of one."""
+    return _row(curvature_reports(chart, [point], lam))
+
+
+def fd_oracle(chart: ChartMetric, point, step: float = 1e-3) -> SimpleNamespace:
+    """Curvature via 4th-order finite differences only; the cross-check path, read as curvature_at reads it."""
     pt = np.asarray(point, dtype=float)
     _check_domain(chart, [pt])
-    return _report(pt, *metric_derivatives_fd(chart, pt, step), None)
+    G, dG, ddG = metric_derivatives_fd(chart, pt, step)
+    return _row(_report(pt[None], G[None], dG[None], ddG[None], None))
 
 
 def sectional(chart: ChartMetric, point, x, y) -> float:
     """Sectional curvature of the plane spanned by tangent vectors x, y."""
-    rep = curvature_report(chart, point)
+    rep = curvature_at(chart, point)
     G = rep.metric
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from oracles import fd_oracle, scaled_chart, sectional
+from oracles import curvature_at, fd_oracle, scaled_chart, sectional
 from pelab.audits import run_audits
 from pelab.family import (
     FamilyParams,
@@ -24,7 +24,7 @@ from pelab.family import (
     smooth_c_printed,
     solve_profile,
 )
-from pelab.geom import curvature_report, curvature_reports, page_pope_chart, rescaled_chart
+from pelab.geom import curvature_reports, page_pope_chart, rescaled_chart
 from pelab.laurent import LaurentPoly
 from pelab.limits import RescaledProfile, limit_comparison, rho1_limit
 
@@ -99,7 +99,7 @@ def test_criterion_03_einstein_verification():
         r1f = float(params.r1)
         for _ in range(20):
             pt = _chart_point(rng, r1f + 0.1, 10.0)
-            worst = max(worst, curvature_report(chart, pt, lam=lam).einstein_residual)
+            worst = max(worst, curvature_at(chart, pt, lam=lam).einstein_residual)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-6, f"worst residual {worst:.3e}"
     assert elapsed < 60.0, f"took {elapsed:.2f} s"
@@ -123,7 +123,7 @@ def test_criterion_05_flat_recovery():
     rng = random.Random(105)
     for _ in range(20):
         pt = _chart_point(rng, 0.5, 3.0)
-        assert np.max(np.abs(curvature_report(chart, pt).riemann)) <= 1e-12
+        assert np.max(np.abs(curvature_at(chart, pt).riemann)) <= 1e-12
 
 
 @criterion(6, "Ricci-flat limit: residual(Lambda=0) <= 1e-6 at 20 points")
@@ -134,7 +134,7 @@ def test_criterion_06_ricci_flat_limit():
     rng = random.Random(106)
     for _ in range(20):
         pt = _chart_point(rng, 1.1 * rho1, 5.0 * rho1)
-        assert curvature_report(chart, pt, lam=0.0).einstein_residual <= 1e-6
+        assert curvature_at(chart, pt, lam=0.0).einstein_residual <= 1e-6
 
 
 @criterion(7, "cone-angle endpoints lam/2 and n+1, monotone for the k=1 catalogue")

@@ -5,12 +5,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from oracles import curvature_at
 from pelab import geom
 from pelab.cli import _sample_points
 from pelab.family import FamilyParams
 from pelab.geom import (
     SCALAR_COLUMNS,
-    curvature_report,
     curvature_reports,
     metric_derivatives_jet,
     page_pope_block,
@@ -36,7 +36,7 @@ def test_batch_rows_are_bit_equal_to_single_points():
     assert batch.metric.shape == (300, 4, 4) and batch.riemann.shape == (300, 4, 4, 4, 4)
     columns = point_scalars(chart, pts, -3.0)  # three blocks of at most 128
     for i, pt in enumerate(pts):
-        one = curvature_report(chart, pt, lam=-3.0)
+        one = curvature_at(chart, pt, lam=-3.0)
         assert one.point == tuple(batch.point[i].tolist()) == tuple(pt.tolist())
         for name in FIELDS:
             assert np.array_equal(getattr(one, name), getattr(batch, name)[i]), (i, name)
@@ -87,14 +87,11 @@ def test_riemann_is_exactly_antisymmetric_in_its_last_pair():
         assert np.abs(R + np.einsum("...ijlk->...ijkl", R)).max() == 0.0, chart.label
 
 
-def test_single_point_shapes_match_the_scalar_api():
+def test_jet_derivatives_carry_the_batch_axis():
     chart = page_pope_chart(HYPERBOLIC)
-    G, dG, ddG = metric_derivatives_jet(chart, (1.7, 0.4, 0.2, 0.1))
-    assert (G.shape, dG.shape, ddG.shape) == ((4, 4), (4, 4, 4), (4, 4, 4, 4))
-    G, dG, ddG = metric_derivatives_jet(chart, np.tile((1.7, 0.4, 0.2, 0.1), (3, 1)))
-    assert (G.shape, dG.shape, ddG.shape) == ((3, 4, 4), (3, 4, 4, 4), (3, 4, 4, 4, 4))
-    rep = curvature_report(chart, (1.7, 0.4, 0.2, 0.1), lam=-3.0)
-    assert all(type(getattr(rep, name)) is float for name in SCALAR_COLUMNS)
+    for count in (1, 3):
+        G, dG, ddG = metric_derivatives_jet(chart, np.tile((1.7, 0.4, 0.2, 0.1), (count, 1)))
+        assert (G.shape, dG.shape, ddG.shape) == ((count, 4, 4), (count, 4, 4, 4), (count, 4, 4, 4, 4))
 
 
 def test_points_must_be_a_batch_of_chart_points():
@@ -126,6 +123,6 @@ def test_scalars_match_the_per_point_engine(params, point, lam, golden):
         chart = rescaled_chart(RescaledProfile(1, 2, rho1_limit(1).derived_sq))
     else:
         chart = page_pope_chart(params)
-    rep = curvature_report(chart, point, lam=lam)
+    rep = curvature_at(chart, point, lam=lam)
     for name, want in zip(SCALAR_COLUMNS, golden):
         assert abs(getattr(rep, name) - want) <= 1e-12, name

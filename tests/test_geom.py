@@ -13,6 +13,7 @@ from oracles import (
     DegeneratePlane,
     StepTooLarge,
     connection_curvature_residual,
+    curvature_at,
     euclidean_chart,
     fd_oracle,
     is_positive_definite,
@@ -30,7 +31,6 @@ from pelab.geom import (
     CurvatureReport,
     SingularMetric,
     UnsupportedDimension,
-    curvature_report,
     curvature_reports,
     page_pope_block,
     page_pope_chart,
@@ -51,7 +51,7 @@ def sample_point(rng, r_low, r_high):
 
 def test_euclidean_flat():
     chart = euclidean_chart(4)
-    rep = curvature_report(chart, (0.3, -1.2, 0.4, 2.0), lam=0.0)
+    rep = curvature_at(chart, (0.3, -1.2, 0.4, 2.0), lam=0.0)
     assert np.max(np.abs(rep.riemann)) == 0.0
     assert np.max(np.abs(rep.christoffel)) == 0.0
     assert rep.einstein_residual == 0.0
@@ -62,13 +62,13 @@ def test_sphere_einstein_and_sectional():
     for lam in (1.0, 2.0, 4.0):
         chart = sphere_chart(lam)
         for pt in [(0.0, 0.0), (0.3, -0.2), (0.8, 0.5)]:
-            assert curvature_report(chart, pt, lam=lam).einstein_residual < 1e-12
+            assert curvature_at(chart, pt, lam=lam).einstein_residual < 1e-12
             assert sectional(chart, pt, (1.0, 0.0), (0.0, 1.0)) == pytest.approx(lam, rel=1e-10)
 
 
 def test_scalar_is_trace_of_ricci():
     chart = page_pope_chart(HYPERBOLIC)
-    rep = curvature_report(chart, HYP_POINT)
+    rep = curvature_at(chart, HYP_POINT)
     trace = float(np.einsum("ij,ij->", np.linalg.inv(rep.metric), rep.ricci))
     assert rep.scalar == pytest.approx(trace, rel=1e-10)
     assert rep.scalar == pytest.approx(-12.0, rel=1e-10)  # trace of Ric = -3g in dim 4
@@ -76,7 +76,7 @@ def test_scalar_is_trace_of_ricci():
 
 def test_christoffel_symmetry_and_fd_agreement():
     chart = page_pope_chart(HYPERBOLIC)
-    gamma = curvature_report(chart, HYP_POINT).christoffel
+    gamma = curvature_at(chart, HYP_POINT).christoffel
     assert np.allclose(gamma, np.einsum("kij->kji", gamma), atol=1e-14)
     fd = fd_oracle(chart, HYP_POINT)
     assert np.max(np.abs(gamma - fd.christoffel)) / np.max(np.abs(gamma)) < 1e-5
@@ -117,7 +117,7 @@ def test_hyperbolic_einstein_and_sectional():
     rng = random.Random(8)
     for _ in range(10):
         pt = sample_point(rng, 1.1, 9.0)
-        assert curvature_report(chart, pt, lam=-3.0).einstein_residual < 1e-6
+        assert curvature_at(chart, pt, lam=-3.0).einstein_residual < 1e-6
         x = [rng.gauss(0, 1) for _ in range(4)]
         y = [rng.gauss(0, 1) for _ in range(4)]
         assert sectional(chart, pt, x, y) == pytest.approx(-1.0, abs=1e-6)
@@ -135,7 +135,7 @@ def test_einstein_random_family_members():
         )
         chart = page_pope_chart(params)
         pt = sample_point(rng, float(params.r1) + 0.2, 8.0)
-        assert curvature_report(chart, pt, lam=float(params.Lambda)).einstein_residual < 1e-6
+        assert curvature_at(chart, pt, lam=float(params.Lambda)).einstein_residual < 1e-6
 
 
 def test_rescaled_chart_flat():
@@ -143,7 +143,7 @@ def test_rescaled_chart_flat():
     rng = random.Random(16)
     for _ in range(10):
         pt = sample_point(rng, 0.5, 3.0)
-        assert np.max(np.abs(curvature_report(chart, pt).riemann)) < 1e-12
+        assert np.max(np.abs(curvature_at(chart, pt).riemann)) < 1e-12
 
 
 def test_rescaled_chart_ricci_flat():
@@ -153,10 +153,10 @@ def test_rescaled_chart_ricci_flat():
     rng = random.Random(17)
     for _ in range(10):
         pt = sample_point(rng, 1.1 * rho1, 5.0 * rho1)
-        assert curvature_report(chart, pt, lam=0.0).einstein_residual < 1e-6
+        assert curvature_at(chart, pt, lam=0.0).einstein_residual < 1e-6
     # both circulating rho1 values give a Ricci-flat metric
     chart_paper = rescaled_chart(RescaledProfile(1, 2, rho1_limit(1).paper_sq))
-    assert curvature_report(chart_paper, (2.0, 1.0, 0.2, -0.1), lam=0.0).einstein_residual < 1e-6
+    assert curvature_at(chart_paper, (2.0, 1.0, 0.2, -0.1), lam=0.0).einstein_residual < 1e-6
 
 
 def _kretschmann(rep):
@@ -217,7 +217,7 @@ def test_fd_oracle_agreement_two_charts():
     for chart, r_low in ((page_pope_chart(HYPERBOLIC), 1.2), (page_pope_chart(EDGE_SMOOTH), 2.2)):
         for _ in range(5):
             pt = sample_point(rng, r_low, 6.0)
-            jet = curvature_report(chart, pt)
+            jet = curvature_at(chart, pt)
             fd = fd_oracle(chart, pt)
             scale = np.max(np.abs(jet.riemann))
             assert np.max(np.abs(jet.riemann - fd.riemann)) / scale < 1e-5
@@ -226,7 +226,7 @@ def test_fd_oracle_agreement_two_charts():
 def test_fd_oracle_edge_params_at_r3():
     chart = page_pope_chart(EDGE_SMOOTH)
     pt = (3.0, 1.2, 0.3, -0.2)
-    jet = curvature_report(chart, pt)
+    jet = curvature_at(chart, pt)
     fd = fd_oracle(chart, pt)
     assert np.max(np.abs(jet.riemann - fd.riemann)) / np.max(np.abs(jet.riemann)) < 1e-5
 
@@ -234,7 +234,7 @@ def test_fd_oracle_edge_params_at_r3():
 def test_fd_oracle_flat_both_paths():
     chart = euclidean_chart(3)
     pt = (0.1, 0.2, 0.3)
-    assert np.max(np.abs(curvature_report(chart, pt).riemann)) < 1e-15
+    assert np.max(np.abs(curvature_at(chart, pt).riemann)) < 1e-15
     assert np.max(np.abs(fd_oracle(chart, pt).riemann)) < 1e-9
 
 
@@ -249,7 +249,7 @@ def test_chart_domain_checks():
     assert not chart.in_domain((1.5, 1.0, 0.0, 0.0))
     assert not chart.in_domain((3.0, 1.0, 0.8, 0.7))
     with pytest.raises(ValueError, match="outside chart domain"):
-        curvature_report(chart, (1.5, 1.0, 0.0, 0.0))
+        curvature_at(chart, (1.5, 1.0, 0.0, 0.0))
 
 
 def test_domain_check_names_the_first_point_outside():
@@ -277,7 +277,7 @@ def test_a_block_chart_tests_each_point_against_its_own_inner_radius():
 
 def test_christoffel_checks_the_domain():
     with pytest.raises(ValueError, match="outside chart domain"):
-        curvature_report(page_pope_chart(EDGE_SMOOTH), (3.0, 1.0, 0.8, 0.7)).christoffel
+        curvature_at(page_pope_chart(EDGE_SMOOTH), (3.0, 1.0, 0.8, 0.7)).christoffel
 
 
 def test_unsupported_dimension():
@@ -293,7 +293,7 @@ def test_singular_metric():
         2, ("x", "y"), lambda p: [[1.0, 0.0], [0.0, 1e-13]], lambda p: True
     )
     with pytest.raises(SingularMetric):
-        curvature_report(nearly_singular, (0.0, 0.0))
+        curvature_at(nearly_singular, (0.0, 0.0))
 
 
 def test_degenerate_plane():
@@ -313,10 +313,10 @@ def test_chart_invariance_under_uv_inversion():
     inv = uv_inverted_chart(base)
     u, v = 0.2, 0.1
     q = u * u + v * v
-    r1 = curvature_report(base, (1.7, 0.4, u, v), lam=-3.0).einstein_residual
-    r2 = curvature_report(inv, (1.7, 0.4, u / q, v / q), lam=-3.0).einstein_residual
+    r1 = curvature_at(base, (1.7, 0.4, u, v), lam=-3.0).einstein_residual
+    r2 = curvature_at(inv, (1.7, 0.4, u / q, v / q), lam=-3.0).einstein_residual
     assert abs(r1 - r2) < 1e-6
-    assert curvature_report(inv, (1.7, 0.4, u / q, v / q)).scalar == pytest.approx(-12.0, rel=1e-9)
+    assert curvature_at(inv, (1.7, 0.4, u / q, v / q)).scalar == pytest.approx(-12.0, rel=1e-9)
 
 
 def test_uv_inverted_metric_is_the_pullback():
@@ -356,7 +356,7 @@ def test_sectional_approaches_minus_one():
 
 
 def test_bianchi_and_symmetries_enforced():
-    rep = curvature_report(page_pope_chart(EDGE_SMOOTH), (3.0, 1.2, 0.3, -0.2))
+    rep = curvature_at(page_pope_chart(EDGE_SMOOTH), (3.0, 1.2, 0.3, -0.2))
     assert rep.symmetry_max < 1e-8
     assert rep.bianchi_max < 1e-8
 
@@ -373,11 +373,11 @@ def test_report_rejects_a_tensor_that_breaks_only_bianchi():
     R = np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g) + 1e-4 * eps
     with pytest.raises(CurvatureCheckError, match=r"first Bianchi violation 3\.000e-04"):
         CurvatureReport(
-            point=(0.0, 0.0, 0.0, 0.0),
-            metric=g,
-            christoffel=np.zeros((4, 4, 4)),
-            riemann=R,
-            ricci=3 * g,
-            scalar=12.0,
+            point=np.zeros((1, 4)),
+            metric=g[None],
+            christoffel=np.zeros((1, 4, 4, 4)),
+            riemann=R[None],
+            ricci=3 * g[None],
+            scalar=np.array([12.0]),
             einstein_residual=None,
         )

@@ -118,6 +118,12 @@ def test_import_pelab_loads_no_layer():
     assert json.loads(done.stdout) == ["0.1.0", []]
 
 
+# perfbench still traces geom.curvature_report, the single-point report
+# deleted when the engine came to hold batches only; that metric reads 0
+# until perfbench retires the span.
+DELETED_SPANS = {"geom.curvature_report"}
+
+
 def test_traced_spans_name_public_layer_functions(monkeypatch):
     # perfbench's per-layer metrics read the spans of "<layer>.<function>"; a
     # function renamed, made private or moved would read 0 without an error.
@@ -134,6 +140,9 @@ def test_traced_spans_name_public_layer_functions(monkeypatch):
             continue
         layer, name = span.split(".")
         module = importlib.import_module(f"pelab.{layer}")
+        if span in DELETED_SPANS:
+            assert not hasattr(module, name), span
+            continue
         fn = getattr(module, name, None)
         assert not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == module.__name__, span
     from pelab import geom
@@ -168,9 +177,6 @@ REACH = [
     VERIFY + ("--tol", "1e-7"),
     ("verify", "--chart", "rescaled", "--points", "5", "--format", "csv"),
 ]
-# The single-point report stays a library entry: the tests hold every row of
-# the batch path bit-equal to it.
-NOT_REACHED = {"geom.curvature_report"}
 
 
 def test_every_public_layer_function_is_reached_by_a_command():
@@ -196,4 +202,4 @@ def test_every_public_layer_function_is_reached_by_a_command():
         for name, fn in vars(importlib.import_module(f"pelab.{layer}")).items()
         if inspect.isfunction(fn) and fn.__module__ == f"pelab.{layer}" and not name.startswith("_") and fn.__code__ not in called
     }
-    assert unreached == NOT_REACHED
+    assert unreached == set()

@@ -26,7 +26,7 @@ INSTANCES = {
     "LimitComparison": lambda: limits.limit_comparison(1, [F(1, 10), F(1, 100)], [F(1), F(3, 2), F(2)]),
     "AuditRow": lambda: run_audits()[0],
     "ChartMetric": lambda: geom.page_pope_chart(EDGE),
-    "CurvatureReport": lambda: geom.curvature_report(geom.page_pope_chart(EDGE), (3.0, 1.0, 0.3, -0.2), -3.0),
+    "CurvatureReport": lambda: geom.curvature_reports(geom.page_pope_chart(EDGE), [(3.0, 1.0, 0.3, -0.2)], -3.0),
 }
 # Fields that __post_init__ computes instead of taking them as arguments.
 COMPUTED = {"CurvatureReport": ("symmetry_max", "bianchi_max")}
@@ -169,7 +169,7 @@ def test_post_init_is_looked_up_at_call_time(monkeypatch):
         checks(self)
 
     monkeypatch.setattr(geom.CurvatureReport, "__post_init__", traced)
-    report = geom.curvature_report(geom.page_pope_chart(EDGE), (3.0, 1.0, 0.3, -0.2), -3.0)
+    report = geom.curvature_reports(geom.page_pope_chart(EDGE), [(3.0, 1.0, 0.3, -0.2)], -3.0)
     assert calls == [report.point]
     assert report.symmetry_max < 1e-8 and report.bianchi_max < 1e-8
 

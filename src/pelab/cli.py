@@ -33,7 +33,8 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 AUDIT_ERROR = 3
 
-# sweep --count and limit --rho-grid build every value before the first row is written
+# sweep --count, limit --rho-grid and the --points of verify and sweep --verify
+# build every value (every point of a row) before the first row is written
 _MAX_COUNT = 100_000
 
 
@@ -219,6 +220,14 @@ def _page_pope_batch(params: FamilyParams, seed: int, count: int, lam_check: flo
     return chart, points, lam_check
 
 
+def _check_points(points: int):
+    """--points of verify and sweep --verify, checked before any point is drawn."""
+    if points < 1:
+        raise UsageError("--points must be >= 1")
+    if points > _MAX_COUNT:
+        raise UsageError(f"--points must be <= {_MAX_COUNT}")
+
+
 def _check_seed(seed: int):
     """SeedSequence seeds only from non-negative integers."""
     if seed < 0:
@@ -240,8 +249,7 @@ def cmd_verify(args) -> int:
 
     from . import geom
 
-    if args.points < 1:
-        raise UsageError("--points must be >= 1")
+    _check_points(args.points)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError(f"--tol must be a finite number > 0, got {args.tol!r}")
     if args.Lambda_check is not None and not math.isfinite(args.Lambda_check):
@@ -406,8 +414,7 @@ def cmd_sweep(args) -> int:
     if args.param in ("r1", "t") and args.r1 is not None:
         raise UsageError(f"--r1 conflicts with sweeping {args.param}")
     if args.verify:
-        if args.points < 1:
-            raise UsageError("--points must be >= 1")
+        _check_points(args.points)
         _check_seed(args.seed)
     values = _sweep_values(args)
     header = ["r1", "c", "alpha", "beta_sq_derived", "berger_coeff", "z_scale"]

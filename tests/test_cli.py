@@ -160,6 +160,11 @@ USAGE_ERRORS = [
     ("sweep --param r1 --start 1/2 --stop 3 --count 3 --n 1 --k 1", "r1 must be >= 1, got 1/2"),
     ("sweep --param t --start -1 --stop 1 --count 3 --n 1 --k 1", "--param t needs t >= 0, got -1"),
     ("sweep --param r1 --start 1 --stop 2 --count 100001 --n 1 --k 1", "--count must be <= 100000"),
+    # every point of verify (of a sweep --verify row) is drawn before it is evaluated
+    ("verify --n 1 --k 1 --r1 2 --points 100001", "--points must be <= 100000"),
+    ("verify --n 1 --k 1 --r1 2 --points 1000000000000000", "--points must be <= 100000"),
+    ("sweep --param r1 --start 2 --stop 3 --count 2 --n 1 --k 1 --verify --points 100001", "--points must be <= 100000"),
+    ("sweep --param r1 --start 2 --stop 3 --count 2 --n 1 --k 1 --verify --points 1000000000000000", "--points must be <= 100000"),
     ("sweep --param c --start 0 --stop 1 --count 3 --spacing log --n 1 --lambda 2 --Lambda -3 --r1 2", "log spacing requires --start > 0"),
     ("limit --n 1 --t-list 0.1,0.1", "t_values must be positive and decreasing"),
     ("limit --n 1 --t-list 0", "t_values must be positive and decreasing"),

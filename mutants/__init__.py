@@ -191,4 +191,10 @@ MUTANTS = [
         "if False:",
         "seeded points: SeedSequence's cross-mix of the pool words skipped",
     ),
+    (
+        "src/pelab/geom.py",
+        "a_u = (4.0 / lam) * v / one_plus",
+        "a_u = 1.001 * (4.0 / lam) * v / one_plus",
+        "connection form: a_u scaled by 1.001, so dA != -2 omega and the curvature invariants vary over each level set of r",
+    ),
 ]

@@ -87,13 +87,14 @@ def metric_derivatives_fd(chart: ChartMetric, point, step: float):
 
 def _row(report: CurvatureReport) -> SimpleNamespace:
     """Row 0 of every field of a batch report: the point as a tuple, the scalar columns as floats."""
-    row = {}
+    row = SimpleNamespace()
     for name in type(report).__annotations__:
         value = getattr(report, name)
         if value is not None:
-            value = tuple(value[0].tolist()) if name == "point" else value[0].item() if value.ndim == 1 else value[0]
-        row[name] = value
-    return SimpleNamespace(**row)
+            value = value[0].item() if value.ndim == 1 else value[0]
+        setattr(row, name, value)
+    row.point = tuple(report.point[0].tolist())
+    return row
 
 
 def curvature_at(chart: ChartMetric, point, lam: float | None = None) -> SimpleNamespace:

@@ -111,11 +111,6 @@ def metric_derivatives_jet(chart: ChartMetric, points):
     return G, dG, ddG
 
 
-def _point_at(points, i: int) -> tuple:
-    """Point i of an (N, d) point array, as a tuple of floats."""
-    return tuple(np.asarray(points, dtype=float)[i].tolist())
-
-
 def _inverse(G: np.ndarray, points) -> np.ndarray:
     """Inverse of every metric in the batch, guarded point by point.
 
@@ -126,7 +121,7 @@ def _inverse(G: np.ndarray, points) -> np.ndarray:
     bad = np.flatnonzero(~(cond <= 1e12))
     if bad.size:
         i = int(bad[0])
-        raise SingularMetric(f"metric condition number {cond[i]:.3g} at {_point_at(points, i)}")
+        raise SingularMetric(f"metric condition number {cond[i]:.3g} at {tuple(points[i].tolist())}")
     return np.linalg.inv(G)
 
 
@@ -211,7 +206,7 @@ class CurvatureReport:
         failed = np.flatnonzero((sym > 1e-8) | (bianchi > 1e-8))
         if failed.size:
             i = int(failed[0])
-            where = _point_at(self.point, i)
+            where = tuple(self.point[i].tolist())
             if sym[i] > 1e-8:
                 raise CurvatureCheckError(f"Riemann symmetry violation {sym[i]:.3e} at {where}")
             raise CurvatureCheckError(f"first Bianchi violation {bianchi[i]:.3e} at {where}")
@@ -239,7 +234,7 @@ def _check_domain(chart: ChartMetric, points):
     pts = np.asarray(points, dtype=float)
     outside = np.flatnonzero(np.logical_not(chart.in_domain(pts)))
     if outside.size:
-        raise ValueError(f"point {_point_at(pts, int(outside[0]))} outside chart domain")
+        raise ValueError(f"point {tuple(pts[outside[0]].tolist())} outside chart domain")
 
 
 def curvature_reports(chart: ChartMetric, points, lam: float | np.ndarray | None = None) -> CurvatureReport:

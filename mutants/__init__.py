@@ -169,8 +169,8 @@ MUTANTS = [
     ),
     (
         "src/pelab/geom.py",
-        '- np.einsum("...jkil->...ijkl", W)',
-        '- np.einsum("...jkli->...ijkl", W)',
+        'np.einsum("...jkil->...ijkl", W)',
+        'np.einsum("...jkli->...ijkl", W)',
         "lowered Riemann: W's last pair read in the other order, so R + R_ijlk is rounding, not exactly 0.0",
     ),
     (
@@ -196,5 +196,23 @@ MUTANTS = [
         "a_u = (4.0 / lam) * v / one_plus",
         "a_u = 1.001 * (4.0 / lam) * v / one_plus",
         "connection form: a_u scaled by 1.001, so dA != -2 omega and the curvature invariants vary over each level set of r",
+    ),
+    (
+        "src/pelab/geom.py",
+        "reads=(0, 2, 3)",
+        "reads=(0, 2)",
+        "fibration chart: the jets seeded on (x, u) only, so the metric's derivatives along v are dropped",
+    ),
+    (
+        "src/pelab/geom.py",
+        "math.log2(1e11)",
+        "math.log2(1e14)",
+        "conditioning guard: the cheap bound clears up to 1e14, so a metric with cond in (1e12, 6e12) skips the SVD",
+    ),
+    (
+        "src/pelab/geom.py",
+        "suspect[bad[0]]",
+        "bad[0]",
+        "conditioning guard: the failing point named by its place among the uncleared points, not in the batch",
     ),
 ]

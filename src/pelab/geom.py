@@ -75,7 +75,10 @@ class ChartMetric:
     return a dim x dim nested list; entries may be plain numbers where a
     component is constant.  in_domain maps float points of shape B + (dim,)
     to booleans of shape B.  data holds the floats a chart was built from
-    (a page-pope chart: P's coefficients, c, lambda and r1).
+    (a page-pope chart: P's coefficients, c, lambda and r1).  reads lists
+    the indices of the coordinates the metric depends on (all of them when
+    None); the others reach metric as plain float arrays, and the metric's
+    derivatives along them are zero.
     """
 
     dim: int
@@ -84,6 +87,7 @@ class ChartMetric:
     in_domain: Callable
     label: str = ""
     data: tuple = ()
+    reads: tuple | None = None
 
 
 def metric_derivatives_jet(chart: ChartMetric, points):
@@ -95,7 +99,8 @@ def metric_derivatives_jet(chart: ChartMetric, points):
     d = chart.dim
     pts = np.asarray(points, dtype=float)
     batch = pts.shape[:-1]
-    rows = chart.metric(seed_point(pts))
+    reads = np.arange(d) if chart.reads is None else np.array(chart.reads)
+    rows = chart.metric(seed_point(pts, reads))
     G = np.zeros(batch + (d, d))
     dG = np.zeros(batch + (d, d, d))
     ddG = np.zeros(batch + (d, d, d, d))
@@ -104,8 +109,8 @@ def metric_derivatives_jet(chart: ChartMetric, points):
             e = rows[i][j]
             if isinstance(e, Jet2):
                 G[..., i, j] = e.value
-                dG[..., :, i, j] = e.grad
-                ddG[..., :, :, i, j] = e.hess
+                dG[..., reads, i, j] = e.grad
+                ddG[..., reads[:, None], reads, i, j] = e.hess
             else:
                 G[..., i, j] = float(e)
     return G, dG, ddG
@@ -116,13 +121,28 @@ def _inverse(G: np.ndarray, points) -> np.ndarray:
 
     The first point in batch order whose condition number exceeds 1e12
     (inf for a singular metric) raises SingularMetric naming that point.
+    np.linalg.cond runs its SVD only on the points that a cheap bound
+    cannot clear: cond(G) <= |G|_F |G^-1|_F <= d^2 max|G| max|G^-1|.  The
+    bound is compared in log2, so it cannot overflow, and clears at 1e11,
+    which leaves a factor 10 for the error of the computed inverse: a
+    cleared point's condition number is below 1e12, so the decisions are
+    those of cond on the whole batch.  A batch that inv rejects goes to
+    cond whole.
     """
-    cond = np.linalg.cond(G)
-    bad = np.flatnonzero(~(cond <= 1e12))
-    if bad.size:
-        i = int(bad[0])
-        raise SingularMetric(f"metric condition number {cond[i]:.3g} at {tuple(points[i].tolist())}")
-    return np.linalg.inv(G)
+    try:
+        Ginv = np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        Ginv, suspect = None, np.arange(len(G))
+    else:
+        d = G.shape[-1]
+        bound = 2 * math.log2(d) + np.log2(np.max(np.abs(G), axis=(-2, -1))) + np.log2(np.max(np.abs(Ginv), axis=(-2, -1)))
+        suspect = np.flatnonzero(~(bound <= math.log2(1e11)))
+    if suspect.size:
+        cond = np.linalg.cond(G[suspect])
+        bad = np.flatnonzero(~(cond <= 1e12))
+        if bad.size:
+            raise SingularMetric(f"metric condition number {cond[bad[0]]:.3g} at {tuple(points[suspect[bad[0]]].tolist())}")
+    return np.linalg.inv(G) if Ginv is None else Ginv
 
 
 def _sum(terms):
@@ -159,19 +179,26 @@ def assemble_curvature(G, dG, ddG, points):
     d = G.shape[-1]
     Ginv = _inverse(G, points)
     Gamma, T = _christoffel(Ginv, dG)
+    # Two (N, d, d, d, d) buffers hold every rank-4 term: quad and then
+    # r_low in one, each product of quad and then W in the other.
+    quad, W = np.empty_like(ddG), np.empty_like(ddG)
     # g_zy Gamma^y_ce = T_cez / 2
-    quad = _sum(Gamma[..., z, :, :, None, None] * (0.5 * T[..., None, None, :, :, z]) for z in range(d))
-    W = 0.5 * (ddG + np.einsum("...ceab->...abce", ddG)) + quad
-    r_low = np.einsum("...jlik->...ijkl", W) - np.einsum("...jkil->...ijkl", W)
+    np.multiply(Gamma[..., 0, :, :, None, None], 0.5 * T[..., None, None, :, :, 0], out=quad)
+    for z in range(1, d):
+        quad += np.multiply(Gamma[..., z, :, :, None, None], 0.5 * T[..., None, None, :, :, z], out=W)
+    np.add(ddG, np.einsum("...ceab->...abce", ddG), out=W)
+    W *= 0.5
+    W += quad
+    r_low = np.subtract(np.einsum("...jlik->...ijkl", W), np.einsum("...jkil->...ijkl", W), out=quad)
     # Ric_jk = g^il R_ijkl
     ricci = _sum(Ginv[..., i, l, None, None] * r_low[..., i, :, :, l] for i in range(d) for l in range(d))
     scal = _sum(Ginv[..., s, n] * ricci[..., s, n] for s in range(d) for n in range(d))
     return Gamma, r_low, ricci, scal
 
 
-def _amax(x, axes: int):
-    """max |x| over the last `axes` axes (the per-point maximum of a batched tensor)."""
-    return np.max(np.abs(x), axis=tuple(range(-axes, 0)))
+def _amax(x, axes: int, out=None):
+    """max |x| over the last `axes` axes (the per-point maximum of a batched tensor); |x| goes to out if given."""
+    return np.max(np.abs(x, out=out), axis=tuple(range(-axes, 0)))
 
 
 @record(computed=("symmetry_max", "bianchi_max"))
@@ -196,11 +223,16 @@ class CurvatureReport:
 
     def __post_init__(self):
         R = self.riemann
-        scale = np.maximum(np.maximum(_amax(R, 4), _amax(self.metric, 2) ** 2), 1e-300)
+        term = np.empty_like(R)  # each rank-4 term is built here, then reduced in place
+        scale = np.maximum(np.maximum(_amax(R, 4, term), _amax(self.metric, 2) ** 2), 1e-300)
         # R + R_ijlk is exactly 0.0 by construction (r_low swaps the operands
         # of one subtraction); tier-1 checks that identity once.
-        sym = np.maximum(_amax(R + np.einsum("...jikl->...ijkl", R), 4), _amax(R - np.einsum("...klij->...ijkl", R), 4)) / scale
-        bianchi = _amax(R + np.einsum("...iklj->...ijkl", R) + np.einsum("...iljk->...ijkl", R), 4) / scale
+        first_pair = _amax(np.add(R, np.einsum("...jikl->...ijkl", R), out=term), 4, term)
+        pair_swap = _amax(np.subtract(R, np.einsum("...klij->...ijkl", R), out=term), 4, term)
+        sym = np.maximum(first_pair, pair_swap) / scale
+        np.add(R, np.einsum("...iklj->...ijkl", R), out=term)
+        term += np.einsum("...iljk->...ijkl", R)
+        bianchi = _amax(term, 4, term) / scale
         object.__setattr__(self, "symmetry_max", sym)
         object.__setattr__(self, "bianchi_max", bianchi)
         failed = np.flatnonzero((sym > 1e-8) | (bianchi > 1e-8))
@@ -384,7 +416,7 @@ def _fibration_chart(coords: tuple, inner, radial: Callable, lam, label: str, da
         # every comparison is False on NaN, so a NaN coordinate lies outside
         return (x > inner) & (0.0 < psi) & (psi < 2 * math.pi) & (u * u + v * v < 1.0)
 
-    return ChartMetric(4, coords, metric, in_domain, label=label, data=data)
+    return ChartMetric(4, coords, metric, in_domain, label=label, data=data, reads=(0, 2, 3))
 
 
 def _page_pope(data: tuple, label: str) -> ChartMetric:

@@ -140,11 +140,18 @@ class Jet2:
         return f"Jet2({self.value!r}, grad={self.grad!r})"
 
 
-def seed_point(points) -> list[Jet2]:
-    """Coordinates of a point (shape (d,)) or of N points (shape (N, d)) as jet variables."""
+def seed_point(points, reads) -> list:
+    """Coordinates of a point (shape (d,)) or of N points (shape (N, d)); those in reads as jet variables.
+
+    The jets differentiate along the coordinates in reads, in that order,
+    so their gradients have len(reads) entries; every other coordinate is
+    a plain float array.
+    """
     pts = np.asarray(points, dtype=float)
-    d = pts.shape[-1]
-    return [Jet2.variable(pts[..., i], i, d) for i in range(d)]
+    seeds = [pts[..., i] for i in range(pts.shape[-1])]
+    for k, i in enumerate(reads):
+        seeds[i] = Jet2.variable(pts[..., i], k, len(reads))
+    return seeds
 
 
 def laurent_eval(coeffs: dict[int, float], x):

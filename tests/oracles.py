@@ -4,8 +4,9 @@ No pelab command reaches these: a 4th-order finite-difference route to the
 curvature that uses no jets, sectional curvature, a Cholesky test of positive
 definiteness, the residual of the connection equation dA = -2 omega, four
 model charts (the base sphere, flat space, a constant multiple of a chart and
-the (u, v) inversion of a chart), and the numpy.random draw that the seeded
-chart points reproduce.  The engine reports batches only; curvature_at reads
+the (u, v) inversion of a chart), the numpy.random draw that the seeded
+chart points reproduce, and the conditioning guard that runs the SVD on
+every metric.  The engine reports batches only; curvature_at reads
 one point as a batch of one.  pytest puts tests/ on sys.path, so a test reads
 them with `from oracles import ...`.
 """
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from pelab.geom import ChartMetric, CurvatureReport, UnsupportedDimension, _base_blocks, _check_domain, _report, curvature_reports
+from pelab.geom import ChartMetric, CurvatureReport, SingularMetric, UnsupportedDimension, _base_blocks, _check_domain, _report, curvature_reports
 from pelab.jets import Jet2
 
 
@@ -34,6 +35,16 @@ def sample_points(seed: int, count: int, lower: float, upper: float) -> np.ndarr
     disk_r = 0.9 * np.sqrt(draw[:, 2])
     draw[:, 2], draw[:, 3] = disk_r * np.cos(draw[:, 3]), disk_r * np.sin(draw[:, 3])
     return draw
+
+
+def inverse_by_cond(G: np.ndarray, points) -> np.ndarray:
+    """The conditioning guard with np.linalg.cond (an SVD) on every metric of the batch, which geom._inverse must decide like."""
+    cond = np.linalg.cond(G)
+    bad = np.flatnonzero(~(cond <= 1e12))
+    if bad.size:
+        i = int(bad[0])
+        raise SingularMetric(f"metric condition number {cond[i]:.3g} at {tuple(points[i].tolist())}")
+    return np.linalg.inv(G)
 
 
 def metric_values(chart: ChartMetric, point) -> np.ndarray:

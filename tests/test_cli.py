@@ -720,10 +720,10 @@ def _broken_chart(monkeypatch, is_bad, corrupt):
 
         def metric(x):
             rows = chart.metric(x)
-            corrupt(rows, x, Jet2.constant(is_bad(x[0].value).astype(float), chart.dim))
+            corrupt(rows, x, Jet2.constant(is_bad(x[0].value).astype(float), x[0].dim))
             return rows
 
-        return geom_mod.ChartMetric(chart.dim, chart.coords, metric, chart.in_domain, chart.label, chart.data)
+        return geom_mod.ChartMetric(chart.dim, chart.coords, metric, chart.in_domain, chart.label, chart.data, chart.reads)
 
     monkeypatch.setattr(geom_mod, "_fibration_chart", chart_factory)
 
@@ -805,8 +805,8 @@ def test_sweep_verify_names_the_first_failing_row_before_a_later_rows_singular_m
 
     def corrupt(rows, x, _):
         r = x[0].value
-        _zero_drr(rows, x, Jet2.constant(np.isin(r, row1[[0], 0]).astype(float), 4))
-        _asymmetric(rows, x, Jet2.constant(np.isin(r, row0[[3], 0]).astype(float), 4))
+        _zero_drr(rows, x, Jet2.constant(np.isin(r, row1[[0], 0]).astype(float), x[0].dim))
+        _asymmetric(rows, x, Jet2.constant(np.isin(r, row0[[3], 0]).astype(float), x[0].dim))
 
     _broken_chart(monkeypatch, lambda r: r > 0, corrupt)
     argv = "sweep --param r1 --start 2 --stop 3 --count 2 --n 1 --k 1 --verify"

@@ -1,13 +1,14 @@
-"""Batched curvature engine: row-for-row equivalence, block independence, goldens."""
+"""Batched curvature engine: row-for-row equivalence, block independence, goldens, the conditioning guard, a block's memory."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from oracles import curvature_at
+from oracles import curvature_at, inverse_by_cond
 from pelab import geom
-from pelab.cli import _sample_points
+from pelab.cli import _sample_points, main
 from pelab.family import FamilyParams
 from pelab.geom import (
     SCALAR_COLUMNS,
@@ -126,3 +127,90 @@ def test_scalars_match_the_per_point_engine(params, point, lam, golden):
     rep = curvature_at(chart, point, lam=lam)
     for name, want in zip(SCALAR_COLUMNS, golden):
         assert abs(getattr(rep, name) - want) <= 1e-12, name
+
+
+# -- the conditioning guard --------------------------------------------
+
+FLOAT_FAULTS = dict(over="raise", divide="raise", invalid="raise")  # point_scalars' errstate
+
+
+def _outcome(inverse, G):
+    """What a guard does with the batch G: its inverse's bytes, or the exception it raises."""
+    points = np.arange(len(G) * 4, dtype=float).reshape(-1, 4)
+    try:
+        with np.errstate(**FLOAT_FAULTS):
+            return ("pass", inverse(G, points).tobytes())
+    except Exception as exc:  # the two guards must raise alike
+        return (type(exc).__name__, str(exc))
+
+
+def _spd_batch(rng, count, rotate):
+    """Symmetric positive definite 4x4 metrics with condition numbers log-uniform in [1, 1e16]."""
+    cond = 10.0 ** rng.uniform(0.0, 16.0, count)
+    eigen = cond[:, None] ** rng.permuted(np.tile(np.linspace(0.0, 1.0, 4), (count, 1)), axis=1)
+    G = eigen[:, :, None] * np.eye(4)
+    if rotate:
+        Q = np.linalg.qr(rng.standard_normal((count, 4, 4)))[0]
+        G = Q @ G @ Q.swapaxes(-1, -2)
+    return G
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_the_cheap_bound_decides_as_the_svd_does(rotate, scale):
+    G = scale * _spd_batch(np.random.default_rng(23 + rotate), 400, rotate)
+    cond = np.linalg.cond(G)
+    assert cond.min() < 1e3 and (cond > 1e12).sum() > 50 and ((1e11 < cond) & (cond <= 1e12)).any()
+    for i in range(len(G)):
+        assert _outcome(geom._inverse, G[i : i + 1]) == _outcome(inverse_by_cond, G[i : i + 1]), cond[i]
+    # a whole batch raises at its first failing point, or passes with the same bits
+    for start in range(0, len(G), 40):
+        block = G[start : start + 40]
+        assert _outcome(geom._inverse, block) == _outcome(inverse_by_cond, block)
+        well = block[np.linalg.cond(block) <= 1e12]
+        assert _outcome(geom._inverse, well) == _outcome(inverse_by_cond, well) == ("pass", np.linalg.inv(well).tobytes())
+
+
+def test_the_guard_meets_degenerate_metrics_as_the_svd_does():
+    eye = np.eye(4)
+    zero = np.zeros((4, 4))
+    singular = eye.copy()
+    singular[:2, :2] = 1.0
+    subnormal = np.diag([1e-320, 1.0, 1.0, 1.0])
+    overflow = eye.copy()
+    overflow[:2, :2] = 1e-300 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+    for bad in (zero, singular, subnormal, overflow):
+        for batch in ([bad], [eye, bad, eye]):
+            G = np.array(batch)
+            assert _outcome(geom._inverse, G) == _outcome(inverse_by_cond, G)
+    assert _outcome(geom._inverse, np.array([eye, overflow]))[0] == "SingularMetric"
+
+
+def test_cond_of_a_subset_is_bit_equal_to_those_rows_of_the_batch():
+    G = _spd_batch(np.random.default_rng(5), 300, rotate=True)
+    rows = np.sort(np.random.default_rng(6).choice(len(G), 37, replace=False))
+    assert np.linalg.cond(G[rows]).tobytes() == np.linalg.cond(G)[rows].tobytes()
+
+
+def test_a_block_of_chart_points_runs_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.cond ran")
+
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    for r1 in ("1", "2"):  # a conic and an edge member
+        assert main(["verify", "--n", "1", "--k", "1", "--r1", r1, "--points", "200", "--format", "json"]) == 0
+
+
+def test_one_block_peaks_below_five_rank_four_temporaries():
+    # one (128, 4, 4, 4, 4) array is 0.26 MB; the block peaks at 1.17 MB, and
+    # a fresh array per rank-4 term takes it to 1.43 MB
+    chart = page_pope_chart(EDGE_SMOOTH)
+    pts = _edge_points(geom.BLOCK_POINTS)
+    point_scalars(chart, pts, -3.0)  # one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        point_scalars(chart, pts, -3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25e6

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -289,11 +290,16 @@ def test_unsupported_dimension():
 
 
 def test_singular_metric():
-    nearly_singular = ChartMetric(
-        2, ("x", "y"), lambda p: [[1.0, 0.0], [0.0, 1e-13]], lambda p: True
-    )
-    with pytest.raises(SingularMetric):
-        curvature_at(nearly_singular, (0.0, 0.0))
+    # cond 2e12 lies past the guard's 1e12 while its cheap bound
+    # d^2 max|G| max|G^-1| = 3.2e13 stays below 1e14, so a bound that
+    # cleared up to 1e14 would let it through without the SVD
+    for diagonal, cond in (((1.0, 1e-13), "1e+13"), ((1.0, 1.0, 1.0, 5e-13), "2e+12")):
+        d = len(diagonal)
+        nearly_singular = ChartMetric(
+            d, tuple(f"x{i}" for i in range(d)), lambda p, g=diagonal: np.diag(g).tolist(), lambda p: True
+        )
+        with pytest.raises(SingularMetric, match=rf"^metric condition number {re.escape(cond)} at \(0\.0,"):
+            curvature_at(nearly_singular, (0.0,) * d)
 
 
 def test_degenerate_plane():

@@ -70,8 +70,11 @@ def test_matches_finite_differences_at_second_order():
 
 
 def test_seed_point_and_laurent_eval():
-    pts = seed_point((2.0, 3.0))
+    pts = seed_point((2.0, 3.0), (0, 1))
     assert pts[0].grad[0] == 1.0 and pts[0].grad[1] == 0.0
+    # a coordinate left out of reads stays a plain float; the jets differentiate along the others alone
+    x, y = seed_point((2.0, 3.0), (1,))
+    assert not isinstance(x, Jet2) and x == 2.0 and y.grad.tolist() == [1.0]
     coeffs = {2: 1.0, -1: 3.0}
     val = laurent_eval(coeffs, pts[0])
     assert val.value == pytest.approx(4 + 1.5, abs=1e-14)
@@ -95,8 +98,8 @@ def test_array_operands_act_point_by_point():
     def ops(x, y, s):
         return [x * s, s * x, x + s, s + x, x - s, s - x, x / s, s / x, (x * y + 1) * s / y]
 
-    batch = ops(*seed_point(pts), a)
+    batch = ops(*seed_point(pts, (0, 1)), a)
     for i, pt in enumerate(pts):
-        for got, want in zip(batch, ops(*seed_point(pt), float(a[i]))):
+        for got, want in zip(batch, ops(*seed_point(pt, (0, 1)), float(a[i]))):
             for field in ("value", "grad", "hess"):
                 assert getattr(got, field)[i].tobytes() == getattr(want, field).tobytes(), (i, field)

@@ -31,8 +31,8 @@ MUTANTS = [
     ),
     (
         "src/pelab/jets.py",
-        "-inv2[..., None, None] * self.hess",
-        "-inv2[..., None, None] * (1 + 1e-9) * self.hess",
+        "-inv2 * self.hess",
+        "-inv2 * (1 + 1e-9) * self.hess",
         "reciprocal jet: hessian term off by one part in 1e9",
     ),
     (
@@ -169,8 +169,8 @@ MUTANTS = [
     ),
     (
         "src/pelab/geom.py",
-        'np.einsum("...jkil->...ijkl", W)',
-        'np.einsum("...jkli->...ijkl", W)',
+        'np.einsum("jkil...->ijkl...", W)',
+        'np.einsum("jkli...->ijkl...", W)',
         "lowered Riemann: W's last pair read in the other order, so R + R_ijlk is rounding, not exactly 0.0",
     ),
     (
@@ -214,5 +214,11 @@ MUTANTS = [
         "suspect[bad[0]]",
         "bad[0]",
         "conditioning guard: the failing point named by its place among the uncleared points, not in the batch",
+    ),
+    (
+        "src/pelab/jets.py",
+        "cross + cross.swapaxes(0, 1)",
+        "cross + cross",
+        "jet product: the cross term of the hessian added without its transpose over axes 0 and 1 (the points-last layout), so the hessian is not symmetric",
     ),
 ]

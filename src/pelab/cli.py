@@ -102,24 +102,34 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_text(header, rows) -> str:
+def _csv_chunks(header, rows):
+    """The CSV text of header and rows in chunks of about 64 KB, each row formatted as it is drawn."""
     import csv
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    return buf.getvalue()
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+        if buf.tell() >= 1 << 16:
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+    yield buf.getvalue()
 
 
-def _write_output(text: str, path: str | None):
+def _write_output(text, path: str | None):
+    """Write text, a str or an iterable of str chunks, to path or to stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if not path:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -244,10 +254,20 @@ def _checked(run, *args):
         raise VerificationFailure(str(exc)) from exc
 
 
-def cmd_verify(args) -> int:
+def _float_rows(*arrays):
+    """The rows of (N, k) float arrays side by side as lists of Python floats, converted 4096 rows at a time."""
     import numpy as np
 
+    for start in range(0, len(arrays[0]), 4096):
+        yield from np.hstack([a[start : start + 4096] for a in arrays]).tolist()
+
+
+def cmd_verify(args) -> int:
+    # geom and the jets it imports are compiled before numpy loads; compiled
+    # on top of numpy's heap they would raise the command's peak RSS by 1 MB
     from . import geom
+
+    import numpy as np
 
     _check_points(args.points)
     if not (math.isfinite(args.tol) and args.tol > 0):
@@ -294,7 +314,7 @@ def cmd_verify(args) -> int:
         }
         _write_output(_json_text(payload), args.output)
     elif args.format == "csv":
-        _write_output(_csv_text([*chart.coords, *geom.SCALAR_COLUMNS], np.hstack([points, columns]).tolist()), args.output)
+        _write_output(_csv_chunks([*chart.coords, *geom.SCALAR_COLUMNS], _float_rows(points, columns)), args.output)
     else:
         lines = [
             f"chart: {label}",
@@ -439,7 +459,7 @@ def cmd_sweep(args) -> int:
         payload = [{name: _fmt(v) if not isinstance(v, float) else v for name, v in zip(header, row)} for row in rows]
         _write_output(_json_text(payload), args.output)
     else:
-        _write_output(_csv_text(header, rows), args.output)
+        _write_output(_csv_chunks(header, rows), args.output)
     return 0
 
 
@@ -491,7 +511,7 @@ def cmd_limit(args) -> int:
         }
         _write_output(_json_text(payload), args.output)
         return 0
-    _write_output(_csv_text(["t", "rho", "dev_drho2", "dev_theta2", "dev_base"], comparison.rows), args.output)
+    _write_output(_csv_chunks(["t", "rho", "dev_drho2", "dev_theta2", "dev_base"], comparison.rows), args.output)
     if args.summary_output:
         _write_output(_json_text(comparison.summary()), args.summary_output)
     return 0

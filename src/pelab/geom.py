@@ -31,9 +31,13 @@ import contextlib
 import math
 from typing import TYPE_CHECKING, Callable
 
+# jets is imported (and so compiled) before numpy loads, as cli imports geom
+# before numpy: compiled on top of numpy's heap, the two modules would raise
+# the peak RSS of verify by about 1 MB
+from .jets import Jet2, laurent_eval, seed_point
+
 import numpy as np
 
-from .jets import Jet2, laurent_eval, seed_point
 from .family import solve_profile
 from .records import record
 
@@ -93,31 +97,37 @@ class ChartMetric:
 def metric_derivatives_jet(chart: ChartMetric, points):
     """(G, dG, ddG) from one jet evaluation of the metric components.
 
-    points has shape (N, d); the results have shapes (N, d, d),
-    (N, d, d, d) and (N, d, d, d, d).
+    points has shape (N, d); the results carry the point axis last, as the
+    jets do: G[i, j], dG[k, i, j] and ddG[k, l, i, j] have shapes (d, d, N),
+    (d, d, d, N) and (d, d, d, d, N).
     """
     d = chart.dim
     pts = np.asarray(points, dtype=float)
     batch = pts.shape[:-1]
     reads = np.arange(d) if chart.reads is None else np.array(chart.reads)
     rows = chart.metric(seed_point(pts, reads))
-    G = np.zeros(batch + (d, d))
-    dG = np.zeros(batch + (d, d, d))
-    ddG = np.zeros(batch + (d, d, d, d))
+    G = np.zeros((d, d) + batch)
+    # the derivatives along reads, placed into dG and ddG once at the end
+    grad = np.zeros((len(reads), d, d) + batch)
+    hess = np.zeros((len(reads), len(reads), d, d) + batch)
     for i in range(d):
         for j in range(d):
             e = rows[i][j]
             if isinstance(e, Jet2):
-                G[..., i, j] = e.value
-                dG[..., reads, i, j] = e.grad
-                ddG[..., reads[:, None], reads, i, j] = e.hess
+                G[i, j] = e.value
+                grad[:, i, j] = e.grad
+                hess[:, :, i, j] = e.hess
             else:
-                G[..., i, j] = float(e)
+                G[i, j] = float(e)
+    dG = np.zeros((d, d, d) + batch)
+    ddG = np.zeros((d, d, d, d) + batch)
+    dG[reads] = grad
+    ddG[reads[:, None], reads] = hess
     return G, dG, ddG
 
 
 def _inverse(G: np.ndarray, points) -> np.ndarray:
-    """Inverse of every metric in the batch, guarded point by point.
+    """Inverse of every metric of the (N, d, d) stack G, guarded point by point.
 
     The first point in batch order whose condition number exceeds 1e12
     (inf for a singular metric) raises SingularMetric naming that point.
@@ -146,59 +156,67 @@ def _inverse(G: np.ndarray, points) -> np.ndarray:
 
 
 def _sum(terms):
-    """Left-to-right sum of fresh arrays, accumulated in place into the first.
+    """Left-to-right sum ((t0 + t1) + t2) + ... of arrays, accumulated in place into a copy of t0.
 
-    Contractions are written as explicit sums of elementwise products, so
-    each point's result has one fixed rounding order whatever the batch it
-    was evaluated in (a batched einsum may reorder its inner loops).
+    Contractions are written as elementwise products summed in a fixed
+    order, so each point's result has one rounding order whatever the batch
+    it was evaluated in (a batched einsum may reorder its inner loops).
     """
     terms = iter(terms)
-    total = next(terms)
+    total = next(terms).copy()
     for term in terms:
         total += term
     return total
 
 
-def _christoffel(Ginv, dG):
-    """(Gamma^k_ij, T_ijl) with T_ijl = d_i g_jl + d_j g_il - d_l g_ij = 2 Gamma_l,ij."""
-    T = dG + np.einsum("...jil->...ijl", dG) - np.einsum("...lij->...ijl", dG)
-    d = Ginv.shape[-1]
-    return 0.5 * _sum(Ginv[..., :, l, None, None] * T[..., None, :, :, l] for l in range(d)), T
+def _christoffel(Ginv, dG, products):
+    """(Gamma^k_ij, T_ijl) with T_ijl = d_i g_jl + d_j g_il - d_l g_ij = 2 Gamma_l,ij, points last.
+
+    products, a (d, d, d, d, N) buffer, receives every g^kl T_ijl.
+    """
+    T = dG + np.einsum("jil...->ijl...", dG) - np.einsum("lij...->ijl...", dG)
+    np.multiply(Ginv[:, None, None], T, out=products)
+    return 0.5 * _sum(products[:, :, :, l] for l in range(len(Ginv))), T
 
 
 def assemble_curvature(G, dG, ddG, points):
     """Christoffel, lowered Riemann, Ricci and scalar from component data.
 
-    Every array carries a leading batch axis N (G is (N, d, d)); points
+    Every array carries the batch axis N last (G is (d, d, N)), so each
+    elementwise operation is one contiguous loop over the points; points
     (shape (N, d)) names the offending point if a metric is singular.  The
     lowered tensor comes straight from the second derivatives and the
     Christoffel symbols, with W_abce = (d_a d_b g_ce + d_c d_e g_ab)/2 +
     g_zy Gamma^z_ab Gamma^y_ce and R_ijkl = W_jlik - W_jkil, which is the
     constant-curvature convention K(g_il g_jk - g_ik g_jl).
     """
-    d = G.shape[-1]
-    Ginv = _inverse(G, points)
-    Gamma, T = _christoffel(Ginv, dG)
-    # Two (N, d, d, d, d) buffers hold every rank-4 term: quad and then
-    # r_low in one, each product of quad and then W in the other.
+    d = G.shape[0]
+    # LAPACK takes the metrics as an (N, d, d) stack; the inverse comes back points last
+    Ginv = np.ascontiguousarray(np.moveaxis(_inverse(np.moveaxis(G, -1, 0), points), 0, -1))
+    # Two (d, d, d, d, N) buffers hold every rank-4 array: quad and then
+    # r_low in one; the products g^kl T_ijl, each product of quad, W, and
+    # the products g^il R_ijkl in turn in the other.
     quad, W = np.empty_like(ddG), np.empty_like(ddG)
-    # g_zy Gamma^y_ce = T_cez / 2
-    np.multiply(Gamma[..., 0, :, :, None, None], 0.5 * T[..., None, None, :, :, 0], out=quad)
+    Gamma, T = _christoffel(Ginv, dG, W)
+    T *= 0.5  # g_zy Gamma^y_ce = T_cez / 2
+    np.multiply(Gamma[0, :, :, None, None], T[None, None, :, :, 0], out=quad)
     for z in range(1, d):
-        quad += np.multiply(Gamma[..., z, :, :, None, None], 0.5 * T[..., None, None, :, :, z], out=W)
-    np.add(ddG, np.einsum("...ceab->...abce", ddG), out=W)
+        quad += np.multiply(Gamma[z, :, :, None, None], T[None, None, :, :, z], out=W)
+    np.add(ddG, np.einsum("ceab...->abce...", ddG), out=W)
     W *= 0.5
     W += quad
-    r_low = np.subtract(np.einsum("...jlik->...ijkl", W), np.einsum("...jkil->...ijkl", W), out=quad)
+    r_low = np.subtract(np.einsum("jlik...->ijkl...", W), np.einsum("jkil...->ijkl...", W), out=quad)
     # Ric_jk = g^il R_ijkl
-    ricci = _sum(Ginv[..., i, l, None, None] * r_low[..., i, :, :, l] for i in range(d) for l in range(d))
-    scal = _sum(Ginv[..., s, n] * ricci[..., s, n] for s in range(d) for n in range(d))
+    np.multiply(Ginv[:, None, None], r_low, out=W)
+    ricci = _sum(W[i, :, :, l] for i in range(d) for l in range(d))
+    terms = Ginv * ricci
+    scal = _sum(terms[s, n] for s in range(d) for n in range(d))
     return Gamma, r_low, ricci, scal
 
 
 def _amax(x, axes: int, out=None):
-    """max |x| over the last `axes` axes (the per-point maximum of a batched tensor); |x| goes to out if given."""
-    return np.max(np.abs(x, out=out), axis=tuple(range(-axes, 0)))
+    """max |x| over the first `axes` axes (the per-point maximum of a points-last tensor); |x| goes to out if given."""
+    return np.max(np.abs(x, out=out), axis=tuple(range(axes)))
 
 
 @record(computed=("symmetry_max", "bianchi_max"))
@@ -206,7 +224,9 @@ class CurvatureReport:
     """Curvature data of N points with symmetry and Bianchi checks built in.
 
     Every field has a leading axis N: point (N, d), metric (N, d, d),
-    scalar (N,), and so on.  einstein_residual is
+    scalar (N,), and so on.  The engine builds its tensors points last, and
+    the fields are np.moveaxis views of them, which copy nothing; the checks
+    run on the points-last tensors.  einstein_residual is
     max_ij |Ric_ij - lam g_ij| / max_ij |g_ij| for the lam the report was
     asked for (one for the batch, or one per point), and None without one.
     """
@@ -222,16 +242,16 @@ class CurvatureReport:
     bianchi_max: np.ndarray
 
     def __post_init__(self):
-        R = self.riemann
+        R = np.moveaxis(self.riemann, 0, -1)
         term = np.empty_like(R)  # each rank-4 term is built here, then reduced in place
-        scale = np.maximum(np.maximum(_amax(R, 4, term), _amax(self.metric, 2) ** 2), 1e-300)
+        scale = np.maximum(np.maximum(_amax(R, 4, term), _amax(np.moveaxis(self.metric, 0, -1), 2) ** 2), 1e-300)
         # R + R_ijlk is exactly 0.0 by construction (r_low swaps the operands
         # of one subtraction); tier-1 checks that identity once.
-        first_pair = _amax(np.add(R, np.einsum("...jikl->...ijkl", R), out=term), 4, term)
-        pair_swap = _amax(np.subtract(R, np.einsum("...klij->...ijkl", R), out=term), 4, term)
+        first_pair = _amax(np.add(R, np.einsum("jikl...->ijkl...", R), out=term), 4, term)
+        pair_swap = _amax(np.subtract(R, np.einsum("klij...->ijkl...", R), out=term), 4, term)
         sym = np.maximum(first_pair, pair_swap) / scale
-        np.add(R, np.einsum("...iklj->...ijkl", R), out=term)
-        term += np.einsum("...iljk->...ijkl", R)
+        np.add(R, np.einsum("iklj...->ijkl...", R), out=term)
+        term += np.einsum("iljk...->ijkl...", R)
         bianchi = _amax(term, 4, term) / scale
         object.__setattr__(self, "symmetry_max", sym)
         object.__setattr__(self, "bianchi_max", bianchi)
@@ -245,17 +265,15 @@ class CurvatureReport:
 
 
 def _report(points: np.ndarray, G, dG, ddG, lam) -> CurvatureReport:
-    """Report of the (N, d) points from their metric data."""
+    """Report of the (N, d) points from their points-last metric data; lam (one, or one per point) broadcasts over the point axis."""
     Gamma, r_low, ricci, scal = assemble_curvature(G, dG, ddG, points)
-    if lam is not None:
-        lam = np.asarray(lam, dtype=float)[..., None, None]
     residual = None if lam is None else _amax(ricci - lam * G, 2) / _amax(G, 2)
     return CurvatureReport(
         point=points,
-        metric=G,
-        christoffel=Gamma,
-        riemann=r_low,
-        ricci=ricci,
+        metric=np.moveaxis(G, -1, 0),
+        christoffel=np.moveaxis(Gamma, -1, 0),
+        riemann=np.moveaxis(r_low, -1, 0),
+        ricci=np.moveaxis(ricci, -1, 0),
         scalar=scal,
         einstein_residual=residual,
     )
@@ -285,7 +303,7 @@ def curvature_reports(chart: ChartMetric, points, lam: float | np.ndarray | None
     return _report(pts, G, dG, ddG, lam)
 
 
-BLOCK_POINTS = 128
+BLOCK_POINTS = 64
 SCALAR_COLUMNS = ("einstein_residual", "scalar", "bianchi_max", "symmetry_max")
 
 

@@ -7,14 +7,15 @@ Seeding the coordinates of a point with :meth:`Jet2.variable` and
 evaluating a metric component therefore yields machine-precision metric
 derivatives, which is exactly what the curvature formulas need.
 
-Every jet has a leading batch shape B: the value has shape B, the
-gradient B + (d,) and the hessian B + (d, d).  B = () is a single point;
-B = (N,) evaluates N points in one pass of array operations.  Every
+Every jet has a trailing batch shape B: the value has shape B, the
+gradient (d,) + B and the hessian (d, d) + B.  B = () is a single point;
+B = (N,) evaluates N points in one pass of array operations, each an
+elementwise loop over the N points of one derivative slot.  Every
 operation is elementwise over B, so a point's derivatives do not depend
 on which batch it was evaluated in.  The other operand of +, -, * and /
 may be a jet, a number, or a float array of the batch shape B (one value
-per point), which scales the gradient and hessian of each point by its own
-entry.
+per point), which broadcasts against the trailing axes and so scales the
+gradient and hessian of each point by its own entry.
 
 Hessians stay symmetric by construction (every update is a symmetrized
 outer product), so no resymmetrization is ever required.
@@ -28,8 +29,8 @@ _OPERAND = (int, float, np.ndarray)
 
 
 def _outer(a, b):
-    """Batched outer product of gradients: B + (d,) x B + (d,) -> B + (d, d)."""
-    return a[..., :, None] * b[..., None, :]
+    """Batched outer product of gradients: (d,) + B x (d,) + B -> (d, d) + B."""
+    return a[:, None] * b[None, :]
 
 
 class Jet2:
@@ -38,25 +39,27 @@ class Jet2:
     __array_ufunc__ = None
 
     def __init__(self, value, grad, hess):
-        self.value = np.asarray(value, dtype=float)
-        self.grad = np.asarray(grad, dtype=float)
-        self.hess = np.asarray(hess, dtype=float)
+        # float arrays (or numpy floats): constant and variable convert their
+        # value, and every operation makes its parts from float parts
+        self.value = value
+        self.grad = grad
+        self.hess = hess
 
     @classmethod
     def constant(cls, value, dim: int) -> "Jet2":
-        shape = np.shape(value)
-        return cls(value, np.zeros(shape + (dim,)), np.zeros(shape + (dim, dim)))
+        value = np.asarray(value, dtype=float)
+        return cls(value, np.zeros((dim,) + value.shape), np.zeros((dim, dim) + value.shape))
 
     @classmethod
     def variable(cls, value, index: int, dim: int) -> "Jet2":
-        shape = np.shape(value)
-        g = np.zeros(shape + (dim,))
-        g[..., index] = 1.0
-        return cls(value, g, np.zeros(shape + (dim, dim)))
+        value = np.asarray(value, dtype=float)
+        g = np.zeros((dim,) + value.shape)
+        g[index] = 1.0
+        return cls(value, g, np.zeros((dim, dim) + value.shape))
 
     @property
     def dim(self) -> int:
-        return self.grad.shape[-1]
+        return self.grad.shape[0]
 
     # -- ring operations ------------------------------------------------
 
@@ -86,15 +89,13 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            a, b = self.value[..., None], other.value[..., None]
+            a, b = self.value, other.value
             cross = _outer(self.grad, other.grad)
             return Jet2(
-                self.value * other.value,
+                a * b,
                 a * other.grad + b * self.grad,
-                a[..., None] * other.hess + b[..., None] * self.hess + cross + cross.swapaxes(-1, -2),
+                a * other.hess + b * self.hess + cross + cross.swapaxes(0, 1),
             )
-        if isinstance(other, np.ndarray):
-            return Jet2(self.value * other, self.grad * other[..., None], self.hess * other[..., None, None])
         if isinstance(other, _OPERAND):
             return Jet2(self.value * other, self.grad * other, self.hess * other)
         return NotImplemented
@@ -106,8 +107,8 @@ class Jet2:
         inv2 = inv * inv
         return Jet2(
             inv,
-            -inv2[..., None] * self.grad,
-            -inv2[..., None, None] * self.hess + (2.0 * inv2 * inv)[..., None, None] * _outer(self.grad, self.grad),
+            -inv2 * self.grad,
+            -inv2 * self.hess + (2.0 * inv2 * inv) * _outer(self.grad, self.grad),
         )
 
     def __truediv__(self, other):
@@ -143,9 +144,10 @@ class Jet2:
 def seed_point(points, reads) -> list:
     """Coordinates of a point (shape (d,)) or of N points (shape (N, d)); those in reads as jet variables.
 
-    The jets differentiate along the coordinates in reads, in that order,
-    so their gradients have len(reads) entries; every other coordinate is
-    a plain float array.
+    Each coordinate is a float of shape B (() or (N,)).  The jets
+    differentiate along the coordinates in reads, in that order, so their
+    gradients have shape (len(reads),) + B; every other coordinate is a
+    plain float array.
     """
     pts = np.asarray(points, dtype=float)
     seeds = [pts[..., i] for i in range(pts.shape[-1])]

@@ -118,7 +118,7 @@ def fd_oracle(chart: ChartMetric, point, step: float = 1e-3) -> SimpleNamespace:
     pt = np.asarray(point, dtype=float)
     _check_domain(chart, [pt])
     G, dG, ddG = metric_derivatives_fd(chart, pt, step)
-    return _row(_report(pt[None], G[None], dG[None], ddG[None], None))
+    return _row(_report(pt[None], G[..., None], dG[..., None], ddG[..., None], None))
 
 
 def sectional(chart: ChartMetric, point, x, y) -> float:

@@ -862,13 +862,14 @@ def test_sweep_verify_blocks_hold_whole_rows_and_stay_bounded(monkeypatch):
     from pelab.geom import BLOCK_POINTS
 
     sweep = "sweep --param r1 --start 2 --stop 9 --n 1 --k 1 --verify".split()
-    # 1000 rows of 5 points: 25 whole rows to a block, not one engine pass per row
+    # 1000 rows of 5 points: as many whole rows to a block as fit, not one engine pass per row
     sizes = _jet_call_sizes(monkeypatch, [*sweep, "--count", "1000"])
-    assert len(sizes) == 40
+    assert len(sizes) == math.ceil(1000 / (BLOCK_POINTS // 5))
     assert all(size <= BLOCK_POINTS and size % 5 == 0 for size in sizes)
     # a row longer than a block is evaluated alone, in blocks of its own points
     sizes = _jet_call_sizes(monkeypatch, [*sweep, "--count", "3", "--points", "130"])
-    assert sizes == [BLOCK_POINTS, 2] * 3
+    whole, rest = divmod(130, BLOCK_POINTS)
+    assert sizes == ([BLOCK_POINTS] * whole + [rest]) * 3
 
 
 def test_verify_memory_is_flat_in_points():
@@ -885,3 +886,48 @@ def test_verify_memory_is_flat_in_points():
     peak(20)  # one-time allocations (imports, caches) stay out of the comparison
     small = peak(500)
     assert peak(4000) <= 1.5 * small
+
+
+def test_verify_csv_written_in_pieces_is_the_whole_table(tmp_path, capsys):
+    # 2000 rows span several of the writer's chunks; the bytes are those of one csv.writer pass
+    from pelab import geom
+    from pelab.cli import _page_pope_batch, _params_from_args, build_parser
+
+    argv = ["verify", "--n", "1", "--k", "2", "--r1", "3/2", "--points", "2000", "--seed", "8", "--format", "csv"]
+    chart, points, lam = _page_pope_batch(_params_from_args(build_parser().parse_args(argv)), 8, 2000, None)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([*chart.coords, *geom.SCALAR_COLUMNS])
+    writer.writerows([repr(v) for v in row] for row in np.hstack([points, geom.point_scalars(chart, points, lam)]).tolist())
+    assert len(buf.getvalue()) > 3 * 2**16
+    assert run(capsys, *argv, "--output", str(tmp_path / "v.csv")) == (0, "", "")
+    assert (tmp_path / "v.csv").read_bytes() == buf.getvalue().encode()
+    assert run(capsys, *argv) == (0, buf.getvalue(), "")
+
+
+# A process started from this small launcher inherits no high-water mark of
+# the test runner's memory: ru_maxrss is then the command's own peak (in KB).
+RSS_LAUNCHER = """
+import subprocess, sys
+inner = "import resource, sys; from pelab.cli import main; code = main(sys.argv[1:]); print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+done = subprocess.run([sys.executable, "-c", inner, *sys.argv[1:]], stdout=subprocess.PIPE, text=True)
+print(done.stdout.splitlines()[-1] if done.stdout else f"exit {done.returncode}")
+"""
+
+
+def test_verify_csv_peak_rss_stays_near_text():
+    # the CSV rows are formatted and written in chunks after the engine has
+    # finished, so 100000 points cost about what the text summary costs
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    argv = ["verify", "--n", "1", "--k", "1", "--r1", "2", "--points", "100000", "--output", os.devnull]
+    procs = {
+        fmt: subprocess.Popen([sys.executable, "-c", RSS_LAUNCHER, *argv, "--format", fmt], env=env, stdout=subprocess.PIPE, text=True)
+        for fmt in ("text", "csv")
+    }
+    peak_kb = {}
+    for fmt, proc in procs.items():
+        out, _ = proc.communicate(timeout=300)
+        code, peak = out.split()
+        assert code == "0", (fmt, out)
+        peak_kb[fmt] = int(peak)
+    assert peak_kb["csv"] <= peak_kb["text"] + 5 * 1024, peak_kb

@@ -109,6 +109,36 @@ def test_no_command_loads_dataclasses(argv):
     assert _loaded_after(*argv, watch=("dataclasses",)) == []
 
 
+# Runs main(argv) in a fresh interpreter behind a meta path finder that
+# only records, in order, the name of every module looked up for the first time.
+ORDER_PROBE = """
+import contextlib, io, json, sys
+found = []
+
+class Record:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        found.append(name)
+
+sys.meta_path.insert(0, Record)
+from pelab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, found]))
+"""
+
+
+@pytest.mark.parametrize("name", ["verify", "sweep-verify"])
+def test_the_engine_is_compiled_before_numpy_loads(name):
+    # a module is compiled right after it is found; geom and jets compiled on
+    # top of numpy's heap raise a verify's peak RSS by about 1 MB
+    done = _run_fresh(ORDER_PROBE, *EVERY_COMMAND[name])
+    assert done.returncode == 0, done.stderr
+    code, found = json.loads(done.stdout)
+    assert code == 0
+    assert found.index("pelab.geom") < found.index("pelab.jets") < found.index("numpy")
+
+
 def test_import_pelab_loads_no_layer():
     # Every public name is bound once, in its layer module; the package root
     # holds only the version.

@@ -102,4 +102,4 @@ def test_array_operands_act_point_by_point():
     for i, pt in enumerate(pts):
         for got, want in zip(batch, ops(*seed_point(pt, (0, 1)), float(a[i]))):
             for field in ("value", "grad", "hess"):
-                assert getattr(got, field)[i].tobytes() == getattr(want, field).tobytes(), (i, field)
+                assert getattr(got, field)[..., i].tobytes() == getattr(want, field).tobytes(), (i, field)

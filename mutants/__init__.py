@@ -163,8 +163,8 @@ MUTANTS = [
     ),
     (
         "src/pelab/geom.py",
-        "except (SingularMetric, CurvatureCheckError, BeyondFloatRange):",
-        "except (SingularMetric, CurvatureCheckError):",
+        "except (VerificationFailure, BeyondFloatRange):",
+        "except VerificationFailure:",
         "sweep --verify: a block's float fault not re-run row by row, so it hides an earlier row's singular metric",
     ),
     (
@@ -220,5 +220,11 @@ MUTANTS = [
         "cross + cross.swapaxes(0, 1)",
         "cross + cross",
         "jet product: the cross term of the hessian added without its transpose over axes 0 and 1 (the points-last layout), so the hessian is not symmetric",
+    ),
+    (
+        "src/pelab/geom.py",
+        "class SingularMetric(VerificationFailure):",
+        "class SingularMetric(ValueError):",
+        "verification failures: a singular metric no longer a VerificationFailure, so the CLI reports it as a usage error (exit 2), not exit 1",
     ),
 ]

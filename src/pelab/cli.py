@@ -26,7 +26,7 @@ from fractions import Fraction
 
 # Every command is a fresh interpreter, so limits (limit, audit, verify
 # --chart rescaled), audits (audit), json and csv are imported where used.
-from . import family as fam
+from . import VerificationFailure, family as fam
 from .family import AuditMismatch, FamilyParams
 
 USAGE_ERROR = 2
@@ -40,10 +40,6 @@ _MAX_COUNT = 100_000
 
 class UsageError(ValueError, argparse.ArgumentTypeError):
     """Exit 2.  Raised by a flag's type function, argparse reports it against the flag."""
-
-
-class VerificationFailure(Exception):
-    """A sampled point failed the conditioning guard or a curvature check."""
 
 
 def _rat(text: str, flag: str | None = None) -> Fraction:
@@ -244,16 +240,6 @@ def _check_seed(seed: int):
         raise UsageError("--seed must be >= 0")
 
 
-def _checked(run, *args):
-    """run(*args), where a singular metric or a failed curvature check is a verification failure."""
-    from . import geom
-
-    try:
-        return run(*args)
-    except (geom.SingularMetric, geom.CurvatureCheckError) as exc:
-        raise VerificationFailure(str(exc)) from exc
-
-
 def _float_rows(*arrays):
     """The rows of (N, k) float arrays side by side as lists of Python floats, converted 4096 rows at a time."""
     import numpy as np
@@ -290,7 +276,7 @@ def cmd_verify(args) -> int:
         rho1f = profile.rho1
         lower, upper = (1.1 * rho1f, 5.0 * rho1f) if rho1f > 0 else (0.5, 3.0)
         points = _sample_points(args.seed, args.points, lower, upper)
-    columns = _checked(geom.point_scalars, chart, points, lam_check)
+    columns = geom.point_scalars(chart, points, lam_check)
     label = chart.label
 
     worst = int(np.argmax(columns[:, 0]))
@@ -452,7 +438,7 @@ def cmd_sweep(args) -> int:
                 rows.append(row)
                 yield _page_pope_batch(params, args.seed * 100003 + idx, args.points, None)
 
-        for row, residual in zip(rows, _checked(geom.row_maxima, batches())):
+        for row, residual in zip(rows, geom.row_maxima(batches())):
             row.append(residual)
 
     if args.format == "json":

@@ -9,6 +9,9 @@ evaluated on plain floats or on :class:`~pelab.jets.Jet2` variables
 
 the standard Levi-Civita/curvature formulas produce Christoffel symbols,
 the lowered Riemann tensor, Ricci, scalar curvature and derived checks.
+The engine evaluates batches of N points, and every array it builds, the
+report's tensors included, carries the point axis last (G is (d, d, N)).
+A singular metric or a failed check raises a pelab.VerificationFailure.
 
 Conventions: Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij);
 the lowered Riemann tensor is normalised so that for a space of constant
@@ -38,6 +41,7 @@ from .jets import Jet2, laurent_eval, seed_point
 
 import numpy as np
 
+from . import VerificationFailure
 from .family import solve_profile
 from .records import record
 
@@ -46,7 +50,7 @@ if TYPE_CHECKING:  # annotations only: page-pope charts run without pelab.limits
     from .limits import RescaledProfile
 
 
-class SingularMetric(ValueError):
+class SingularMetric(VerificationFailure):
     """Metric matrix not invertible (or hopelessly ill-conditioned) at the point."""
 
 
@@ -54,7 +58,7 @@ class UnsupportedDimension(ValueError):
     """Chart constructor called with a base dimension it does not provide."""
 
 
-class CurvatureCheckError(AssertionError):
+class CurvatureCheckError(VerificationFailure):
     """Riemann symmetries or first Bianchi identity failed at construction."""
 
 
@@ -80,18 +84,18 @@ class ChartMetric:
     component is constant.  in_domain maps float points of shape B + (dim,)
     to booleans of shape B.  data holds the floats a chart was built from
     (a page-pope chart: P's coefficients, c, lambda and r1).  reads lists
-    the indices of the coordinates the metric depends on (all of them when
-    None); the others reach metric as plain float arrays, and the metric's
-    derivatives along them are zero.
+    the indices of the coordinates the metric depends on; the others reach
+    metric as plain float arrays, and the metric's derivatives along them
+    are zero.
     """
 
     dim: int
     coords: tuple
     metric: Callable
     in_domain: Callable
+    reads: tuple
     label: str = ""
     data: tuple = ()
-    reads: tuple | None = None
 
 
 def metric_derivatives_jet(chart: ChartMetric, points):
@@ -104,7 +108,7 @@ def metric_derivatives_jet(chart: ChartMetric, points):
     d = chart.dim
     pts = np.asarray(points, dtype=float)
     batch = pts.shape[:-1]
-    reads = np.arange(d) if chart.reads is None else np.array(chart.reads)
+    reads = np.array(chart.reads)
     rows = chart.metric(seed_point(pts, reads))
     G = np.zeros((d, d) + batch)
     # the derivatives along reads, placed into dG and ddG once at the end
@@ -223,10 +227,10 @@ def _amax(x, axes: int, out=None):
 class CurvatureReport:
     """Curvature data of N points with symmetry and Bianchi checks built in.
 
-    Every field has a leading axis N: point (N, d), metric (N, d, d),
-    scalar (N,), and so on.  The engine builds its tensors points last, and
-    the fields are np.moveaxis views of them, which copy nothing; the checks
-    run on the points-last tensors.  einstein_residual is
+    point is the (N, d) input and the scalar fields are (N,); the tensor
+    fields are the engine's points-last arrays: metric (d, d, N),
+    christoffel (d, d, d, N), riemann (d, d, d, d, N) and ricci (d, d, N),
+    so point i's tensors are [..., i].  einstein_residual is
     max_ij |Ric_ij - lam g_ij| / max_ij |g_ij| for the lam the report was
     asked for (one for the batch, or one per point), and None without one.
     """
@@ -242,9 +246,9 @@ class CurvatureReport:
     bianchi_max: np.ndarray
 
     def __post_init__(self):
-        R = np.moveaxis(self.riemann, 0, -1)
+        R = self.riemann
         term = np.empty_like(R)  # each rank-4 term is built here, then reduced in place
-        scale = np.maximum(np.maximum(_amax(R, 4, term), _amax(np.moveaxis(self.metric, 0, -1), 2) ** 2), 1e-300)
+        scale = np.maximum(np.maximum(_amax(R, 4, term), _amax(self.metric, 2) ** 2), 1e-300)
         # R + R_ijlk is exactly 0.0 by construction (r_low swaps the operands
         # of one subtraction); tier-1 checks that identity once.
         first_pair = _amax(np.add(R, np.einsum("jikl...->ijkl...", R), out=term), 4, term)
@@ -268,15 +272,7 @@ def _report(points: np.ndarray, G, dG, ddG, lam) -> CurvatureReport:
     """Report of the (N, d) points from their points-last metric data; lam (one, or one per point) broadcasts over the point axis."""
     Gamma, r_low, ricci, scal = assemble_curvature(G, dG, ddG, points)
     residual = None if lam is None else _amax(ricci - lam * G, 2) / _amax(G, 2)
-    return CurvatureReport(
-        point=points,
-        metric=np.moveaxis(G, -1, 0),
-        christoffel=np.moveaxis(Gamma, -1, 0),
-        riemann=np.moveaxis(r_low, -1, 0),
-        ricci=np.moveaxis(ricci, -1, 0),
-        scalar=scal,
-        einstein_residual=residual,
-    )
+    return CurvatureReport(points, G, Gamma, r_low, ricci, scal, residual)
 
 
 def _check_domain(chart: ChartMetric, points):
@@ -290,7 +286,7 @@ def _check_domain(chart: ChartMetric, points):
 def curvature_reports(chart: ChartMetric, points, lam: float | np.ndarray | None = None) -> CurvatureReport:
     """Batch curvature report of N points (shape (N, d)) from one jet pass.
 
-    Every operation acts point by point, so entry i of every field is
+    Every operation acts point by point, so point i of every field is
     bit-equal to the report of a batch holding point i alone.  lam is one float,
     or an (N,) array with one Einstein constant per point.  A singular metric
     or a failed check raises at the first offending point, naming it.
@@ -341,7 +337,7 @@ def _block_maxima(rows: list) -> list[float]:
     counts = [len(row_points) for row_points in points]
     try:
         columns = point_scalars(page_pope_block(charts, counts), np.concatenate(points), np.repeat(lams, counts))
-    except (SingularMetric, CurvatureCheckError, BeyondFloatRange):
+    except (VerificationFailure, BeyondFloatRange):
         # A block meets a float fault or a singular metric before any
         # failed check; each row alone raises its own first failure, so
         # the first failing row names what a row-by-row evaluation names.
@@ -434,7 +430,7 @@ def _fibration_chart(coords: tuple, inner, radial: Callable, lam, label: str, da
         # every comparison is False on NaN, so a NaN coordinate lies outside
         return (x > inner) & (0.0 < psi) & (psi < 2 * math.pi) & (u * u + v * v < 1.0)
 
-    return ChartMetric(4, coords, metric, in_domain, label=label, data=data, reads=(0, 2, 3))
+    return ChartMetric(4, coords, metric, in_domain, reads=(0, 2, 3), label=label, data=data)
 
 
 def _page_pope(data: tuple, label: str) -> ChartMetric:

@@ -82,13 +82,12 @@ class Rho1Limit:
 
     derived_sq is lim_{t->0} c_t (t+2) with c_t the smooth-cone value.
     For lam = 2 the product is t-independent: it is evaluated exactly at
-    three geometrically spaced t (samples), which must agree exactly.
+    three geometrically spaced t, which must agree exactly.
     paper_sq = 4/(2n+1) is the printed constant.
     """
 
     derived_sq: Fraction
     paper_sq: Fraction
-    samples: tuple
 
 
 def rho1_limit(n: int) -> Rho1Limit:
@@ -97,7 +96,7 @@ def rho1_limit(n: int) -> Rho1Limit:
     values = tuple(smooth_c(n, 2, -(2 * n + 1), 1 + t) * (t + 2) for t in ts)
     if len(set(values)) != 1:
         raise AuditMismatch(f"rho1^2 = c_t (t+2) depends on t: {values}")
-    return Rho1Limit(derived_sq=values[0], paper_sq=Fraction(4, 2 * n + 1), samples=values)
+    return Rho1Limit(derived_sq=values[0], paper_sq=Fraction(4, 2 * n + 1))
 
 
 @record
@@ -109,8 +108,6 @@ class LimitComparison:
     ghat coefficient equals rho^2 identically at every t.
     """
 
-    t_values: tuple
-    rho_grid: tuple
     rows: tuple
     sup_deviations: dict
     fitted_orders: dict
@@ -214,8 +211,6 @@ def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
         for key, values in sups.items()
     }
     return LimitComparison(
-        t_values=tuple(ts),
-        rho_grid=tuple(grid),
         rows=tuple(rows),
         sup_deviations=sups,
         fitted_orders=orders,

@@ -97,19 +97,19 @@ def metric_derivatives_fd(chart: ChartMetric, point, step: float):
 
 
 def _row(report: CurvatureReport) -> SimpleNamespace:
-    """Row 0 of every field of a batch report: the point as a tuple, the scalar columns as floats."""
+    """Point 0 of every field of a batch report: the point as a tuple, the scalar columns as floats, the tensors [..., 0]."""
     row = SimpleNamespace()
     for name in type(report).__annotations__:
         value = getattr(report, name)
         if value is not None:
-            value = value[0].item() if value.ndim == 1 else value[0]
+            value = value[0].item() if value.ndim == 1 else value[..., 0]
         setattr(row, name, value)
     row.point = tuple(report.point[0].tolist())
     return row
 
 
 def curvature_at(chart: ChartMetric, point, lam: float | None = None) -> SimpleNamespace:
-    """The curvature report of one point: row 0 of the engine's report of a batch of one."""
+    """The curvature report of one point: point 0 of the engine's report of a batch of one."""
     return _row(curvature_reports(chart, [point], lam))
 
 
@@ -168,14 +168,14 @@ def sphere_chart(lam: float) -> ChartMetric:
         u, v = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
         return u * u + v * v < 4.0
 
-    return ChartMetric(2, ("u", "v"), metric, in_domain, label=f"sphere lam={lam}")
+    return ChartMetric(2, ("u", "v"), metric, in_domain, reads=(0, 1), label=f"sphere lam={lam}")
 
 
 def euclidean_chart(dim: int = 4) -> ChartMetric:
     def metric(x):
         return [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
 
-    return ChartMetric(dim, tuple(f"x{i}" for i in range(dim)), metric, lambda pt: True, label=f"euclidean d={dim}")
+    return ChartMetric(dim, tuple(f"x{i}" for i in range(dim)), metric, lambda pt: True, reads=tuple(range(dim)), label=f"euclidean d={dim}")
 
 
 def scaled_chart(chart: ChartMetric, factor: float) -> ChartMetric:
@@ -187,7 +187,7 @@ def scaled_chart(chart: ChartMetric, factor: float) -> ChartMetric:
         rows = chart.metric(x)
         return [[factor * e for e in row] for row in rows]
 
-    return ChartMetric(chart.dim, chart.coords, metric, chart.in_domain, label=f"{chart.label} x{factor}")
+    return ChartMetric(chart.dim, chart.coords, metric, chart.in_domain, reads=chart.reads, label=f"{chart.label} x{factor}")
 
 
 def uv_inverted_chart(chart: ChartMetric) -> ChartMetric:
@@ -224,4 +224,6 @@ def uv_inverted_chart(chart: ChartMetric) -> ChartMetric:
         with np.errstate(divide="ignore", invalid="ignore"):  # Q = 0 lies outside either way
             return (Q > 1.0) & chart.in_domain(np.stack((x0, x1, U / Q, V / Q), axis=-1))
 
-    return ChartMetric(4, chart.coords, metric, in_domain, label=f"{chart.label} inverted")
+    # the inversion reads (U, V) and whatever the chart reads of (x0, x1)
+    reads = tuple(sorted({*chart.reads, 2, 3}))
+    return ChartMetric(4, chart.coords, metric, in_domain, reads=reads, label=f"{chart.label} inverted")

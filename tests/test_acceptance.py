@@ -241,7 +241,8 @@ def test_criterion_12_cross_scheme():
     for chart, r_low in charts:
         pts = [_chart_point(rng, r_low, 6.0) for _ in range(50)]
         batch = curvature_reports(chart, pts)
-        for pt, jet_riemann, jet_christoffel in zip(pts, batch.riemann, batch.christoffel):
+        for i, pt in enumerate(pts):
+            jet_riemann, jet_christoffel = batch.riemann[..., i], batch.christoffel[..., i]
             fd = fd_oracle(chart, pt)
             scale = np.max(np.abs(jet_riemann))
             assert np.max(np.abs(jet_riemann - fd.riemann)) / scale < 1e-5

@@ -34,13 +34,13 @@ def test_batch_rows_are_bit_equal_to_single_points():
     chart = page_pope_chart(EDGE_SMOOTH)
     pts = _edge_points(300)
     batch = curvature_reports(chart, pts, lam=-3.0)
-    assert batch.metric.shape == (300, 4, 4) and batch.riemann.shape == (300, 4, 4, 4, 4)
+    assert batch.metric.shape == (4, 4, 300) and batch.riemann.shape == (4, 4, 4, 4, 300)
     columns = point_scalars(chart, pts, -3.0)  # blocks of at most BLOCK_POINTS
     for i, pt in enumerate(pts):
         one = curvature_at(chart, pt, lam=-3.0)
         assert one.point == tuple(batch.point[i].tolist()) == tuple(pt.tolist())
         for name in FIELDS:
-            assert np.array_equal(getattr(one, name), getattr(batch, name)[i]), (i, name)
+            assert np.array_equal(getattr(one, name), getattr(batch, name)[..., i]), (i, name)
         expected = [getattr(one, name) for name in SCALAR_COLUMNS]
         assert [getattr(batch, name)[i] for name in SCALAR_COLUMNS] == expected
         assert columns[i].tolist() == expected
@@ -86,7 +86,7 @@ def test_riemann_is_exactly_antisymmetric_in_its_last_pair():
     for chart, points in batches:
         R = curvature_reports(chart, points).riemann
         assert np.abs(R).max() > 0.1
-        assert np.abs(R + np.einsum("...ijlk->...ijkl", R)).max() == 0.0, chart.label
+        assert np.abs(R + np.einsum("ijlk...->ijkl...", R)).max() == 0.0, chart.label
 
 
 def test_jet_derivatives_carry_the_batch_axis():

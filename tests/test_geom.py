@@ -162,9 +162,9 @@ def test_rescaled_chart_ricci_flat():
 
 def _kretschmann(rep):
     """R_ijkl R^ijkl of every point of a batch report, indices raised with the inverse metric."""
-    ginv = np.linalg.inv(rep.metric)
-    raised = np.einsum("nabcd,nia,njb,nkc,nld->nijkl", rep.riemann, ginv, ginv, ginv, ginv, optimize=True)
-    return np.einsum("nijkl,nijkl->n", rep.riemann, raised)
+    ginv = np.linalg.inv(np.moveaxis(rep.metric, -1, 0))
+    raised = np.einsum("abcdn,nia,njb,nkc,nld->ijkln", rep.riemann, ginv, ginv, ginv, ginv, optimize=True)
+    return np.einsum("ijkln,ijkln->n", rep.riemann, raised)
 
 
 def _relative_spread(values):
@@ -296,7 +296,7 @@ def test_singular_metric():
     for diagonal, cond in (((1.0, 1e-13), "1e+13"), ((1.0, 1.0, 1.0, 5e-13), "2e+12")):
         d = len(diagonal)
         nearly_singular = ChartMetric(
-            d, tuple(f"x{i}" for i in range(d)), lambda p, g=diagonal: np.diag(g).tolist(), lambda p: True
+            d, tuple(f"x{i}" for i in range(d)), lambda p, g=diagonal: np.diag(g).tolist(), lambda p: True, reads=tuple(range(d))
         )
         with pytest.raises(SingularMetric, match=rf"^metric condition number {re.escape(cond)} at \(0\.0,"):
             curvature_at(nearly_singular, (0.0,) * d)
@@ -380,10 +380,10 @@ def test_report_rejects_a_tensor_that_breaks_only_bianchi():
     with pytest.raises(CurvatureCheckError, match=r"first Bianchi violation 3\.000e-04"):
         CurvatureReport(
             point=np.zeros((1, 4)),
-            metric=g[None],
-            christoffel=np.zeros((1, 4, 4, 4)),
-            riemann=R[None],
-            ricci=3 * g[None],
+            metric=g[..., None],
+            christoffel=np.zeros((4, 4, 4, 1)),
+            riemann=R[..., None],
+            ricci=3 * g[..., None],
             scalar=np.array([12.0]),
             einstein_residual=None,
         )

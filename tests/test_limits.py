@@ -86,7 +86,6 @@ def test_rho1_limit():
     lim = rho1_limit(1)
     assert lim.derived_sq == F(2, 3)
     assert lim.paper_sq == F(4, 3)
-    assert lim.samples == (F(2, 3), F(2, 3), F(2, 3))
     for n in (2, 3):
         assert rho1_limit(n).derived_sq == F(2, 2 * n + 1)
         assert rho1_limit(n).paper_sq == F(4, 2 * n + 1)

@@ -127,19 +127,19 @@ MUTANTS = [
     ),
     (
         "src/pelab/geom.py",
-        "if len(points) > BLOCK_POINTS:",
-        "if False:",
-        "sweep --verify: the single-row branch removed, so a row longer than a block goes through page_pope_block",
+        "size = max(1, BLOCK_POINTS // count)",
+        "size = max(1, BLOCK_POINTS // count) + 1",
+        "sweep --verify: a group takes one row more than 64 // --points, so a group of several rows passes BLOCK_POINTS",
     ),
     (
         "src/pelab/geom.py",
-        "+ len(points) > BLOCK_POINTS",
-        "> BLOCK_POINTS",
-        "sweep --verify: a block takes one row past BLOCK_POINTS",
+        "if len(group) < 2:",
+        "if not group:",
+        "sweep --verify: a group of one row sent through page_pope_block, whose per-point data cannot span a row longer than a block",
     ),
     (
         "src/pelab/geom.py",
-        "_block_maxima(pending)  # raises",
+        "_group_maxima(group)  # raises",
         "None  # raises",
         "sweep --verify: the pending rows not evaluated before a later row's error, so that error hides an earlier row's failure",
     ),
@@ -226,5 +226,17 @@ MUTANTS = [
         "class SingularMetric(VerificationFailure):",
         "class SingularMetric(ValueError):",
         "verification failures: a singular metric no longer a VerificationFailure, so the CLI reports it as a usage error (exit 2), not exit 1",
+    ),
+    (
+        "src/pelab/geom.py",
+        "np.array(chart.reads, dtype=np.intp)",
+        "np.array(chart.reads)",
+        "jet derivatives: reads built without an integer dtype, so a chart that reads no coordinate indexes dG with a float array",
+    ),
+    (
+        "src/pelab/geom.py",
+        "uval * rho_sq, rho_sq",
+        "uval * rho_sq, 1.001 * rho_sq",
+        "rescaled chart: the base coefficient rho^2 scaled by 1.001, so the limit is no longer Kaehler (J^2 != -1)",
     ),
 ]

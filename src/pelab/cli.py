@@ -14,8 +14,8 @@ that evaluate curvature, verify and sweep --verify.
 # (The docstring is the --help text.)  The seeded points are numpy's
 # PCG64/SeedSequence stream, the doubles of default_rng(seed).random(),
 # drawn by pelab.pcg64 without importing numpy's random package.  The
-# rows of sweep --verify are evaluated in blocks of whole rows
-# (geom.row_maxima); each row draws its points from its own seed.
+# rows of sweep --verify go to the engine in groups of 64 // --points whole
+# rows, at least one (geom.row_maxima); each row draws from its own seed.
 
 from __future__ import annotations
 
@@ -438,7 +438,7 @@ def cmd_sweep(args) -> int:
                 rows.append(row)
                 yield _page_pope_batch(params, args.seed * 100003 + idx, args.points, None)
 
-        for row, residual in zip(rows, geom.row_maxima(batches())):
+        for row, residual in zip(rows, geom.row_maxima(batches(), args.points)):
             row.append(residual)
 
     if args.format == "json":

@@ -108,7 +108,7 @@ def metric_derivatives_jet(chart: ChartMetric, points):
     d = chart.dim
     pts = np.asarray(points, dtype=float)
     batch = pts.shape[:-1]
-    reads = np.array(chart.reads)
+    reads = np.array(chart.reads, dtype=np.intp)
     rows = chart.metric(seed_point(pts, reads))
     G = np.zeros((d, d) + batch)
     # the derivatives along reads, placed into dG and ddG once at the end
@@ -309,10 +309,10 @@ def point_scalars(chart: ChartMetric, points, lam: float | np.ndarray) -> np.nda
     Points are evaluated in blocks of at most BLOCK_POINTS, and each block
     is reduced to these columns before the next starts, so memory does not
     grow with N beyond the (N, 4) result.  Rows do not depend on the block
-    size.  verify evaluates its chart here; :func:`row_maxima` evaluates a
-    block of whole rows here, or one row longer than a block.  A chart or
-    lam with one value per point (:func:`page_pope_block`) describes one
-    block, so it takes at most BLOCK_POINTS points.
+    size.  verify evaluates its chart here, and :func:`row_maxima` a group
+    of whole rows, on their page_pope_block or on a lone row's own chart.
+    A chart or lam with one value per point (:func:`page_pope_block`)
+    describes one block, so it takes at most BLOCK_POINTS points.
 
     A float fault (overflow, division by zero, invalid) raises BeyondFloatRange.
     """
@@ -329,11 +329,11 @@ def point_scalars(chart: ChartMetric, points, lam: float | np.ndarray) -> np.nda
     return out
 
 
-def _block_maxima(rows: list) -> list[float]:
-    """The max Einstein residual of each (chart, points, lam) row, from one engine pass over their page_pope_block."""
-    if not rows:
-        return []
-    charts, points, lams = zip(*rows)
+def _group_maxima(group: list) -> list[float]:
+    """The max Einstein residual of each (chart, points, lam) row: one row on its own chart, several in one pass over their page_pope_block."""
+    if len(group) < 2:
+        return [float(point_scalars(chart, points, lam)[:, 0].max()) for chart, points, lam in group]
+    charts, points, lams = zip(*group)
     counts = [len(row_points) for row_points in points]
     try:
         columns = point_scalars(page_pope_block(charts, counts), np.concatenate(points), np.repeat(lams, counts))
@@ -341,38 +341,35 @@ def _block_maxima(rows: list) -> list[float]:
         # A block meets a float fault or a singular metric before any
         # failed check; each row alone raises its own first failure, so
         # the first failing row names what a row-by-row evaluation names.
-        for row in rows:
+        for row in group:
             point_scalars(*row)
         raise
     return [float(row[:, 0].max()) for row in np.split(columns, np.cumsum(counts)[:-1])]
 
 
-def row_maxima(rows) -> list[float]:
+def row_maxima(rows, count: int) -> list[float]:
     """The max Einstein residual of each (chart, points, lam) row, in order.
 
-    rows is an iterable of page-pope rows: a chart, its (n, 4) points and
-    its Einstein constant.  A row joins the pending block while the block
-    stays within BLOCK_POINTS points; otherwise the pending block is
-    evaluated first, on one page_pope_block chart.  A row longer than a
-    block is evaluated alone on its own chart.  Rows are drawn one at a
-    time and kept only as their maximum, so memory does not grow with the
-    number of rows.  When rows raises, the pending rows are evaluated
+    rows is an iterable of page-pope rows of count points each: a chart,
+    its (count, 4) points and its Einstein constant.  Rows go in groups of
+    max(1, BLOCK_POINTS // count) whole rows, so a group of several rows
+    fills at most one block.  Rows are drawn one at a time and kept only
+    as their maximum, so memory does not grow with the number of rows.
+    When rows raises, the rows of the unfinished group are evaluated
     first, so a failure among the earlier rows is the one reported.
     """
-    maxima, pending = [], []
+    size = max(1, BLOCK_POINTS // count)
+    maxima, group = [], []
     try:
-        for chart, points, lam in rows:
-            if sum(len(row[1]) for row in pending) + len(points) > BLOCK_POINTS:
-                block, pending = pending, []
-                maxima += _block_maxima(block)
-            if len(points) > BLOCK_POINTS:
-                maxima.append(float(point_scalars(chart, points, lam)[:, 0].max()))
-            else:
-                pending.append((chart, points, lam))
+        for row in rows:
+            group.append(row)
+            if len(group) == size:
+                full, group = group, []
+                maxima += _group_maxima(full)
     except Exception:
-        _block_maxima(pending)  # raises an earlier row's failure in place of this error
+        _group_maxima(group)  # raises an earlier row's failure in place of this error
         raise
-    return maxima + _block_maxima(pending)
+    return maxima + _group_maxima(group)
 
 
 # -- base-surface data -------------------------------------------------

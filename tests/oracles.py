@@ -5,9 +5,9 @@ curvature that uses no jets, sectional curvature, a Cholesky test of positive
 definiteness, the residual of the connection equation dA = -2 omega, four
 model charts (the base sphere, flat space, a constant multiple of a chart and
 the (u, v) inversion of a chart), the numpy.random draw that the seeded
-chart points reproduce, and the conditioning guard that runs the SVD on
-every metric.  The engine reports batches only; curvature_at reads
-one point as a batch of one.  pytest puts tests/ on sys.path, so a test reads
+chart points reproduce, the conditioning guard that runs the SVD on
+every metric, and the Kaehler defects of the rescaled limit's form.  The
+engine reports batches only; curvature_at reads one point as a batch of one.  pytest puts tests/ on sys.path, so a test reads
 them with `from oracles import ...`.
 """
 
@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from pelab.geom import ChartMetric, CurvatureReport, SingularMetric, UnsupportedDimension, _base_blocks, _check_domain, _report, curvature_reports
-from pelab.jets import Jet2
+from pelab.jets import Jet2, seed_point
 
 
 class DegeneratePlane(ValueError):
@@ -227,3 +227,30 @@ def uv_inverted_chart(chart: ChartMetric) -> ChartMetric:
     # the inversion reads (U, V) and whatever the chart reads of (x0, x1)
     reads = tuple(sorted({*chart.reads, 2, 3}))
     return ChartMetric(4, chart.coords, metric, in_domain, reads=reads, label=f"{chart.label} inverted")
+
+
+def kaehler_defects(chart: ChartMetric, points, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(max|nabla omega| / max|omega|, max|J^2 + 1|) per point for omega = rho^2 omega_hat - rho drho ^ theta.
+
+    chart is a fibration chart (rho, psi, u, v) with base Gauss curvature
+    lam; omega_hat = h du ^ dv and theta = dpsi + a_u du + a_v dv come from
+    geom._base_blocks, so omega_rho,psi = -rho, omega_rho,u = -rho a_u,
+    omega_rho,v = -rho a_v and omega_u,v = rho^2 h.  J = g^-1 omega, and
+    nabla_k omega_ij = d_k omega_ij - Gamma^l_ki omega_lj - Gamma^l_kj omega_il
+    takes Gamma from the engine report's christoffel field and d omega from
+    omega's jets along (rho, u, v).
+    """
+    pts = np.asarray(points, dtype=float)
+    rep = curvature_reports(chart, pts)
+    reads = (0, 2, 3)
+    rho, _, u, v = seed_point(pts, reads)
+    h, a_u, a_v = _base_blocks(lam, u, v)
+    omega, d_omega = np.zeros((4, 4, len(pts))), np.zeros((4, 4, 4, len(pts)))
+    for (i, j), e in {(0, 1): -rho, (0, 2): -rho * a_u, (0, 3): -rho * a_v, (2, 3): rho * rho * h}.items():
+        omega[i, j], omega[j, i] = e.value, -e.value
+        d_omega[reads, i, j], d_omega[reads, j, i] = e.grad, -e.grad
+    gamma = rep.christoffel
+    nabla = d_omega - np.einsum("lkin,ljn->kijn", gamma, omega) - np.einsum("lkjn,iln->kijn", gamma, omega)
+    nabla_defect = np.max(np.abs(nabla), axis=(0, 1, 2)) / np.max(np.abs(omega), axis=(0, 1))
+    J = np.linalg.inv(np.moveaxis(rep.metric, -1, 0)) @ np.moveaxis(omega, -1, 0)
+    return nabla_defect, np.max(np.abs(J @ J + np.eye(4)), axis=(1, 2))

@@ -870,6 +870,10 @@ def test_sweep_verify_blocks_hold_whole_rows_and_stay_bounded(monkeypatch):
     sizes = _jet_call_sizes(monkeypatch, [*sweep, "--count", "3", "--points", "130"])
     whole, rest = divmod(130, BLOCK_POINTS)
     assert sizes == ([BLOCK_POINTS] * whole + [rest]) * 3
+    # at the block boundary: 64 // points whole rows to a pass, at least one;
+    # seven 32-point rows leave a last group of one row
+    for points, expected in ((32, [64, 64, 64, 32]), (33, [33] * 7), (64, [64] * 7), (65, [64, 1] * 7)):
+        assert _jet_call_sizes(monkeypatch, [*sweep, "--count", "7", "--points", str(points)]) == expected, points
 
 
 def test_verify_memory_is_flat_in_points():

@@ -18,6 +18,7 @@ from oracles import (
     euclidean_chart,
     fd_oracle,
     is_positive_definite,
+    kaehler_defects,
     metric_values,
     scaled_chart,
     sectional,
@@ -35,6 +36,7 @@ from pelab.geom import (
     curvature_reports,
     page_pope_block,
     page_pope_chart,
+    point_scalars,
     rescaled_chart,
 )
 from pelab.limits import RescaledProfile, rho1_limit
@@ -167,6 +169,13 @@ def _kretschmann(rep):
     return np.einsum("ijkln,ijkln->n", rep.riemann, raised)
 
 
+def test_a_chart_that_reads_no_coordinate_is_flat():
+    # a constant metric seeds no jets: reads=() must still index dG and ddG as integers
+    chart = ChartMetric(4, ("w", "x", "y", "z"), lambda p: np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), lambda p: True, reads=())
+    columns = point_scalars(chart, _sample_points(0, 5, 1.0, 2.0), 0.0)
+    assert columns[:, :2].tolist() == [[0.0, 0.0]] * 5  # einstein_residual and scalar at Lambda = 0
+
+
 def _relative_spread(values):
     return (values.max() - values.min()) / np.abs(values).max()
 
@@ -202,6 +211,24 @@ def test_rescaled_kretschmann_depends_on_rho_alone():
         points = _sample_points(seed, 64, 1.0, 2.0)
         points[:, 0] = factor * profile.rho1
         assert _relative_spread(_kretschmann(curvature_reports(chart, points))) < INVARIANCE_BOUND, factor
+
+
+# The rescaled limit is Kaehler (the paper's abstract): omega = rho^2
+# omega_hat - rho drho ^ theta is parallel and J = g^-1 omega squares to
+# -1.  Kaehlerness does not depend on U, so this checks the connection form
+# and the orientation of the chart; criterion 9 checks U.  Both defects
+# measure at most 1.1e-15 on 200 seeded points for either rho1^2; the
+# rescaled base coefficient rho^2 scaled by 1.001 gives |nabla omega| 1e-3.
+KAEHLER_BOUND = 1e-12
+
+
+@pytest.mark.parametrize("which", ["derived", "paper"])
+def test_rescaled_limit_is_kaehler(which):
+    profile = RescaledProfile(1, 2, getattr(rho1_limit(1), f"{which}_sq"))
+    points = _sample_points(0, 200, profile.rho1 + 0.05, 8.0)
+    nabla_omega, j_squared = kaehler_defects(rescaled_chart(profile), points, float(profile.lam))
+    assert nabla_omega.max() <= KAEHLER_BOUND
+    assert j_squared.max() <= KAEHLER_BOUND
 
 
 def test_rescaled_chart_finite_positive():

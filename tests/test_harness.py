@@ -1,5 +1,6 @@
-"""The tier-1 session itself: a failing property test is reported like any other."""
+"""The tier-1 session itself: a failing property test is reported like any other, and CI runs the documented commands."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,14 @@ def test_failing_hypothesis_test_is_named_not_an_internal_error(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert "FAILED" in done.stdout and "test_property.py::test_fails" in done.stdout
     assert "INTERNALERROR" not in done.stdout + done.stderr
+
+
+def test_ci_runs_the_documented_tier1_command_and_traced_run():
+    # tier-1 does not run the workflow, so its steps are held to the ROADMAP's
+    # tier-1 command and the traced run that checks the tracer; the steps
+    # before them install the dependencies
+    tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", (ROOT / "ROADMAP.md").read_text(), re.MULTILINE).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    runs = re.findall(r"^\s*(?:- )?run: (.+)$", workflow, re.MULTILINE)
+    installs = [run for run in runs if run.startswith("python -m pip install ")]
+    assert installs and runs[len(installs) :] == [tier1, "python3 perfbench/run.py --workload cli_quick --seed 1 --seconds 5 --trace 1"]

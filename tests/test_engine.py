@@ -104,6 +104,16 @@ def test_points_must_be_a_batch_of_chart_points():
         curvature_reports(chart, [(1.7, 0.4, 0.2, 0.1), (0.5, 0.4, 0.2, 0.1)])
 
 
+def test_an_empty_batch_gives_empty_fields():
+    chart = page_pope_chart(EDGE_SMOOTH)
+    rep = curvature_reports(chart, np.empty((0, 4)), -3.0)
+    assert rep.point.shape == (0, 4)
+    assert (rep.metric.shape, rep.christoffel.shape, rep.riemann.shape, rep.ricci.shape) == ((4, 4, 0), (4, 4, 4, 0), (4, 4, 4, 4, 0), (4, 4, 0))
+    for name in SCALAR_COLUMNS:
+        assert getattr(rep, name).shape == (0,), name
+    assert point_scalars(chart, np.empty((0, 4)), -3.0).shape == (0, 4)
+
+
 # (einstein_residual, scalar, bianchi_max, symmetry_max) of the per-point
 # engine that predates the batched one, at fixed points.
 GOLDENS = [

@@ -19,8 +19,8 @@ MUTANTS = [
     ),
     (
         "src/pelab/geom.py",
-        "a_v = -(4.0 / lam)",
-        "a_v = (4.0 / lam)",
+        "a_v = -(4 / lam)",
+        "a_v = (4 / lam)",
         "connection form: the sign of a_v flipped",
     ),
     (
@@ -193,8 +193,8 @@ MUTANTS = [
     ),
     (
         "src/pelab/geom.py",
-        "a_u = (4.0 / lam) * v / one_plus",
-        "a_u = 1.001 * (4.0 / lam) * v / one_plus",
+        "a_u = (4 / lam) * v / one_plus",
+        "a_u = 1.001 * (4 / lam) * v / one_plus",
         "connection form: a_u scaled by 1.001, so dA != -2 omega and the curvature invariants vary over each level set of r",
     ),
     (
@@ -238,5 +238,23 @@ MUTANTS = [
         "uval * rho_sq, rho_sq",
         "uval * rho_sq, 1.001 * rho_sq",
         "rescaled chart: the base coefficient rho^2 scaled by 1.001, so the limit is no longer Kaehler (J^2 != -1)",
+    ),
+    (
+        "src/pelab/geom.py",
+        "return _sum(products[:, :, :, l] for l in range(len(Ginv))) / 2, T",
+        "return 0.5 * _sum(products[:, :, :, l] for l in range(len(Ginv))), T",
+        "Christoffel symbols halved by * 0.5: the same float bits, but a Fraction times 0.5 is a float, so the exact route turns inexact",
+    ),
+    (
+        "src/pelab/geom.py",
+        "if rows[i][k] != 0), None)",
+        "if True), None)",
+        "exact inverse: the pivot taken from row k whatever its entry, so an exactly singular metric divides by zero instead of raising SingularMetric",
+    ),
+    (
+        "src/pelab/geom.py",
+        "[x - row[k] * y for x, y in zip(row, top)]",
+        "[x + row[k] * y for x, y in zip(row, top)]",
+        "exact inverse: the elimination adds the pivot row instead of subtracting it, so the exact metric inverse is wrong",
     ),
 ]

@@ -1,16 +1,16 @@
-"""Chart-based numerical curvature engine.
+"""Chart-based curvature engine, in floats or exactly in Fractions.
 
 A :class:`ChartMetric` is a coordinate chart whose metric components are
 written in generic arithmetic, so the same component function can be
-evaluated on plain floats or on :class:`~pelab.jets.Jet2` variables
-(for exact-to-rounding first and second derivatives).  From the component data
+evaluated on plain numbers or on :class:`~pelab.jets.Jet2` variables
+(for their first and second derivatives).  From the component data
 
     G[i,j],   dG[k,i,j] = d_k g_ij,   ddG[k,l,i,j] = d_k d_l g_ij
 
 the standard Levi-Civita/curvature formulas produce Christoffel symbols,
 the lowered Riemann tensor, Ricci, scalar curvature and derived checks.
-The engine evaluates batches of N points, and every array it builds, the
-report's tensors included, carries the point axis last (G is (d, d, N)).
+The engine evaluates batches of N points of float64 or of Fractions (exact),
+and every array it builds carries the point axis last (G is (d, d, N)).
 A singular metric or a failed check raises a pelab.VerificationFailure.
 
 Conventions: Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij);
@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import contextlib
 import math
+from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 # jets is imported (and so compiled) before numpy loads, as cli imports geom
 # before numpy: compiled on top of numpy's heap, the two modules would raise
 # the peak RSS of verify by about 1 MB
-from .jets import Jet2, laurent_eval, seed_point
+from .jets import Jet2, _array, _zeros, laurent_eval, seed_point
 
 import numpy as np
 
@@ -79,14 +80,14 @@ def _rounding_to_floats(source: str):
 class ChartMetric:
     """A coordinate chart with a generic-arithmetic metric component function.
 
-    metric(point) must accept a sequence of floats or Jet2 values and
+    metric(point) must accept a sequence of numbers or Jet2 values and
     return a dim x dim nested list; entries may be plain numbers where a
     component is constant.  in_domain maps float points of shape B + (dim,)
-    to booleans of shape B.  data holds the floats a chart was built from
+    to booleans of shape B.  data holds the numbers a chart was built from
     (a page-pope chart: P's coefficients, c, lambda and r1).  reads lists
     the indices of the coordinates the metric depends on; the others reach
-    metric as plain float arrays, and the metric's derivatives along them
-    are zero.
+    metric as plain arrays, and the metric's derivatives along them are
+    zero.  Floats give a float chart, Fractions an exact one.
     """
 
     dim: int
@@ -103,17 +104,17 @@ def metric_derivatives_jet(chart: ChartMetric, points):
 
     points has shape (N, d); the results carry the point axis last, as the
     jets do: G[i, j], dG[k, i, j] and ddG[k, l, i, j] have shapes (d, d, N),
-    (d, d, d, N) and (d, d, d, d, N).
+    (d, d, d, N) and (d, d, d, d, N), and the points' element type.
     """
     d = chart.dim
-    pts = np.asarray(points, dtype=float)
+    pts = _array(points)
     batch = pts.shape[:-1]
     reads = np.array(chart.reads, dtype=np.intp)
     rows = chart.metric(seed_point(pts, reads))
-    G = np.zeros((d, d) + batch)
+    G = _zeros((d, d) + batch, pts)
     # the derivatives along reads, placed into dG and ddG once at the end
-    grad = np.zeros((len(reads), d, d) + batch)
-    hess = np.zeros((len(reads), len(reads), d, d) + batch)
+    grad = _zeros((len(reads), d, d) + batch, pts)
+    hess = _zeros((len(reads), len(reads), d, d) + batch, pts)
     for i in range(d):
         for j in range(d):
             e = rows[i][j]
@@ -122,9 +123,8 @@ def metric_derivatives_jet(chart: ChartMetric, points):
                 grad[:, i, j] = e.grad
                 hess[:, :, i, j] = e.hess
             else:
-                G[i, j] = float(e)
-    dG = np.zeros((d, d, d) + batch)
-    ddG = np.zeros((d, d, d, d) + batch)
+                G[i, j] += e  # a constant entry, in the type of the zeros
+    dG, ddG = _zeros((d, d, d) + batch, pts), _zeros((d, d, d, d) + batch, pts)
     dG[reads] = grad
     ddG[reads[:, None], reads] = hess
     return G, dG, ddG
@@ -141,8 +141,10 @@ def _inverse(G: np.ndarray, points) -> np.ndarray:
     which leaves a factor 10 for the error of the computed inverse: a
     cleared point's condition number is below 1e12, so the decisions are
     those of cond on the whole batch.  A batch that inv rejects goes to
-    cond whole.
+    cond whole.  An object stack (Fractions) is inverted exactly instead.
     """
+    if G.dtype == object:
+        return np.array([_exact_inverse(g, point) for g, point in zip(G, points)], dtype=object).reshape(G.shape)
     try:
         Ginv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
@@ -157,6 +159,20 @@ def _inverse(G: np.ndarray, points) -> np.ndarray:
         if bad.size:
             raise SingularMetric(f"metric condition number {cond[bad[0]]:.3g} at {tuple(points[suspect[bad[0]]].tolist())}")
     return np.linalg.inv(G) if Ginv is None else Ginv
+
+
+def _exact_inverse(g, point) -> list:
+    """Inverse of one metric of Fractions by Gauss-Jordan elimination; a singular one raises SingularMetric."""
+    d = len(g)
+    rows = [list(row) + [Fraction(i == j) for j in range(d)] for i, row in enumerate(g)]
+    for k in range(d):
+        p = next((i for i in range(k, d) if rows[i][k] != 0), None)
+        if p is None:
+            raise SingularMetric(f"metric is singular at {tuple(point.tolist())}")
+        top = [x / rows[p][k] for x in rows[p]]
+        rows[p] = rows[k]
+        rows = [top if i == k else [x - row[k] * y for x, y in zip(row, top)] for i, row in enumerate(rows)]
+    return [row[d:] for row in rows]
 
 
 def _sum(terms):
@@ -180,7 +196,7 @@ def _christoffel(Ginv, dG, products):
     """
     T = dG + np.einsum("jil...->ijl...", dG) - np.einsum("lij...->ijl...", dG)
     np.multiply(Ginv[:, None, None], T, out=products)
-    return 0.5 * _sum(products[:, :, :, l] for l in range(len(Ginv))), T
+    return _sum(products[:, :, :, l] for l in range(len(Ginv))) / 2, T
 
 
 def assemble_curvature(G, dG, ddG, points):
@@ -202,12 +218,12 @@ def assemble_curvature(G, dG, ddG, points):
     # the products g^il R_ijkl in turn in the other.
     quad, W = np.empty_like(ddG), np.empty_like(ddG)
     Gamma, T = _christoffel(Ginv, dG, W)
-    T *= 0.5  # g_zy Gamma^y_ce = T_cez / 2
+    T /= 2  # g_zy Gamma^y_ce = T_cez / 2
     np.multiply(Gamma[0, :, :, None, None], T[None, None, :, :, 0], out=quad)
     for z in range(1, d):
         quad += np.multiply(Gamma[z, :, :, None, None], T[None, None, :, :, z], out=W)
     np.add(ddG, np.einsum("ceab...->abce...", ddG), out=W)
-    W *= 0.5
+    W /= 2
     W += quad
     r_low = np.subtract(np.einsum("jlik...->ijkl...", W), np.einsum("jkil...->ijkl...", W), out=quad)
     # Ric_jk = g^il R_ijkl
@@ -277,26 +293,24 @@ def _report(points: np.ndarray, G, dG, ddG, lam) -> CurvatureReport:
 
 def _check_domain(chart: ChartMetric, points):
     """Raise ValueError naming the first point of the (N, d) batch outside the chart, from one in_domain call."""
-    pts = np.asarray(points, dtype=float)
-    outside = np.flatnonzero(np.logical_not(chart.in_domain(pts)))
+    outside = np.flatnonzero(np.logical_not(chart.in_domain(points)))
     if outside.size:
-        raise ValueError(f"point {tuple(pts[outside[0]].tolist())} outside chart domain")
+        raise ValueError(f"point {tuple(np.asarray(points)[outside[0]].tolist())} outside chart domain")
 
 
 def curvature_reports(chart: ChartMetric, points, lam: float | np.ndarray | None = None) -> CurvatureReport:
     """Batch curvature report of N points (shape (N, d)) from one jet pass.
 
     Every operation acts point by point, so point i of every field is
-    bit-equal to the report of a batch holding point i alone.  lam is one float,
+    bit-equal to the report of a batch holding point i alone.  lam is one number,
     or an (N,) array with one Einstein constant per point.  A singular metric
     or a failed check raises at the first offending point, naming it.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _array(points)
     if pts.ndim != 2 or pts.shape[1] != chart.dim:
         raise ValueError(f"points must have shape (N, {chart.dim}), got {pts.shape}")
     _check_domain(chart, pts)
-    G, dG, ddG = metric_derivatives_jet(chart, pts)
-    return _report(pts, G, dG, ddG, lam)
+    return _report(pts, *metric_derivatives_jet(chart, pts), lam)
 
 
 BLOCK_POINTS = 64
@@ -383,10 +397,10 @@ def _base_blocks(lam: float, u, v):
     d(theta) = -2 omega with omega the area form of ghat.
     """
     q = u * u + v * v
-    one_plus = 1.0 + q
-    h = (4.0 / lam) / (one_plus * one_plus)
-    a_u = (4.0 / lam) * v / one_plus
-    a_v = -(4.0 / lam) * u / one_plus
+    one_plus = 1 + q
+    h = (4 / lam) / (one_plus * one_plus)
+    a_u = (4 / lam) * v / one_plus
+    a_v = -(4 / lam) * u / one_plus
     return h, a_u, a_v
 
 
@@ -416,10 +430,10 @@ def _fibration_chart(coords: tuple, inner, radial: Callable, lam, label: str, da
         b_u, b_v = b_coef * a_u, b_coef * a_v
         b_uv = b_u * a_v
         return [
-            [a_coef, 0.0, 0.0, 0.0],
-            [0.0, b_coef, b_u, b_v],
-            [0.0, b_u, b_u * a_u + ch, b_uv],
-            [0.0, b_v, b_uv, b_v * a_v + ch],
+            [a_coef, 0, 0, 0],
+            [0, b_coef, b_u, b_v],
+            [0, b_u, b_u * a_u + ch, b_uv],
+            [0, b_v, b_uv, b_v * a_v + ch],
         ]
 
     def in_domain(points):
@@ -436,7 +450,7 @@ def _page_pope(data: tuple, label: str) -> ChartMetric:
     pcoeffs = dict(terms)
 
     def radial(r):
-        w = r * r - 1.0
+        w = r * r - 1
         pval = laurent_eval(pcoeffs, r)
         return w / pval, cf * cf * pval / w, cf * w
 
@@ -481,6 +495,6 @@ def rescaled_chart(profile: RescaledProfile) -> ChartMetric:
     def radial(rho):
         uval = laurent_eval(ucoeffs, rho)
         rho_sq = rho * rho
-        return 1.0 / uval, uval * rho_sq, rho_sq
+        return 1 / uval, uval * rho_sq, rho_sq
 
     return _fibration_chart(("rho", "psi", "u", "v"), rho1f, radial, lamf, label)

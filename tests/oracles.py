@@ -6,19 +6,24 @@ definiteness, the residual of the connection equation dA = -2 omega, four
 model charts (the base sphere, flat space, a constant multiple of a chart and
 the (u, v) inversion of a chart), the numpy.random draw that the seeded
 chart points reproduce, the conditioning guard that runs the SVD on
-every metric, and the Kaehler defects of the rescaled limit's form.  The
-engine reports batches only; curvature_at reads one point as a batch of one.  pytest puts tests/ on sys.path, so a test reads
-them with `from oracles import ...`.
+every metric, and the Kaehler defects of a fibration's form.  The
+engine reports batches only; curvature_at reads one point as a batch of one.
+exact_page_pope_chart and fractions give the engine's exact route, on
+Fractions, that the float reports are held against.  pytest puts tests/
+on sys.path, so a test reads them with `from oracles import ...`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
-from pelab.geom import ChartMetric, CurvatureReport, SingularMetric, UnsupportedDimension, _base_blocks, _check_domain, _report, curvature_reports
+from pelab.family import FamilyParams, solve_profile
+from pelab.geom import ChartMetric, CurvatureReport, SingularMetric, UnsupportedDimension, _base_blocks, _check_domain, _page_pope, _report, curvature_reports
 from pelab.jets import Jet2, seed_point
+from pelab.laurent import LaurentPoly
 
 
 class DegeneratePlane(ValueError):
@@ -45,6 +50,17 @@ def inverse_by_cond(G: np.ndarray, points) -> np.ndarray:
         i = int(bad[0])
         raise SingularMetric(f"metric condition number {cond[i]:.3g} at {tuple(points[i].tolist())}")
     return np.linalg.inv(G)
+
+
+def exact_page_pope_chart(params: FamilyParams, profile: LaurentPoly | None = None) -> ChartMetric:
+    """The page-pope chart of params on its exact data: the Fractions of P (or of profile), c, lambda and r1."""
+    p = solve_profile(params) if profile is None else profile
+    return _page_pope((tuple(p.items()), params.c, params.lam, params.r1), f"exact page-pope r1={params.r1}")
+
+
+def fractions(points) -> np.ndarray:
+    """The float points as an object array of the Fractions they equal."""
+    return np.vectorize(Fraction, otypes=[object])(np.asarray(points, dtype=float))
 
 
 def metric_values(chart: ChartMetric, point) -> np.ndarray:
@@ -229,24 +245,27 @@ def uv_inverted_chart(chart: ChartMetric) -> ChartMetric:
     return ChartMetric(4, chart.coords, metric, in_domain, reads=reads, label=f"{chart.label} inverted")
 
 
-def kaehler_defects(chart: ChartMetric, points, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """(max|nabla omega| / max|omega|, max|J^2 + 1|) per point for omega = rho^2 omega_hat - rho drho ^ theta.
+def kaehler_defects(chart: ChartMetric, points, lam: float, form=lambda rho: (rho * rho, rho)) -> tuple[np.ndarray, np.ndarray]:
+    """(max|nabla omega| / max|omega|, max|J^2 + 1|) per point for omega = area omega_hat - fibre dx ^ theta.
 
-    chart is a fibration chart (rho, psi, u, v) with base Gauss curvature
-    lam; omega_hat = h du ^ dv and theta = dpsi + a_u du + a_v dv come from
-    geom._base_blocks, so omega_rho,psi = -rho, omega_rho,u = -rho a_u,
-    omega_rho,v = -rho a_v and omega_u,v = rho^2 h.  J = g^-1 omega, and
+    chart is a fibration chart (x, psi, u, v) with base Gauss curvature
+    lam, and form(x) gives the jets (area, fibre); the default is the
+    rescaled limit's omega = rho^2 omega_hat - rho drho ^ theta.
+    omega_hat = h du ^ dv and theta = dpsi + a_u du + a_v dv come from
+    geom._base_blocks, so omega_x,psi = -fibre, omega_x,u = -fibre a_u,
+    omega_x,v = -fibre a_v and omega_u,v = area h.  J = g^-1 omega, and
     nabla_k omega_ij = d_k omega_ij - Gamma^l_ki omega_lj - Gamma^l_kj omega_il
     takes Gamma from the engine report's christoffel field and d omega from
-    omega's jets along (rho, u, v).
+    omega's jets along (x, u, v).
     """
     pts = np.asarray(points, dtype=float)
     rep = curvature_reports(chart, pts)
     reads = (0, 2, 3)
-    rho, _, u, v = seed_point(pts, reads)
+    x, _, u, v = seed_point(pts, reads)
     h, a_u, a_v = _base_blocks(lam, u, v)
+    area, fibre = form(x)
     omega, d_omega = np.zeros((4, 4, len(pts))), np.zeros((4, 4, 4, len(pts)))
-    for (i, j), e in {(0, 1): -rho, (0, 2): -rho * a_u, (0, 3): -rho * a_v, (2, 3): rho * rho * h}.items():
+    for (i, j), e in {(0, 1): -fibre, (0, 2): -fibre * a_u, (0, 3): -fibre * a_v, (2, 3): area * h}.items():
         omega[i, j], omega[j, i] = e.value, -e.value
         d_omega[reads, i, j], d_omega[reads, j, i] = e.grad, -e.grad
     gamma = rep.christoffel

@@ -1,4 +1,4 @@
-"""Batched curvature engine: row-for-row equivalence, block independence, goldens, the conditioning guard, a block's memory."""
+"""Batched curvature engine: row-for-row equivalence, block independence, the exact route, goldens, the conditioning guard, a block's memory."""
 
 import tracemalloc
 from fractions import Fraction as F
@@ -6,12 +6,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import curvature_at, inverse_by_cond
+from oracles import curvature_at, exact_page_pope_chart, inverse_by_cond
 from pelab import geom
 from pelab.cli import _sample_points, main
-from pelab.family import FamilyParams
+from pelab.family import FamilyParams, cpn_catalogue, solve_profile
 from pelab.geom import (
     SCALAR_COLUMNS,
+    ChartMetric,
+    SingularMetric,
     curvature_reports,
     metric_derivatives_jet,
     page_pope_block,
@@ -19,6 +21,7 @@ from pelab.geom import (
     point_scalars,
     rescaled_chart,
 )
+from pelab.laurent import LaurentPoly
 from pelab.limits import RescaledProfile, rho1_limit
 
 HYPERBOLIC = FamilyParams(n=1, lam=F(4), c=F(1), Lambda=F(-3), r1=F(1))
@@ -112,6 +115,55 @@ def test_an_empty_batch_gives_empty_fields():
     for name in SCALAR_COLUMNS:
         assert getattr(rep, name).shape == (0,), name
     assert point_scalars(chart, np.empty((0, 4)), -3.0).shape == (0, 4)
+
+
+# -- the exact route: Fraction points on a chart's exact data -------------
+
+# P is a polynomial with rational coefficients, so at a rational point every
+# member's Ric - Lambda g is a rational number, and it is 0.
+EXACT_MEMBERS = {
+    "edge-k1": cpn_catalogue(1, 1, F(5, 2)),
+    "edge-k3": cpn_catalogue(1, 3, F(7, 3)),
+    "conic-k2": cpn_catalogue(1, 2, F(1)),
+    "edge-lam2": FamilyParams(n=1, lam=F(2), c=F(1, 3), Lambda=F(-3, 2), r1=F(2)),
+}
+
+
+def _fraction_types(array) -> set:
+    return {type(e) for e in np.asarray(array).flat}
+
+
+@pytest.mark.parametrize("params", EXACT_MEMBERS.values(), ids=EXACT_MEMBERS.keys())
+def test_the_exact_route_gives_each_member_ric_equal_to_lambda_g(params):
+    # (r - r1, psi, u, v) of three rational points above the inner radius
+    offsets = [(F(1, 2), F(1), F(3, 10), F(-1, 5)), (F(3), F(2), F(1, 7), F(2, 5)), (F(1, 9), F(5), F(-1, 2), F(0))]
+    points = np.array([(params.r1 + dr, psi, u, v) for dr, psi, u, v in offsets], dtype=object)
+    rep = curvature_reports(exact_page_pope_chart(params), points, params.Lambda)
+    defect = rep.ricci - params.Lambda * rep.metric
+    # one float anywhere (a halving written as * 0.5) makes every later value a float
+    assert _fraction_types(defect) == {F}
+    assert all(e == 0 for e in defect.flat)
+    for name in ("einstein_residual", "symmetry_max", "bianchi_max"):
+        column = getattr(rep, name)
+        assert _fraction_types(column) == {F} and column.tolist() == [0, 0, 0], name
+
+
+def test_the_exact_route_measures_a_perturbed_profile():
+    # P + 1e-9 r^3 solves no Einstein equation: the defect is exact and not 0
+    params = FamilyParams(n=1, lam=F(4), c=F(1), Lambda=F(-3), r1=F(5, 2))
+    chart = exact_page_pope_chart(params, solve_profile(params) + LaurentPoly({3: F(1, 10**9)}))
+    rep = curvature_reports(chart, np.array([(F(3), F(1), F(3, 10), F(-1, 5))], dtype=object), params.Lambda)
+    defect = max(abs(e) for e in (rep.ricci - params.Lambda * rep.metric).flat)
+    assert type(defect) is F and 5.3e-9 < defect < 5.5e-9
+    assert rep.einstein_residual[0] > 0
+
+
+def test_an_exactly_singular_metric_raises_at_its_point():
+    # det [[1, x], [x, y]] = y - x^2 is 0 at the second point only
+    chart = ChartMetric(2, ("x", "y"), lambda p: [[1, p[0]], [p[0], p[1]]], lambda p: True, reads=(0, 1))
+    points = np.array([(F(1, 2), F(1, 3)), (F(1, 2), F(1, 4))], dtype=object)
+    with pytest.raises(SingularMetric, match=r"singular at \(Fraction\(1, 2\), Fraction\(1, 4\)\)"):
+        curvature_reports(chart, points)
 
 
 # (einstein_residual, scalar, bianchi_max, symmetry_max) of the per-point

@@ -16,7 +16,9 @@ from oracles import (
     connection_curvature_residual,
     curvature_at,
     euclidean_chart,
+    exact_page_pope_chart,
     fd_oracle,
+    fractions,
     is_positive_definite,
     kaehler_defects,
     metric_values,
@@ -26,7 +28,7 @@ from oracles import (
     uv_inverted_chart,
 )
 from pelab.cli import _sample_points
-from pelab.family import FamilyParams, cpn_catalogue
+from pelab.family import FamilyParams, cpn_catalogue, scaling_action, smooth_c
 from pelab.geom import (
     ChartMetric,
     CurvatureCheckError,
@@ -231,6 +233,32 @@ def test_rescaled_limit_is_kaehler(which):
     assert j_squared.max() <= KAEHLER_BOUND
 
 
+# t^-1 g_t approaches that Kaehler limit: on the smooth-cone members
+# (lambda = 2, r1 = 1 + t, c = smooth_c) rescaled by (c, Lambda) -> (c/t, t
+# Lambda), omega = c W omega_hat - c dr ^ theta squares to -1 and
+# d omega = 2 c (r - 1) dr ^ omega_hat, which is O(t) at fixed rho.  The
+# points span rho in (1.1 rho1, 4).  Measured on 200 seeded points: defects
+# 0.0407 at t = 1e-3 and 0.00411 at t = 1e-4, and the ratio of the two lies
+# in [9.899, 9.901] for seeds 0-29; |J^2 + 1| is at most 8.4e-13.
+APPROACH_RATIO = (9.8, 10.0)
+
+
+def _rescaled_member_defects(t):
+    member = scaling_action(FamilyParams(n=1, lam=F(2), c=smooth_c(1, 2, -3, 1 + t), Lambda=F(-3), r1=1 + t), 1 / t)
+    c = float(member.c)  # rho^2 = c (r^2 - 1), and rho1^2 = c (r1^2 - 1)
+    points = _sample_points(0, 200, math.sqrt(1 + 1.21 * float(member.r1**2 - 1)), math.sqrt(1 + 16 / c))
+    # the fibre coefficient c as a jet with zero derivatives
+    return kaehler_defects(page_pope_chart(member), points, 2.0, lambda r: (c * (r * r - 1), c + 0 * r))
+
+
+def test_rescaled_members_approach_a_kaehler_metric():
+    coarse, coarse_j = _rescaled_member_defects(F(1, 10**3))
+    fine, fine_j = _rescaled_member_defects(F(1, 10**4))
+    assert coarse.max() < 0.1 and fine.max() < 0.01
+    assert APPROACH_RATIO[0] <= coarse.max() / fine.max() <= APPROACH_RATIO[1]
+    assert max(coarse_j.max(), fine_j.max()) <= 1e-11
+
+
 def test_rescaled_chart_finite_positive():
     profile = RescaledProfile(1, 2, rho1_limit(1).derived_sq)
     chart = rescaled_chart(profile)
@@ -249,6 +277,24 @@ def test_fd_oracle_agreement_two_charts():
             fd = fd_oracle(chart, pt)
             scale = np.max(np.abs(jet.riemann))
             assert np.max(np.abs(jet.riemann - fd.riemann)) / scale < 1e-5
+
+
+# A second reference for the jets, beside the FD oracle: the exact route at
+# the same points, Fraction(p), on the chart's exact data.  The relative
+# error max|float - exact| / max|exact| of each tensor at each point
+# measures at most 2.5e-15 here (riemann; metric 4.4e-16), so 1e-13 leaves
+# a margin of 40.  The FD tests keep their own bounds.
+@pytest.mark.parametrize("params", [HYPERBOLIC, EDGE_SMOOTH, cpn_catalogue(1, 3, F(7, 3))], ids=["conic", "edge", "edge-k3"])
+def test_float_reports_match_the_exact_route(params):
+    points = _sample_points(7, 8, float(params.r1) + 0.1, 10.0)
+    floats = curvature_reports(page_pope_chart(params), points)
+    exact = curvature_reports(exact_page_pope_chart(params), fractions(points))
+    for name in ("metric", "christoffel", "riemann", "ricci"):
+        want = getattr(exact, name)
+        assert {type(e) for e in want.flat} == {F}, name
+        axes = tuple(range(want.ndim - 1))
+        error = np.abs(getattr(floats, name) - want.astype(float)).max(axis=axes) / np.abs(want).max(axis=axes).astype(float)
+        assert error.max() <= 1e-13, name
 
 
 def test_fd_oracle_edge_params_at_r3():

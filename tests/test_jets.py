@@ -1,5 +1,7 @@
 """Jet arithmetic against hand-computed derivatives and finite differences."""
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,16 @@ def test_array_operands_act_point_by_point():
         for got, want in zip(batch, ops(*seed_point(pt, (0, 1)), float(a[i]))):
             for field in ("value", "grad", "hess"):
                 assert getattr(got, field)[..., i].tobytes() == getattr(want, field).tobytes(), (i, field)
+
+
+def test_points_set_the_element_type():
+    # integer points become floats; Fraction points keep every part a Fraction
+    x, y = seed_point((2, 3), (1,))
+    assert x.dtype == y.value.dtype == y.grad.dtype == y.hess.dtype == np.float64
+    x, y = seed_point((F(1, 3), F(2)), (0, 1))
+    # f = 1/s with s = 1 + x^2 + y = 28/9 at (1/3, 2): grad (-2x, -1)/s^2, hess [[8x^2/s - 2, 4x/s], [4x/s, 2/s]]/s^2
+    f = 1 / (1 + x * x + y) - x**0
+    assert f.value == F(9, 28) - 1
+    assert f.grad.tolist() == [F(-27, 392), F(-81, 784)]
+    assert f.hess.tolist() == [[F(-243, 1372), F(243, 5488)], [F(243, 5488), F(729, 10976)]]
+    assert {type(e) for part in (f.value, f.grad, f.hess) for e in np.asarray(part).flat} == {F}

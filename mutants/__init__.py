@@ -90,7 +90,7 @@ MUTANTS = [
         "chart builders: the guard on a lambda whose float underflows to 0.0 removed",
     ),
     (
-        "src/pelab/cli.py",
+        "src/pelab/cmd_verify.py",
         "np.argmax(columns[:, 0])",
         "np.argmax(columns[:, 1])",
         "verify: the worst point picked by scalar curvature instead of by residual",
@@ -102,7 +102,7 @@ MUTANTS = [
         "verify: the default --tol doubled",
     ),
     (
-        "src/pelab/cli.py",
+        "src/pelab/cmd_verify.py",
         "1.1 * rho1f",
         "1.1 / rho1f",
         "verify --chart rescaled: the lower end of the sampling window divided by rho1",
@@ -256,5 +256,11 @@ MUTANTS = [
         "[x - row[k] * y for x, y in zip(row, top)]",
         "[x + row[k] * y for x, y in zip(row, top)]",
         "exact inverse: the elimination adds the pivot row instead of subtracting it, so the exact metric inverse is wrong",
+    ),
+    (
+        "src/pelab/cmd_family.py",
+        "from . import family as fam",
+        "from . import cmd_sweep, family as fam",
+        "command modules: family imports the sweep module at its top, so a family op compiles another command's code",
     ),
 ]

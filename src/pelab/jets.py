@@ -29,8 +29,14 @@ import numpy as np
 
 
 def _array(values) -> np.ndarray:
-    """values as an array of their element type: object for Fractions, float64 for floats and integers."""
-    return np.asarray(values, dtype=np.promote_types(np.asarray(values).dtype, float))
+    """values as an array of their element type: object for Fractions, float64 for floats and integers.
+
+    An int entry of an object array becomes a Fraction, since 1 / 3 would be a float.
+    """
+    arr = np.asarray(values)
+    if arr.dtype != object:
+        return np.asarray(arr, dtype=np.promote_types(arr.dtype, float))
+    return np.array([Fraction(e) if isinstance(e, int) else e for e in arr.flat], dtype=object).reshape(arr.shape)
 
 
 def _zeros(shape, like: np.ndarray) -> np.ndarray:

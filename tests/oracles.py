@@ -35,7 +35,7 @@ class StepTooLarge(ValueError):
 
 
 def sample_points(seed: int, count: int, lower: float, upper: float) -> np.ndarray:
-    """cli._sample_points as numpy.random draws it: Generator.uniform, then the same disk map."""
+    """cmd_verify._sample_points as numpy.random draws it: Generator.uniform, then the same disk map."""
     draw = np.random.default_rng(seed).uniform((lower, 0.05, 0.0, 0.0), (upper, 2 * np.pi - 0.05, 1.0, 2 * np.pi), size=(count, 4))
     disk_r = 0.9 * np.sqrt(draw[:, 2])
     draw[:, 2], draw[:, 3] = disk_r * np.cos(draw[:, 3]), disk_r * np.sin(draw[:, 3])

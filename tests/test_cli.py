@@ -483,12 +483,12 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
 
 
 def _forbid_sampling(monkeypatch, why):
-    import pelab.cli as cli_mod
+    import pelab.cmd_verify as verify_mod
 
     def no_sampling(*args):
         raise AssertionError(f"points sampled despite {why}")
 
-    monkeypatch.setattr(cli_mod, "_sample_points", no_sampling)
+    monkeypatch.setattr(verify_mod, "_sample_points", no_sampling)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
@@ -691,6 +691,18 @@ def test_verify_radial_window_follows_r1(capsys, r1):
     assert max(row[4] for row in rows) < 1e-12
 
 
+@pytest.mark.parametrize("rho1", ["derived", "paper", "3"])
+def test_verify_rescaled_window_follows_rho1(capsys, rho1):
+    from pelab.limits import RescaledProfile, rho1_limit
+
+    rho1_sq = {"derived": rho1_limit(1).derived_sq, "paper": rho1_limit(1).paper_sq}.get(rho1, F(9))
+    inner = RescaledProfile(1, 2, rho1_sq).rho1
+    code, out, err = run(capsys, "verify", "--chart", "rescaled", "--rho1", rho1, "--points", "40", "--seed", "9", "--format", "csv")
+    assert code == 0, err
+    radii = [float(row[0]) for row in list(csv.reader(io.StringIO(out)))[1:]]
+    assert 1.1 * inner <= min(radii) and max(radii) <= 5.0 * inner
+
+
 def test_sweep_verify_window_ending_at_10(capsys):
     code, out, err = run(
         capsys, "sweep", "--param", "r1", "--start", "9", "--stop", "10", "--count", "5",
@@ -729,7 +741,7 @@ def _broken_chart(monkeypatch, is_bad, corrupt):
 
 
 def _verify_points(seed, count):
-    from pelab.cli import _sample_points
+    from pelab.cmd_verify import _sample_points
 
     return _sample_points(seed, count, 1.1, 10.0)
 
@@ -798,7 +810,7 @@ def test_sweep_verify_reports_an_earlier_rows_singular_metric_before_a_later_row
 def test_sweep_verify_names_the_first_failing_row_before_a_later_rows_singular_metric(monkeypatch, capsys):
     # one block holds both rows; the singular metric of row 1 must not hide the
     # failed symmetry check of row 0, which a row-by-row evaluation meets first
-    from pelab.cli import _sample_points
+    from pelab.cmd_verify import _sample_points
     from pelab.jets import Jet2
 
     row0, row1 = _sample_points(0, 5, 2.1, 10.0), _sample_points(1, 5, 3.1, 10.0)
@@ -820,10 +832,10 @@ def test_sweep_verify_names_the_first_failing_row_before_a_later_rows_singular_m
 
 def test_sweep_verify_reports_an_earlier_rows_failure_before_a_later_rows_audit_mismatch(monkeypatch, capsys):
     # rows 0 and 1 wait in one block when row 2 raises; row 0's failed check is reported, not the mismatch
-    import pelab.cli as cli_mod
+    import pelab.cmd_sweep as sweep_mod
     from pelab.family import AuditMismatch
 
-    real = cli_mod._sweep_row
+    real = sweep_mod._sweep_row
 
     def sweep_row(args, value):
         if value == 3:
@@ -831,7 +843,7 @@ def test_sweep_verify_reports_an_earlier_rows_failure_before_a_later_rows_audit_
         return real(args, value)
 
     _broken_chart(monkeypatch, lambda r: np.isin(r, _verify_points(0, 5)[:, 0]), _asymmetric)
-    monkeypatch.setattr(cli_mod, "_sweep_row", sweep_row)
+    monkeypatch.setattr(sweep_mod, "_sweep_row", sweep_row)
     argv = "sweep --param r1 --start 1 --stop 3 --count 3 --n 1 --k 1 --verify"
     assert run(capsys, *argv.split()) == (
         1,
@@ -895,7 +907,8 @@ def test_verify_memory_is_flat_in_points():
 def test_verify_csv_written_in_pieces_is_the_whole_table(tmp_path, capsys):
     # 2000 rows span several of the writer's chunks; the bytes are those of one csv.writer pass
     from pelab import geom
-    from pelab.cli import _page_pope_batch, _params_from_args, build_parser
+    from pelab.cli import _params_from_args, build_parser
+    from pelab.cmd_verify import _page_pope_batch
 
     argv = ["verify", "--n", "1", "--k", "2", "--r1", "3/2", "--points", "2000", "--seed", "8", "--format", "csv"]
     chart, points, lam = _page_pope_batch(_params_from_args(build_parser().parse_args(argv)), 8, 2000, None)

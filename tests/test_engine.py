@@ -8,7 +8,8 @@ import pytest
 
 from oracles import curvature_at, exact_page_pope_chart, inverse_by_cond
 from pelab import geom
-from pelab.cli import _sample_points, main
+from pelab.cli import main
+from pelab.cmd_verify import _sample_points
 from pelab.family import FamilyParams, cpn_catalogue, solve_profile
 from pelab.geom import (
     SCALAR_COLUMNS,
@@ -156,6 +157,20 @@ def test_the_exact_route_measures_a_perturbed_profile():
     defect = max(abs(e) for e in (rep.ricci - params.Lambda * rep.metric).flat)
     assert type(defect) is F and 5.3e-9 < defect < 5.5e-9
     assert rep.einstein_residual[0] > 0
+
+
+REPORT_FIELDS = ("point", "metric", "christoffel", "riemann", "ricci", "scalar", "einstein_residual", "symmetry_max", "bianchi_max")
+
+
+def test_an_int_coordinate_stays_on_the_exact_route():
+    # an int r among Fractions would make 1 / r a float and every later value with it
+    chart = exact_page_pope_chart(EXACT_MEMBERS["edge-k1"])
+    by_int, by_fraction = (
+        curvature_reports(chart, np.array([(r, 1, F(3, 10), F(-1, 5))], dtype=object), -3) for r in (3, F(3))
+    )
+    for name in REPORT_FIELDS:
+        got, want = getattr(by_int, name), getattr(by_fraction, name)
+        assert _fraction_types(got) == {F} and got.shape == want.shape and (got == want).all(), name
 
 
 def test_an_exactly_singular_metric_raises_at_its_point():

@@ -27,7 +27,7 @@ from oracles import (
     sphere_chart,
     uv_inverted_chart,
 )
-from pelab.cli import _sample_points
+from pelab.cmd_verify import _sample_points
 from pelab.family import FamilyParams, cpn_catalogue, scaling_action, smooth_c
 from pelab.geom import (
     ChartMetric,

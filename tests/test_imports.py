@@ -1,5 +1,5 @@
-"""Import boundary: each command loads only the layers it uses, none loads dataclasses,
-and every public layer function is one that a command runs."""
+"""Import boundary: each command loads only the layers it uses and its own command
+module, none loads dataclasses, and every public layer function is one that a command runs."""
 
 import contextlib
 import functools
@@ -25,6 +25,8 @@ LEAN_MODULES = ("dataclasses", "inspect", "pelab.limits", "pelab.audits")
 # What importing numpy.random would load for one seeded draw: its bit
 # generators, and OpenSSL's hashlib through secrets.
 RANDOM_MODULES = ("numpy.random", "secrets", "hashlib")
+# One module per subcommand, compiled only by the ops that run it.
+COMMAND_MODULES = tuple(f"pelab.cmd_{name}" for name in ("family", "verify", "audit", "sweep", "limit"))
 
 # Runs main(argv) in a fresh interpreter, then reports the exit code and
 # which of the watched modules are loaded.
@@ -33,7 +35,7 @@ import contextlib, io, json, sys
 from pelab.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, [m for m in {FLOAT_MODULES + LEAN_MODULES + RANDOM_MODULES!r} if m in sys.modules]]))
+print(json.dumps([code, [m for m in {FLOAT_MODULES + LEAN_MODULES + RANDOM_MODULES + COMMAND_MODULES!r} if m in sys.modules]]))
 """
 
 FAMILY = ("family", "--n", "1", "--k", "1", "--r1", "2")
@@ -92,6 +94,25 @@ def test_verify_loads_the_float_engine():
 @pytest.mark.parametrize("argv", [FAMILY, FAMILY_JSON, SWEEP], ids=["family", "family-json", "sweep"])
 def test_family_and_sweep_skip_dataclasses_limits_and_audits(argv):
     assert _loaded_after(*argv, watch=LEAN_MODULES) == []
+
+
+# sweep draws its --verify points with the verify module's helpers, and
+# imports that module only under --verify
+OWN_MODULES = {
+    "family": ["pelab.cmd_family"],
+    "family-json": ["pelab.cmd_family"],
+    "audit": ["pelab.cmd_audit"],
+    "limit": ["pelab.cmd_limit"],
+    "sweep": ["pelab.cmd_sweep"],
+    "sweep-verify": ["pelab.cmd_verify", "pelab.cmd_sweep"],
+    "verify": ["pelab.cmd_verify"],
+    "verify-rescaled": ["pelab.cmd_verify"],
+}
+
+
+@pytest.mark.parametrize("name", OWN_MODULES)
+def test_each_command_loads_its_own_command_module_only(name):
+    assert _loaded_after(*EVERY_COMMAND[name], watch=COMMAND_MODULES) == OWN_MODULES[name]
 
 
 def test_page_pope_verify_skips_dataclasses_and_limits():
@@ -228,7 +249,7 @@ def test_every_public_layer_function_is_reached_by_a_command():
     assert codes == [0] * len(REACH)
     unreached = {
         f"{layer}.{name}"
-        for layer in ("cli", "laurent", "family", "limits", "audits", "jets", "geom", "pcg64")
+        for layer in ("cli", *(m.removeprefix("pelab.") for m in COMMAND_MODULES), "laurent", "family", "limits", "audits", "jets", "geom", "pcg64")
         for name, fn in vars(importlib.import_module(f"pelab.{layer}")).items()
         if inspect.isfunction(fn) and fn.__module__ == f"pelab.{layer}" and not name.startswith("_") and fn.__code__ not in called
     }

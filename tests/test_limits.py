@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pelab.cli import _default_rho_grid
+from pelab.cmd_limit import _default_rho_grid
 from pelab.family import AuditMismatch, FamilyParams, _r2m1, cpn_catalogue, scaling_action, smooth_c, solve_profile
 from pelab.laurent import LaurentPoly
 from pelab.limits import DomainError, RescaledProfile, limit_comparison, rho1_limit

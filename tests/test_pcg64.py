@@ -7,7 +7,7 @@ import pytest
 from oracles import sample_points
 
 from pelab import pcg64
-from pelab.cli import _radial_window, _sample_points
+from pelab.cmd_verify import _radial_window, _sample_points
 from pelab.limits import RescaledProfile, rho1_limit
 
 # 0 and the word and pool edges: one entropy word up to 2^32 - 1, two from

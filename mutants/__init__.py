@@ -139,9 +139,15 @@ MUTANTS = [
     ),
     (
         "src/pelab/geom.py",
-        "_group_maxima(group)  # raises",
-        "None  # raises",
-        "sweep --verify: the pending rows not evaluated before a later row's error, so that error hides an earlier row's failure",
+        "for row in group:",
+        "for row in group[1:]:",
+        "sweep --verify: a failing group re-run without its first row, so a later row's failure or error hides the first row's failure",
+    ),
+    (
+        "src/pelab/geom.py",
+        "alone = len(group) == 1",
+        "alone = False",
+        "sweep --verify: a failing last group of one row, which has run on its own chart, evaluated a second time",
     ),
     (
         "src/pelab/geom.py",
@@ -163,9 +169,9 @@ MUTANTS = [
     ),
     (
         "src/pelab/geom.py",
-        "except (VerificationFailure, BeyondFloatRange):",
+        "except Exception:",
         "except VerificationFailure:",
-        "sweep --verify: a block's float fault not re-run row by row, so it hides an earlier row's singular metric",
+        "sweep --verify: a block's float fault and a pending group's stream error not re-run row by row, so they hide an earlier row's failure",
     ),
     (
         "src/pelab/geom.py",

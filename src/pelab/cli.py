@@ -59,13 +59,7 @@ def _real(text: str) -> float:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _add_param_flags(sub):

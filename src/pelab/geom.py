@@ -343,22 +343,13 @@ def point_scalars(chart: ChartMetric, points, lam: float | np.ndarray) -> np.nda
     return out
 
 
-def _group_maxima(group: list) -> list[float]:
-    """The max Einstein residual of each (chart, points, lam) row: one row on its own chart, several in one pass over their page_pope_block."""
+def _group_maxima(group: list, count: int) -> list[float]:
+    """The max Einstein residual of each (chart, points, lam) row of count points: one row on its own chart, several in one pass over their page_pope_block."""
     if len(group) < 2:
         return [float(point_scalars(chart, points, lam)[:, 0].max()) for chart, points, lam in group]
     charts, points, lams = zip(*group)
-    counts = [len(row_points) for row_points in points]
-    try:
-        columns = point_scalars(page_pope_block(charts, counts), np.concatenate(points), np.repeat(lams, counts))
-    except (VerificationFailure, BeyondFloatRange):
-        # A block meets a float fault or a singular metric before any
-        # failed check; each row alone raises its own first failure, so
-        # the first failing row names what a row-by-row evaluation names.
-        for row in group:
-            point_scalars(*row)
-        raise
-    return [float(row[:, 0].max()) for row in np.split(columns, np.cumsum(counts)[:-1])]
+    columns = point_scalars(page_pope_block(charts, [count] * len(group)), np.concatenate(points), np.repeat(lams, count))
+    return columns[:, 0].reshape(len(group), count).max(axis=1).tolist()
 
 
 def row_maxima(rows, count: int) -> list[float]:
@@ -369,21 +360,28 @@ def row_maxima(rows, count: int) -> list[float]:
     max(1, BLOCK_POINTS // count) whole rows, so a group of several rows
     fills at most one block.  Rows are drawn one at a time and kept only
     as their maximum, so memory does not grow with the number of rows.
-    When rows raises, the rows of the unfinished group are evaluated
-    first, so a failure among the earlier rows is the one reported.
+
+    Failures follow a row-by-row evaluation: when a group's block (where a
+    later row's float fault or singular metric can come first) or rows
+    raises, the group's rows run alone, in order, so the first failing row
+    raises its own failure.  A lone row has run alone, so it does not rerun.
     """
     size = max(1, BLOCK_POINTS // count)
-    maxima, group = [], []
+    maxima, group, alone = [], [], size == 1
     try:
         for row in rows:
             group.append(row)
             if len(group) == size:
-                full, group = group, []
-                maxima += _group_maxima(full)
+                maxima += _group_maxima(group, count)
+                group = []
+        alone = len(group) == 1
+        maxima += _group_maxima(group, count)
     except Exception:
-        _group_maxima(group)  # raises an earlier row's failure in place of this error
+        if not alone:
+            for row in group:
+                point_scalars(*row)
         raise
-    return maxima + _group_maxima(group)
+    return maxima
 
 
 # -- base-surface data -------------------------------------------------

@@ -253,7 +253,7 @@ def test_float_fault_prints_one_line_in_a_fresh_interpreter(command):
     # exception; a user's interpreter prints it and goes on.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     env.pop("PYTHONWARNINGS", None)
-    done = subprocess.run([sys.executable, "-m", "pelab.cli", *command.split()], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-m", "pelab", *command.split()], env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {dict(USAGE_ERRORS)[command]}\n")
 
 
@@ -853,8 +853,97 @@ def test_sweep_verify_reports_an_earlier_rows_failure_before_a_later_rows_audit_
     )
 
 
-def _jet_call_sizes(monkeypatch, argv):
-    """The number of points of every metric_derivatives_jet call that main(argv) makes."""
+def _overflow(rows, x, mask):
+    rows[0][0] = rows[0][0] * (mask * 1e300 + 1) * (mask * 1e300 + 1)
+
+
+SWEEP_2_TO_9 = "sweep --param r1 --start 2 --stop 9 --n 1 --k 1 --verify".split()
+
+
+def _sweep_row_points(row, points, count):
+    """The seeded points of row `row` of SWEEP_2_TO_9 with --count count and --points points."""
+    from pelab.cmd_verify import _radial_window, _sample_points
+
+    return _sample_points(row, points, *_radial_window(float(2 + F(7 * row, count - 1))))
+
+
+# (points per row, rows, failing (row, point, corruption) sites, the row at
+# which the row stream raises and what it raises, the exit code): groups of
+# several rows with a partial last group (5 and 21 points), a last group of
+# one row (5 points, 13 rows), one-row groups (33 and 65 points) and stream
+# errors with rows pending
+RULE_CASES = [
+    (5, 30, [(14, 3, _asymmetric), (15, 0, _zero_drr)], None, 1),
+    (5, 30, [(12, 4, _asymmetric), (13, 1, _zero_drr)], None, 1),
+    (5, 30, [(19, 2, _zero_drr), (20, 4, _overflow)], None, 1),
+    (5, 30, [(13, 0, _overflow)], None, 2),
+    (5, 30, [(26, 1, _asymmetric), (29, 0, _overflow)], None, 1),
+    (5, 13, [(12, 2, _zero_drr)], None, 1),
+    (5, 30, [(12, 1, _asymmetric)], (13, "audit"), 1),
+    (5, 30, [(12, 4, _asymmetric), (15, 0, _asymmetric)], (17, "window"), 1),
+    (5, 30, [(16, 0, _zero_drr)], (17, "window"), 1),
+    (5, 30, [(18, 0, _zero_drr)], (17, "audit"), 3),
+    (5, 30, [], (14, "audit"), 3),
+    (5, 30, [], (17, "window"), 2),
+    (21, 8, [(6, 20, _asymmetric), (7, 0, _overflow)], None, 1),
+    (21, 8, [(3, 7, _overflow), (4, 0, _zero_drr)], (5, "window"), 2),
+    (33, 6, [(2, 32, _asymmetric), (3, 0, _overflow)], None, 1),
+    (33, 6, [(3, 5, _zero_drr)], (4, "audit"), 1),
+    (65, 4, [(1, 64, _zero_drr), (2, 0, _overflow)], None, 1),
+    (65, 4, [(1, 10, _asymmetric), (1, 64, _zero_drr)], (2, "window"), 1),
+    (5, 30, [], None, 0),
+]
+
+
+@pytest.mark.parametrize("points, count, sites, stream, code", RULE_CASES)
+def test_sweep_verify_reports_what_a_row_by_row_evaluation_reports(monkeypatch, capsys, points, count, sites, stream, code):
+    # the reference evaluates each row alone, in order, as it is drawn: the
+    # first exception, a row's failure or the stream's own error, is reported
+    import pelab.cmd_sweep as sweep_mod
+    from pelab import geom
+    from pelab.family import AuditMismatch
+    from pelab.jets import Jet2
+
+    radii = {corrupt: [] for _, _, corrupt in sites}
+    for row, point, corrupt in sites:
+        radii[corrupt].append(_sweep_row_points(row, points, count)[point, 0])
+
+    def corrupt_all(rows, x, _):
+        for corrupt, bad in radii.items():
+            corrupt(rows, x, Jet2.constant(np.isin(x[0].value, bad).astype(float), x[0].dim))
+
+    _broken_chart(monkeypatch, lambda r: r > 0, corrupt_all)
+    real = sweep_mod._sweep_row
+
+    def outcome(row_maxima):
+        drawn = []
+
+        def sweep_row(args, value):
+            drawn.append(value)
+            if stream is not None and len(drawn) - 1 == stream[0]:
+                if stream[1] == "audit":
+                    raise AuditMismatch(f"row {stream[0]}")
+                return real(args, F(10**17))  # its window rounds r1 + 0.1 back to r1
+            return real(args, value)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep_mod, "_sweep_row", sweep_row)
+            patch.setattr(geom, "row_maxima", row_maxima)
+            return run(capsys, *SWEEP_2_TO_9, "--count", str(count), "--points", str(points))
+
+    def one_by_one(rows, count):
+        return [float(geom.point_scalars(*row)[:, 0].max()) for row in rows]
+
+    reference = outcome(one_by_one)
+    assert reference[0] == code
+    if code == 1:  # the first site in row order fails first
+        row, point, _ = sites[0]
+        assert str(tuple(_sweep_row_points(row, points, count)[point].tolist())) in reference[2]
+    assert outcome(geom.row_maxima) == reference
+
+
+def _jet_call_sizes(monkeypatch, argv, code=0):
+    """The number of points of every metric_derivatives_jet call that main(argv), exiting with code, makes."""
     import pelab.geom as geom_mod
 
     real = geom_mod.metric_derivatives_jet
@@ -866,7 +955,7 @@ def _jet_call_sizes(monkeypatch, argv):
 
     with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
         patch.setattr(geom_mod, "metric_derivatives_jet", counted)
-        assert main(argv) == 0
+        assert main(argv) == code
     return sizes
 
 
@@ -886,6 +975,34 @@ def test_sweep_verify_blocks_hold_whole_rows_and_stay_bounded(monkeypatch):
     # seven 32-point rows leave a last group of one row
     for points, expected in ((32, [64, 64, 64, 32]), (33, [33] * 7), (64, [64] * 7), (65, [64, 1] * 7)):
         assert _jet_call_sizes(monkeypatch, [*sweep, "--count", "7", "--points", str(points)]) == expected, points
+
+
+@pytest.mark.parametrize(
+    "points, count, bad_row, audit_row, code, sizes",
+    [
+        (40, 4, 2, None, 1, [40, 40, 40]),  # a failing one-row group has run alone
+        (5, 13, 12, None, 1, [60, 5]),  # so has a failing last group of one row
+        (5, 13, 1, None, 1, [60, 5, 5]),  # a failing block, then its rows up to the first failing one
+        (5, 30, None, 14, 3, [60, 5, 5]),  # the two rows pending at the stream's error, one at a time
+    ],
+)
+def test_sweep_verify_evaluates_no_failing_row_twice(monkeypatch, points, count, bad_row, audit_row, code, sizes):
+    import pelab.cmd_sweep as sweep_mod
+    from pelab.family import AuditMismatch
+
+    if bad_row is not None:
+        bad = _sweep_row_points(bad_row, points, count)[0, 0]
+        _broken_chart(monkeypatch, lambda r: r == bad, _zero_drr)
+    real, drawn = sweep_mod._sweep_row, []
+
+    def sweep_row(args, value):
+        drawn.append(value)
+        if len(drawn) - 1 == audit_row:
+            raise AuditMismatch(f"row {audit_row}")
+        return real(args, value)
+
+    monkeypatch.setattr(sweep_mod, "_sweep_row", sweep_row)
+    assert _jet_call_sizes(monkeypatch, [*SWEEP_2_TO_9, "--count", str(count), "--points", str(points)], code) == sizes
 
 
 def test_verify_memory_is_flat_in_points():

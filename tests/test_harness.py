@@ -1,5 +1,6 @@
 """The tier-1 session itself: a failing property test is reported like any other, and CI runs the documented commands."""
 
+import importlib.metadata
 import re
 import subprocess
 import sys
@@ -39,3 +40,14 @@ def test_ci_runs_the_documented_tier1_command_and_traced_run():
     runs = re.findall(r"^\s*(?:- )?run: (.+)$", workflow, re.MULTILINE)
     installs = [run for run in runs if run.startswith("python -m pip install ")]
     assert installs and runs[len(installs) :] == [tier1, "python3 perfbench/run.py --workload cli_quick --seed 1 --seconds 5 --trace 1"]
+
+
+def test_ci_pins_numpy_pytest_and_hypothesis_to_the_installed_series():
+    # filterwarnings = ["error"] turns a new release's deprecation into a
+    # tier-1 failure, so CI installs the major.minor series of the environment
+    # that runs this test
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    (install,) = [run for run in re.findall(r"^\s*(?:- )?run: (.+)$", workflow, re.MULTILINE) if run.startswith("python -m pip install ")]
+    pins = dict(re.findall(r'"([a-z]+)==([0-9.]+)\.\*"', install))
+    series = {name: ".".join(importlib.metadata.version(name).split(".")[:2]) for name in ("numpy", "pytest", "hypothesis")}
+    assert pins == series

@@ -169,6 +169,33 @@ def test_import_pelab_loads_no_layer():
     assert json.loads(done.stdout) == ["0.1.0", []]
 
 
+# A sitecustomize that names the file of every module body the interpreter
+# executes: an import or runpy's run of the -m module.
+EXEC_HOOK = """
+import sys
+
+
+def _named(event, args):
+    if event == "exec" and hasattr(args[0], "co_filename"):
+        print("exec", args[0].co_filename, file=sys.stderr)
+
+
+sys.addaudithook(_named)
+"""
+
+
+@pytest.mark.parametrize("module, runs", [("pelab", 1), ("pelab.cli", 2)])
+def test_python_m_pelab_runs_cli_once(tmp_path, module, runs):
+    # python -m pelab.cli runs cli.py as __main__, and the command module's
+    # import of pelab.cli runs it again; pelab/__main__.py only imports it
+    (tmp_path / "sitecustomize.py").write_text(EXEC_HOOK)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(tmp_path), str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", module, *FAMILY], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "alpha" in done.stdout
+    assert done.stderr.splitlines().count(f"exec {SRC / 'pelab' / 'cli.py'}") == runs
+
+
 # perfbench still traces geom.curvature_report, the single-point report
 # deleted when the engine came to hold batches only; that metric reads 0
 # until perfbench retires the span.

@@ -7,6 +7,8 @@ Each entry is (file, old, new, why).  `old` occurs exactly once in `file`
 (tier-1's `tests/test_mutants.py` checks this, so the list cannot rot);
 `mutants/run.py` replaces it by `new` in a copy of the tree, runs tier-1
 there and records the first failing test in `mutants/MUTANTS.json`.
+Each entry's `without_goldens` field names the first failing test other
+than the sha256 goldens of `test_exact_output_golden`.
 A change to `src/` re-runs the list; the survivor count may only fall.
 """
 

@@ -51,3 +51,11 @@ def test_ci_pins_numpy_pytest_and_hypothesis_to_the_installed_series():
     pins = dict(re.findall(r'"([a-z]+)==([0-9.]+)\.\*"', install))
     series = {name: ".".join(importlib.metadata.version(name).split(".")[:2]) for name in ("numpy", "pytest", "hypothesis")}
     assert pins == series
+
+
+def test_ci_runs_the_installed_python_series():
+    # the same reason as the pins above: a newer interpreter's deprecations
+    # would fail tier-1 under filterwarnings = ["error"]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    (version,) = re.findall(r'^\s*python-version: "([0-9.]+)"$', workflow, re.MULTILINE)
+    assert version == f"{sys.version_info.major}.{sys.version_info.minor}"

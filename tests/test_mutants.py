@@ -20,6 +20,11 @@ def _mutants(monkeypatch):
     return importlib.import_module("mutants").MUTANTS
 
 
+def _run(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    return importlib.import_module("mutants.run")
+
+
 def test_every_old_occurs_once(monkeypatch):
     for file, old, new, why in _mutants(monkeypatch):
         assert old != new and why, (file, old)
@@ -30,6 +35,50 @@ def test_record_covers_every_mutant(monkeypatch):
     recorded = json.loads((ROOT / "mutants" / "MUTANTS.json").read_text())
     assert [(r["file"], r["old"], r["new"], r["why"]) for r in recorded] == _mutants(monkeypatch)
     assert all(r["result"] for r in recorded)
+    # only a golden's kill is re-run without the goldens; every other result stands
+    goldens = _run(monkeypatch).GOLDENS
+    for r in recorded:
+        assert r["without_goldens"] and not r["without_goldens"].startswith(goldens), r
+        assert r["result"].startswith(goldens) or r["without_goldens"] == r["result"], r
+
+
+def test_only_a_mutant_a_golden_kills_runs_again_without_the_goldens(monkeypatch, tmp_path):
+    run = _run(monkeypatch)
+    golden = f"{run.GOLDENS}[family --n 1]"
+    killers = {"golden": golden, "plain": "tests/test_family.py::test_x", "survivor": "survived"}
+    calls = []
+
+    def tier1(files, mutant=None, extra=()):
+        calls.append((mutant and mutant[1], list(extra)))
+        if mutant is None:
+            return "survived"
+        return "tests/test_engine.py::test_y" if extra else killers[mutant[1]]
+
+    (tmp_path / "mutants").mkdir()
+    monkeypatch.setattr(run, "ROOT", tmp_path)
+    monkeypatch.setattr(run, "_tree", lambda: ["src/pelab/geom.py"])
+    monkeypatch.setattr(run, "_tier1", tier1)
+    monkeypatch.setattr(run, "MUTANTS", [("src/pelab/geom.py", old, old + " + 1", "why") for old in killers])
+    handler = signal.getsignal(signal.SIGTERM)
+    try:
+        assert run.main() == 1
+    finally:
+        signal.signal(signal.SIGTERM, handler)
+    deselect = ["--deselect", run.GOLDENS]
+    assert calls == [(None, []), ("golden", []), ("golden", deselect), ("plain", []), ("survivor", [])]
+    recorded = json.loads((tmp_path / "mutants" / "MUTANTS.json").read_text())
+    assert [(r["old"], r["result"], r["without_goldens"]) for r in recorded] == [
+        ("golden", golden, "tests/test_engine.py::test_y"),
+        ("plain", "tests/test_family.py::test_x", "tests/test_family.py::test_x"),
+        ("survivor", "survived", "survived"),
+    ]
+
+
+def test_the_gate_takes_no_option(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exited:
+        _run(monkeypatch).main(["--without-goldens"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --without-goldens" in capsys.readouterr().err
 
 
 def test_sigterm_kills_pytest_and_removes_the_tree_copy(tmp_path):

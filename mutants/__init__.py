@@ -117,8 +117,8 @@ MUTANTS = [
     ),
     (
         "src/pelab/geom.py",
-        "np.repeat(np.array(rows), counts, axis=0)",
-        "np.repeat(np.array(rows[1:] + rows[:1]), counts, axis=0)",
+        "np.repeat(np.array(rows), count, axis=0)",
+        "np.repeat(np.array(rows[1:] + rows[:1]), count, axis=0)",
         "page_pope_block: the per-point data shifted by one row (each run of points takes the next row's data)",
     ),
     (

@@ -23,8 +23,8 @@ import importlib
 import sys
 from fractions import Fraction
 
-# Every command is a fresh interpreter, so limits (limit, audit, verify
-# --chart rescaled), audits (audit), json and csv are imported where used.
+# Every command is a fresh interpreter, so limits and audits are imported
+# by the command modules that run them, and json and csv where used.
 from . import VerificationFailure, family as fam
 from .family import AuditMismatch, FamilyParams
 
@@ -72,7 +72,7 @@ def _add_param_flags(sub):
 
 
 def _params_from_args(args, r1=None) -> FamilyParams:
-    r1 = r1 if r1 is not None else getattr(args, "r1", None)
+    r1 = r1 if r1 is not None else args.r1
     if args.k is not None:
         if args.lam is not None or args.c is not None or args.Lambda is not None:
             raise UsageError("--k replaces --lambda/--c/--Lambda; do not combine them")

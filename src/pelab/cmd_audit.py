@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
+from . import audits
 from .cli import _json_text, _write_output
 
 
 def cmd_audit(args) -> int:
-    from .audits import render_table, run_audits
-
-    rows = run_audits()
+    rows = audits.run_audits()
     if args.format == "json":
         _write_output(_json_text([r.as_dict() for r in rows]), args.output)
     else:
-        _write_output(render_table(rows) + "\n", args.output)
+        _write_output(audits.render_table(rows) + "\n", args.output)
     return 0

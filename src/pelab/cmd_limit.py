@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import limits
 from .cli import _MAX_COUNT, UsageError, _csv_chunks, _json_text, _rat, _write_output
 
 
@@ -28,20 +29,16 @@ def _parse_rho_grid(text: str):
 
 
 def _default_rho_grid(n: int):
-    from .limits import rho1_limit
-
-    rho1 = math.sqrt(rho1_limit(n).derived_sq)
+    rho1 = math.sqrt(limits.rho1_limit(n).derived_sq)
     return [Fraction(repr(round(rho1 * (1.2 + 1.8 * j / 24), 9))) for j in range(25)]
 
 
 def cmd_limit(args) -> int:
     if args.summary_output and args.format != "csv":
         raise UsageError("--summary-output needs --format csv")
-    from .limits import limit_comparison
-
     ts = [_rat(v, "--t-list") for v in args.t_list.split(",") if v]
     grid = _parse_rho_grid(args.rho_grid) if args.rho_grid else _default_rho_grid(args.n)
-    comparison = limit_comparison(args.n, ts, grid)
+    comparison = limits.limit_comparison(args.n, ts, grid)
 
     if args.format == "json":
         payload = {

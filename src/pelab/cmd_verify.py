@@ -6,7 +6,8 @@ module's _check_points, _check_seed and _page_pope_batch.
 
 # The seeded points are numpy's PCG64/SeedSequence stream, the doubles of
 # default_rng(seed).random(), drawn by pelab.pcg64 without importing
-# numpy's random package.
+# numpy's random package.  geom, numpy and pcg64, which every verify runs,
+# are imported at the top; limits only for the rescaled chart.
 
 from __future__ import annotations
 
@@ -15,6 +16,14 @@ from fractions import Fraction
 
 from .cli import _MAX_COUNT, VERIFY_ERROR, UsageError, _csv_chunks, _fmt, _json_text, _params_from_args, _rat, _write_output
 from .family import FamilyParams
+
+# geom and the jets it imports are compiled before numpy loads; compiled
+# on top of numpy's heap they would raise the command's peak RSS by 1 MB
+from . import geom
+
+import numpy as np
+
+from . import pcg64
 
 
 def _sample_points(seed: int, count: int, lower: float, upper: float):
@@ -25,10 +34,6 @@ def _sample_points(seed: int, count: int, lower: float, upper: float):
     Generator.uniform computes: the radial coordinate in [lower, upper),
     psi, and a disk radius and angle for (u, v) inside the disk of radius 0.9.
     """
-    import numpy as np
-
-    from . import pcg64
-
     low, high = np.array((lower, 0.05, 0.0, 0.0)), np.array((upper, 2 * math.pi - 0.05, 1.0, 2 * math.pi))
     draw = pcg64.random(seed, 4 * count).reshape(count, 4)
     draw *= high - low
@@ -56,8 +61,6 @@ def _radial_window(r1: float) -> tuple[float, float]:
 
 def _page_pope_batch(params: FamilyParams, seed: int, count: int, lam_check: float | None):
     """The page-pope chart of params, count seeded points in its radial window, and lam_check (None: Lambda as a float)."""
-    from . import geom
-
     chart = geom.page_pope_chart(params)
     points = _sample_points(seed, count, *_radial_window(float(params.r1)))
     if lam_check is None:
@@ -84,19 +87,11 @@ def _check_seed(seed: int):
 
 def _float_rows(*arrays):
     """The rows of (N, k) float arrays side by side as lists of Python floats, converted 4096 rows at a time."""
-    import numpy as np
-
     for start in range(0, len(arrays[0]), 4096):
         yield from np.hstack([a[start : start + 4096] for a in arrays]).tolist()
 
 
 def cmd_verify(args) -> int:
-    # geom and the jets it imports are compiled before numpy loads; compiled
-    # on top of numpy's heap they would raise the command's peak RSS by 1 MB
-    from . import geom
-
-    import numpy as np
-
     _check_points(args.points)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError(f"--tol must be a finite number > 0, got {args.tol!r}")

@@ -35,9 +35,9 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-# jets is imported (and so compiled) before numpy loads, as cli imports geom
-# before numpy: compiled on top of numpy's heap, the two modules would raise
-# the peak RSS of verify by about 1 MB
+# jets is imported (and so compiled) before numpy loads, as cmd_verify
+# imports geom before numpy: compiled on top of numpy's heap, the two
+# modules would raise the peak RSS of verify by about 1 MB
 from .jets import Jet2, _array, _zeros, laurent_eval, seed_point
 
 import numpy as np
@@ -90,13 +90,16 @@ class ChartMetric:
     zero.  Floats give a float chart, Fractions an exact one.
     """
 
-    dim: int
     coords: tuple
     metric: Callable
     in_domain: Callable
     reads: tuple
     label: str = ""
     data: tuple = ()
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
 
 
 def metric_derivatives_jet(chart: ChartMetric, points):
@@ -348,7 +351,7 @@ def _group_maxima(group: list, count: int) -> list[float]:
     if len(group) < 2:
         return [float(point_scalars(chart, points, lam)[:, 0].max()) for chart, points, lam in group]
     charts, points, lams = zip(*group)
-    columns = point_scalars(page_pope_block(charts, [count] * len(group)), np.concatenate(points), np.repeat(lams, count))
+    columns = point_scalars(page_pope_block(charts, count), np.concatenate(points), np.repeat(lams, count))
     return columns[:, 0].reshape(len(group), count).max(axis=1).tolist()
 
 
@@ -439,7 +442,7 @@ def _fibration_chart(coords: tuple, inner, radial: Callable, lam, label: str, da
         # every comparison is False on NaN, so a NaN coordinate lies outside
         return (x > inner) & (0.0 < psi) & (psi < 2 * math.pi) & (u * u + v * v < 1.0)
 
-    return ChartMetric(4, coords, metric, in_domain, reads=(0, 2, 3), label=label, data=data)
+    return ChartMetric(coords, metric, in_domain, reads=(0, 2, 3), label=label, data=data)
 
 
 def _page_pope(data: tuple, label: str) -> ChartMetric:
@@ -465,19 +468,19 @@ def page_pope_chart(params: FamilyParams) -> ChartMetric:
     return _page_pope(data, label)
 
 
-def page_pope_block(charts: list[ChartMetric], counts: list[int]) -> ChartMetric:
-    """One chart over consecutive runs of points: counts[i] points of the page-pope chart charts[i], in order.
+def page_pope_block(charts: list[ChartMetric], count: int) -> ChartMetric:
+    """One chart over consecutive rows of points: count points of the page-pope chart charts[i] for each i, in order.
 
     Each datum becomes an array with one entry per point: P's coefficients
     over the union of the charts' exponents, c, lambda and r1.  A chart
     without a term gets 0.0 in its slot, and adding that zero term is
     exact, so every point's metric is bit-equal to the one its own chart
-    gives.  Evaluate the block on exactly those sum(counts) points.
+    gives.  Evaluate the block on exactly those len(charts) * count points.
     """
     terms = [dict(chart.data[0]) for chart in charts]
     exponents = sorted(set().union(*terms), reverse=True)
     rows = [[coeffs.get(e, 0.0) for e in exponents] + list(chart.data[1:]) for coeffs, chart in zip(terms, charts)]
-    fields = np.repeat(np.array(rows), counts, axis=0).T
+    fields = np.repeat(np.array(rows), count, axis=0).T
     return _page_pope((tuple(zip(exponents, fields)), *fields[len(exponents):]), "")
 
 

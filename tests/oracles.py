@@ -184,14 +184,14 @@ def sphere_chart(lam: float) -> ChartMetric:
         u, v = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
         return u * u + v * v < 4.0
 
-    return ChartMetric(2, ("u", "v"), metric, in_domain, reads=(0, 1), label=f"sphere lam={lam}")
+    return ChartMetric(("u", "v"), metric, in_domain, reads=(0, 1), label=f"sphere lam={lam}")
 
 
 def euclidean_chart(dim: int = 4) -> ChartMetric:
     def metric(x):
         return [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
 
-    return ChartMetric(dim, tuple(f"x{i}" for i in range(dim)), metric, lambda pt: True, reads=tuple(range(dim)), label=f"euclidean d={dim}")
+    return ChartMetric(tuple(f"x{i}" for i in range(dim)), metric, lambda pt: True, reads=tuple(range(dim)), label=f"euclidean d={dim}")
 
 
 def scaled_chart(chart: ChartMetric, factor: float) -> ChartMetric:
@@ -203,7 +203,7 @@ def scaled_chart(chart: ChartMetric, factor: float) -> ChartMetric:
         rows = chart.metric(x)
         return [[factor * e for e in row] for row in rows]
 
-    return ChartMetric(chart.dim, chart.coords, metric, chart.in_domain, reads=chart.reads, label=f"{chart.label} x{factor}")
+    return ChartMetric(chart.coords, metric, chart.in_domain, reads=chart.reads, label=f"{chart.label} x{factor}")
 
 
 def uv_inverted_chart(chart: ChartMetric) -> ChartMetric:
@@ -242,7 +242,7 @@ def uv_inverted_chart(chart: ChartMetric) -> ChartMetric:
 
     # the inversion reads (U, V) and whatever the chart reads of (x0, x1)
     reads = tuple(sorted({*chart.reads, 2, 3}))
-    return ChartMetric(4, chart.coords, metric, in_domain, reads=reads, label=f"{chart.label} inverted")
+    return ChartMetric(chart.coords, metric, in_domain, reads=reads, label=f"{chart.label} inverted")
 
 
 def kaehler_defects(chart: ChartMetric, points, lam: float, form=lambda rho: (rho * rho, rho)) -> tuple[np.ndarray, np.ndarray]:

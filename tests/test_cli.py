@@ -735,7 +735,7 @@ def _broken_chart(monkeypatch, is_bad, corrupt):
             corrupt(rows, x, Jet2.constant(is_bad(x[0].value).astype(float), x[0].dim))
             return rows
 
-        return geom_mod.ChartMetric(chart.dim, chart.coords, metric, chart.in_domain, chart.reads, chart.label, chart.data)
+        return geom_mod.ChartMetric(chart.coords, metric, chart.in_domain, chart.reads, chart.label, chart.data)
 
     monkeypatch.setattr(geom_mod, "_fibration_chart", chart_factory)
 

@@ -68,12 +68,12 @@ def test_a_block_chart_gives_every_point_the_bits_of_its_own_chart(monkeypatch):
         FamilyParams(n=1, lam=F(4), c=F(1), Lambda=F(-3), r1=F(5, 4)),
         FamilyParams(n=1, lam=F(3), c=F(1, 2), Lambda=F(-5), r1=F(3, 2)),
     ]
-    counts = [3, 60, 40]
+    count = 40
     charts = [page_pope_chart(params) for params in members]
-    points = [_sample_points(i, count, float(params.r1) + 0.1, 10.0) for i, (params, count) in enumerate(zip(members, counts))]
-    lam = np.repeat([float(params.Lambda) for params in members], counts)
-    monkeypatch.setattr(geom, "BLOCK_POINTS", sum(counts))  # a block chart describes one block
-    block = point_scalars(page_pope_block(charts, counts), np.concatenate(points), lam)
+    points = [_sample_points(i, count, float(params.r1) + 0.1, 10.0) for i, params in enumerate(members)]
+    lam = np.repeat([float(params.Lambda) for params in members], count)
+    monkeypatch.setattr(geom, "BLOCK_POINTS", count * len(members))  # a block chart describes one block
+    block = point_scalars(page_pope_block(charts, count), np.concatenate(points), lam)
     alone = np.concatenate([point_scalars(chart, pts, float(params.Lambda)) for chart, pts, params in zip(charts, points, members)])
     assert block.tobytes() == alone.tobytes()
     assert block[:, 0].max() < 1e-12
@@ -175,7 +175,7 @@ def test_an_int_coordinate_stays_on_the_exact_route():
 
 def test_an_exactly_singular_metric_raises_at_its_point():
     # det [[1, x], [x, y]] = y - x^2 is 0 at the second point only
-    chart = ChartMetric(2, ("x", "y"), lambda p: [[1, p[0]], [p[0], p[1]]], lambda p: True, reads=(0, 1))
+    chart = ChartMetric(("x", "y"), lambda p: [[1, p[0]], [p[0], p[1]]], lambda p: True, reads=(0, 1))
     points = np.array([(F(1, 2), F(1, 3)), (F(1, 2), F(1, 4))], dtype=object)
     with pytest.raises(SingularMetric, match=r"singular at \(Fraction\(1, 2\), Fraction\(1, 4\)\)"):
         curvature_reports(chart, points)

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pelab import family as fam
+from pelab.audits import AuditRow
 from pelab.cli import main
 from pelab.family import (
     AuditMismatch,
@@ -264,6 +265,15 @@ def test_conic_model_fixture():
         conic_model(EDGE, solve_profile(EDGE))
 
 
+@pytest.mark.parametrize("model", [edge_model, expand_at_edge])
+def test_the_edge_models_refuse_the_conic_case(model):
+    # P'(1) = 0 and (r1^2 - 1)^n = 0 at r1 = 1: the scale of expand_at_edge would be 0/0
+    p = solve_profile(CONIC)
+    assert p.derivative()(CONIC.r1) == 0
+    with pytest.raises(ConicCase, match="^r1 = 1 has no edge; use conic_model$"):
+        model(CONIC, p)
+
+
 def test_conic_model_random():
     rng = random.Random(13)
     for _ in range(25):
@@ -325,6 +335,12 @@ def test_scaling_action():
     assert scaled.c == 1 and scaled.Lambda == -1
     # the profile scales by 1/a (rerunning the solver is the oracle)
     assert solve_profile(scaled) == F(1, 3) * solve_profile(CONIC)
+
+
+@pytest.mark.parametrize("a", [0, -1, F(-1, 2)])
+def test_scaling_action_rejects_a_factor_that_is_not_positive(a):
+    with pytest.raises(ValueError, match=f"^a must be > 0, got {a}$"):
+        scaling_action(CONIC, a)
 
 
 def test_scaling_invariants():
@@ -508,6 +524,20 @@ def test_family_report_keys():
         assert key in report
     assert report["P_text"] == "r^4 - 19/2*r + 3"
     assert report["alpha"] == "5/4"
+
+
+@pytest.mark.parametrize(
+    "printed, derived, verdict",
+    [
+        (F(2), F(1), "derived confirmed; printed form fails"),
+        (F(1), F(1), "both forms agree here"),
+        (F(1), F(2), "UNRESOLVED"),
+        (F(3), F(2), "UNRESOLVED"),
+    ],
+)
+def test_an_audit_row_states_its_verdict(printed, derived, verdict):
+    row = AuditRow("q", "tuple", printed, derived, F(1), "oracle")  # the oracle is 1
+    assert row.verdict == row.as_dict()["verdict"] == verdict
 
 
 def test_params_validation():

@@ -173,7 +173,7 @@ def _kretschmann(rep):
 
 def test_a_chart_that_reads_no_coordinate_is_flat():
     # a constant metric seeds no jets: reads=() must still index dG and ddG as integers
-    chart = ChartMetric(4, ("w", "x", "y", "z"), lambda p: np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), lambda p: True, reads=())
+    chart = ChartMetric(("w", "x", "y", "z"), lambda p: np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), lambda p: True, reads=())
     columns = point_scalars(chart, _sample_points(0, 5, 1.0, 2.0), 0.0)
     assert columns[:, :2].tolist() == [[0.0, 0.0]] * 5  # einstein_residual and scalar at Lambda = 0
 
@@ -345,7 +345,7 @@ def test_a_nan_coordinate_lies_outside_the_domain(axis):
 
 
 def test_a_block_chart_tests_each_point_against_its_own_inner_radius():
-    block = page_pope_block([page_pope_chart(HYPERBOLIC), page_pope_chart(EDGE_SMOOTH)], [1, 2])  # r1 = 1, 2, 2
+    block = page_pope_block([page_pope_chart(params) for params in (HYPERBOLIC, EDGE_SMOOTH, EDGE_SMOOTH)], 1)  # r1 = 1, 2, 2
     assert block.in_domain(np.array([(1.5, 1.0, 0.0, 0.0), (2.5, 1.0, 0.0, 0.0), (1.5, 1.0, 0.0, 0.0)])).tolist() == [True, True, False]
 
 
@@ -369,7 +369,7 @@ def test_singular_metric():
     for diagonal, cond in (((1.0, 1e-13), "1e+13"), ((1.0, 1.0, 1.0, 5e-13), "2e+12")):
         d = len(diagonal)
         nearly_singular = ChartMetric(
-            d, tuple(f"x{i}" for i in range(d)), lambda p, g=diagonal: np.diag(g).tolist(), lambda p: True, reads=tuple(range(d))
+            tuple(f"x{i}" for i in range(d)), lambda p, g=diagonal: np.diag(g).tolist(), lambda p: True, reads=tuple(range(d))
         )
         with pytest.raises(SingularMetric, match=rf"^metric condition number {re.escape(cond)} at \(0\.0,"):
             curvature_at(nearly_singular, (0.0,) * d)

@@ -59,3 +59,11 @@ def test_ci_runs_the_installed_python_series():
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     (version,) = re.findall(r'^\s*python-version: "([0-9.]+)"$', workflow, re.MULTILINE)
     assert version == f"{sys.version_info.major}.{sys.version_info.minor}"
+
+
+def test_the_ci_job_has_a_time_limit():
+    # without one a hung run holds its runner for GitHub's default of 360
+    # minutes; tier-1 and the traced run take about a minute
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    (minutes,) = re.findall(r"^  tier1:\n(?:    .*\n)*?    timeout-minutes: ([0-9]+)$", workflow, re.MULTILINE)
+    assert 0 < int(minutes) < 360

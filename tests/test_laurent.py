@@ -83,6 +83,23 @@ def test_text_form():
     assert LaurentPoly({1: -1, 0: 1}).to_text() == "-r + 1"
 
 
+def test_a_laurent_poly_refuses_assignment():
+    p = LaurentPoly({1: 1})
+    with pytest.raises(AttributeError, match="^LaurentPoly is immutable$"):
+        p._coeffs = {}
+    assert p == R
+
+
+def test_a_float_coefficient_is_refused():
+    with pytest.raises(TypeError, match="^exact rational expected, got float$"):
+        LaurentPoly({0: 0.5})
+
+
+def test_a_constant_equals_its_number():
+    assert LaurentPoly.constant(3) == 3
+    assert LaurentPoly.constant(F(1, 2)) == F(1, 2) != 1
+
+
 coeffs = st.fractions(min_value=-100, max_value=100, max_denominator=30)
 polys = st.dictionaries(st.integers(min_value=-6, max_value=8), coeffs, max_size=6).map(LaurentPoly)
 no_log = polys.map(lambda p: p - LaurentPoly({-1: p.coefficient(-1)}))

@@ -101,6 +101,11 @@ EXACT_GOLDENS = [
     ("limit --n 1 --t-list 0.1,0.01 --rho-grid 1:2:5 --summary-output {summary}", "dc671137905a5a50489275c83d3dfd7857f548695c9913880791fef2d692893d"),
     ("sweep --param r1 --start 1.01 --stop 10 --count 7 --n 1 --k 1", "741e2c2853571ee9480b2ae636b3e59d052443475fdb5bcfa5c49e347e50a33d"),
     ("sweep --param r1 --start 2 --stop 3 --count 4 --n 1 --k 1 --format json", "1ccf9809d37d0ba0dc74e55a96b7430553c899a55c88c93f66a4f17181b909e3"),
+    # the row counts of the benchmark's exact sweeps at n = 3, 6 and 10, where P's coefficients reach ~350 bits
+    ("sweep --param r1 --start 1.01 --stop 10 --count 160 --n 3 --k 2", "f513b5d8b47442d6dace985ae614745d170f113c5980e17659d08e2ad2917ddf"),
+    ("sweep --param r1 --start 1.5 --stop 9.25 --count 130 --n 6 --k 3", "0ade8420b83aaf8c2975f0f4cae5c8a48cc34db071a6b0f9e30d4c8d6cde6964"),
+    ("sweep --param r1 --start 1.01 --stop 7.5 --count 100 --n 10 --k 4", "29df3e40472897190a58aa01b9275faad3bf5dfb4be2c0bf3c125a25d45cf2fe"),
+    ("sweep --param r1 --start 2.5 --stop 10 --count 100 --n 10 --k 5 --format json", "561f0b3d10780833fa3d0c53aa6dddff59eb4e8c316e9c9a44f14c70aef2e9e5"),
     ("sweep --param t --start 1/10 --stop 2 --count 6 --n 1 --k 1", "1406c584ed3fedc32468a3775a87eafa3d799d64b32a21e51c435bcd3c351661"),
     ("sweep --param t --start 1/1000 --stop 1 --count 4 --spacing log --n 1 --k 1", "c5e6615f3d61df094294cbfe8319bbb290a75b2a7463d30f5d14c7bd3c4b246d"),
     ("sweep --param c --start 1/4 --stop 2 --count 4 --n 2 --lambda 3 --Lambda -5 --r1 3/2", "e7541c0327d1bf8c3115cf84f005cbad0aa1ebb43b06d11508750d0fbf14eb82"),

@@ -86,6 +86,24 @@ MUTANTS = [
         "exact evaluation: the sign of x dropped in the lo < 0 branch",
     ),
     (
+        "src/pelab/laurent.py",
+        "total += (e if order else 1) * c.numerator",
+        "total += c.numerator",
+        "exact derivative pass: the exponent weight e of each term dropped",
+    ),
+    (
+        "src/pelab/laurent.py",
+        "lo, hi = lo - order, hi - order",
+        "lo, hi = lo, hi - order",
+        "exact derivative pass: the low exponent not shifted by one, so P'(x) comes out multiplied by x",
+    ),
+    (
+        "src/pelab/laurent.py",
+        "return self.coefficient(order)",
+        "return self.coefficient(0)",
+        "exact derivative pass: P'(0) read as the constant term instead of the r^1 coefficient",
+    ),
+    (
         "src/pelab/geom.py",
         "if lam == 0.0:",
         "if False:",

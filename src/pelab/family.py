@@ -146,6 +146,12 @@ _ANTIDERIVATIVE_CACHE_SIZE = 16
 _PROFILE_CACHE_SIZE = 32
 
 
+def _w(r1: Fraction) -> Fraction:
+    """W = r1^2 - 1 in one step: r1 = a/b in lowest terms gives (a^2 - b^2)/b^2, also in lowest terms."""
+    a, b = r1.numerator, r1.denominator
+    return Fraction(a * a - b * b, b * b)
+
+
 def _r2m1(n: int) -> LaurentPoly:
     """(r^2 - 1)^n by the binomial theorem."""
     return LaurentPoly({2 * k: (-1) ** (n - k) * comb(n, k) for k in range(n + 1)})
@@ -183,14 +189,15 @@ def solve_profile(params: FamilyParams) -> LaurentPoly:
 def cone_angle(params: FamilyParams) -> Fraction:
     """The cone-angle factor alpha (cone angle along the edge is 2*pi*alpha).
 
-    Read off the metric at the edge: alpha = c P'(r1) / (2 (r1^2-1)^n).
+    Read off the metric at the edge: alpha = c P'(r1) / (2 (r1^2-1)^n),
+    with P'(r1) taken from P in one integer pass (LaurentPoly.derivative_at).
     Its closed forms (c|Lambda|/(2 r1)) (r1^2-1) + lam/(2 r1) and
     (c|Lambda|/2) r1 + (lam - c|Lambda|) / (2 r1) are checked in the tests.
     """
     if params.is_conic:
         raise ConicCase("r1 = 1 has no edge; use conic_model")
-    pp = solve_profile(params).derivative()(params.r1)
-    return params.c * pp / (2 * (params.r1**2 - 1) ** params.n)
+    pp = solve_profile(params).derivative_at(params.r1)
+    return params.c * pp / (2 * _w(params.r1) ** params.n)
 
 
 def cone_angle_conic_limit(params: FamilyParams) -> Fraction:
@@ -202,14 +209,14 @@ def edge_model(params: FamilyParams, p: LaurentPoly) -> EdgeModel:
     """Closed-form near-edge model data for r1 > 1 (see EdgeModel)."""
     if params.is_conic:
         raise ConicCase("r1 = 1 has no edge; use conic_model")
-    pp = p.derivative()(params.r1)
-    w = params.r1**2 - 1
+    w = _w(params.r1)
     alpha = cone_angle(params)
+    beta_sq_derived = alpha * w / 2
     return EdgeModel(
-        scale=4 * w**params.n / pp,
+        scale=4 * w**params.n / p.derivative_at(params.r1),
         alpha=alpha,
-        beta_sq_derived=alpha * w / 2,
-        beta_sq_paper=alpha**2 * w / 2,
+        beta_sq_derived=beta_sq_derived,
+        beta_sq_paper=alpha * beta_sq_derived,
     )
 
 
@@ -311,7 +318,7 @@ def z_scale(params: FamilyParams) -> Fraction:
     The zero section's diameter is sqrt(this) times diam(M, ghat); only
     the factor is reported.
     """
-    return params.c * (params.r1**2 - 1)
+    return params.c * _w(params.r1)
 
 
 def cpn_catalogue(n: int, k: int, r1=1) -> FamilyParams:

@@ -183,11 +183,21 @@ class LaurentPoly:
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, x) -> Fraction:
-        """Exact evaluation at a rational point (x != 0 if negative exponents).
+        """Exact evaluation at a rational point (x != 0 if negative exponents)."""
+        return self._horner(x, 0)
 
-        One pass in integers: with x = p/q and A_e = D c_e (D the lcm of the
+    def derivative_at(self, x) -> Fraction:
+        """P'(x), exactly, without building the derivative polynomial (x != 0 if negative exponents)."""
+        return self._horner(x, 1)
+
+    def _horner(self, x, order: int) -> Fraction:
+        """The one evaluation pass: sum w_e c_e x^(e - order), with w_e = 1 for P (order 0) and e for P' (order 1).
+
+        In integers: with x = p/q and A_e = D w_e c_e (D the lcm of the
         denominators), Horner's rule sums S = sum A_e p^(e-lo) q^(hi-e), and
-        P(x) = S p^lo / (D q^hi) is reduced by a single gcd.
+        the value S p^(lo-order) / (D q^(hi-order)) is reduced by a single gcd.
+        In P' the r^0 term of P has weight 0 and drops out of S; at x = 0 only
+        the term with e = order survives, c_0 for P and c_1 for P'.
         """
         x = _coerce(x)
         coeffs = self._coeffs
@@ -198,15 +208,16 @@ class LaurentPoly:
         if p == 0:
             if lo < 0:
                 raise ZeroBase("negative exponents cannot be evaluated at 0")
-            return self.coefficient(0)
+            return self.coefficient(order)
         d = math.lcm(*(c.denominator for c in coeffs.values()))
         total, q_power = 0, 1
         for e in range(hi, lo - 1, -1):
             c = coeffs.get(e)
             total *= p
             if c is not None:
-                total += c.numerator * (d // c.denominator) * q_power
+                total += (e if order else 1) * c.numerator * (d // c.denominator) * q_power
             q_power *= q
+        lo, hi = lo - order, hi - order
         num, den = (total, d * p**-lo) if lo < 0 else (total * p**lo, d)
         return Fraction(num * q**-hi, den) if hi < 0 else Fraction(num, den * q**hi)
 

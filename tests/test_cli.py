@@ -18,6 +18,7 @@ import pytest
 
 import pelab
 from pelab.cli import main
+from pelab.laurent import LaurentPoly
 
 SRC = Path(pelab.__file__).resolve().parents[1]
 
@@ -150,6 +151,27 @@ def test_exact_output_golden(monkeypatch, tmp_path, capsys, command, digest):
     if summary.exists():
         out += summary.read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "family --n 1 --k 1 --r1 5/2",
+        "family --n 2 --k 3 --r1 1 --format json",
+        "audit",
+        "limit --n 1",
+        "sweep --param r1 --start 2 --stop 3 --count 3 --n 1 --k 1",
+        "sweep --param r1 --start 2 --stop 3 --count 3 --n 1 --k 1 --verify --seed 5",
+    ],
+)
+def test_no_command_builds_a_derivative_polynomial(monkeypatch, capsys, command):
+    # P'(r1) is read off P in one integer pass; the derivative polynomial is the tests' reference only
+    def refuse(self):
+        raise AssertionError("a command built a derivative polynomial")
+
+    monkeypatch.setattr(LaurentPoly, "derivative", refuse)
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "") and out
 
 
 FLOAT_FAULT = "a float of the curvature engine leaves the float range"

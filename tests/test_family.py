@@ -75,7 +75,7 @@ def alpha_of_r1(params):
 
 
 def profile_slope(params):
-    """P'(r1), the polynomial derivative of P at the root, as cone_angle and edge_model read it."""
+    """P'(r1) from the derivative polynomial of P: the reference for the one-pass read of cone_angle and edge_model."""
     return solve_profile(params).derivative()(params.r1)
 
 
@@ -93,7 +93,7 @@ def closed_form_cone_angles(params):
 
 @given(params=st.one_of(EDGE_TUPLES, CONIC_TUPLES))
 def test_profile_slope_matches_its_closed_form(params):
-    assert profile_slope(params) == closed_form_slope(params)
+    assert solve_profile(params).derivative_at(params.r1) == profile_slope(params) == closed_form_slope(params)
 
 
 @given(params=EDGE_TUPLES)
@@ -235,13 +235,14 @@ def test_expand_at_edge_fixture():
 
 
 def test_expand_at_edge_arbitrates():
-    # jet oracle agrees with alpha^2 and the derived beta^2, never the printed one
+    # jet oracle agrees with the scale, alpha^2 and the derived beta^2, never the printed beta^2
     rng = random.Random(41)
     for _ in range(100):
         params = random_params(rng, r1_min=1 + F(1, 9))
         p = solve_profile(params)
         em = edge_model(params, p)
-        _, alpha_sq, beta_sq = expand_at_edge(params, p)
+        scale, alpha_sq, beta_sq = expand_at_edge(params, p)
+        assert scale == em.scale
         assert alpha_sq == em.alpha**2
         assert beta_sq == em.beta_sq_derived
         if em.alpha != 1:

@@ -76,6 +76,18 @@ def test_derivative():
     assert LaurentPoly({3: 1, 0: 5, -2: 1}).derivative() == LaurentPoly({2: 3, -3: -2})
 
 
+def test_derivative_at_examples():
+    p = LaurentPoly({3: 1, 0: 5, -2: 1})
+    assert p.derivative_at(2) == 3 * 4 - F(2, 8) == p.derivative()(2)
+    assert LaurentPoly({4: 1, 1: -4, 0: 3}).derivative_at(1) == 0
+    # at 0 the slope is the r^1 coefficient, not the constant term
+    assert LaurentPoly({2: 1, 1: F(-3, 2), 0: 5}).derivative_at(0) == F(-3, 2)
+    assert LaurentPoly.constant(7).derivative_at(F(3, 5)) == 0
+    assert LaurentPoly().derivative_at(0) == 0
+    with pytest.raises(ZeroBase):
+        LaurentPoly({1: 1, -1: 1}).derivative_at(0)
+
+
 def test_text_form():
     assert LaurentPoly({4: 1, 1: -4, 0: 3}).to_text() == "r^4 - 4*r + 3"
     assert LaurentPoly().to_text() == "0"
@@ -163,6 +175,23 @@ def _shift_reference(p, a):
 
 genuine = st.dictionaries(st.integers(min_value=0, max_value=10), coeffs, max_size=6).map(LaurentPoly)
 centres = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+constants = coeffs.map(LaurentPoly.constant)
+
+
+@given(p=st.one_of(st.just(LaurentPoly()), constants, polys, negative_only, huge_entries), x=signed_points | huge_fractions)
+def test_derivative_at_matches_the_derivative_polynomial(p, x):
+    # the one-pass read of P'(x) against the derivative polynomial, the reference
+    value = p.derivative_at(x)
+    assert type(value) is F and value == p.derivative()(x)
+
+
+@given(p=st.one_of(st.just(LaurentPoly()), constants, genuine, polys, negative_only))
+def test_derivative_at_zero_is_the_linear_coefficient(p):
+    if p and min(e for e, _ in p.items()) < 0:
+        with pytest.raises(ZeroBase):
+            p.derivative_at(0)
+    else:
+        assert p.derivative_at(0) == p.coefficient(1) == p.derivative()(0)
 
 
 def test_shift_examples():

@@ -95,6 +95,9 @@ EXACT_GOLDENS = [
     ("family --n 4 --k 5 --r1 7/3", "fa6cc6cb310f6d6f0d04d528785962a90e22619ae7cd469f4c117e686cebc0a7"),
     ("family --n 4 --k 5 --r1 7/3 --format json", "d15490fa9edd48de67b550e56a085c32b10c324ffc1b30c31d1eaea655a26c6c"),
     ("family --n 2 --lambda 3 --c 1/2 --Lambda -5 --r1 3/2", "f5959651f2e9c12c1b87eeedfbc55571dc03e364f9d3dd9b3afa4728faba835e"),
+    # an edge and a conic member at n = 200: the edge and conic arbiters read Taylor coefficients of a degree-402 P
+    ("family --n 200 --k 3 --r1 7/3", "6b80891da31128ddf4206de4bf6ac6eaa1793fab4ba0978709c91f5f43394b25"),
+    ("family --n 200 --k 3 --r1 1", "0695eb46f35c3cf20029ec39feb37eaa96abfc60c780a2289d3af4c7bc9c07e7"),
     ("limit --n 1", "0c5f0a97cbcf75d30a3a5cc16a65943112a59d57d78d07ba2bc099ee86146ba1"),
     ("limit --n 1 --format json", "abcc4be94fab4deaab1aa70b7d43cf3cf1adb5cde8626bae2639480c0f55fbaf"),
     ("limit --n 2 --format json", "dcc19af7eaa3f3ba6581a2aeb69361c341481d8c2e4dd3b565db0500ccf1d864"),

@@ -87,21 +87,39 @@ MUTANTS = [
     ),
     (
         "src/pelab/laurent.py",
-        "total += (e if order else 1) * c.numerator",
+        "total += weight * c.numerator",
         "total += c.numerator",
-        "exact derivative pass: the exponent weight e of each term dropped",
+        "Taylor pass: the binomial weight C(e, j) of each term dropped",
     ),
     (
         "src/pelab/laurent.py",
-        "lo, hi = lo - order, hi - order",
-        "lo, hi = lo, hi - order",
-        "exact derivative pass: the low exponent not shifted by one, so P'(x) comes out multiplied by x",
+        "lo, hi = lo - j, hi - j",
+        "lo, hi = lo, hi - j",
+        "Taylor pass: the low exponent not shifted by j, so P^(j)(x)/j! comes out multiplied by x^j",
     ),
     (
         "src/pelab/laurent.py",
-        "return self.coefficient(order)",
+        "return self.coefficient(j)",
         "return self.coefficient(0)",
-        "exact derivative pass: P'(0) read as the constant term instead of the r^1 coefficient",
+        "Taylor pass: the expansion at 0 read as the constant term instead of the r^j coefficient",
+    ),
+    (
+        "src/pelab/laurent.py",
+        "else (-1) ** j * math.comb(j - e - 1, j)",
+        "else math.comb(j - e - 1, j)",
+        "Taylor pass: the sign (-1)^j of a negative exponent's weight dropped",
+    ),
+    (
+        "src/pelab/laurent.py",
+        "math.comb(e, j) if e >= 0",
+        "math.comb(e, max(j - 1, 0)) if e >= 0",
+        "Taylor pass: the binomial's order j lowered to j - 1 for non-negative exponents (P itself, j = 0, unchanged)",
+    ),
+    (
+        "src/pelab/laurent.py",
+        "math.comb(j - e - 1, j)",
+        "math.comb(j - e, j)",
+        "Taylor pass: a negative exponent weighted by C(j - e, j) instead of C(j - e - 1, j)",
     ),
     (
         "src/pelab/geom.py",

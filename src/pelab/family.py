@@ -124,10 +124,10 @@ class ConicModel:
     """Conic model  ds^2 + s^2 ( theta_coeff theta^2 + base_coeff ghat ).
 
     k_leading is the exact leading Taylor coefficient of P at r = 1
-    (P(1+u) = k_leading u^(n+1) + ...); k_quoted = 2^(n+1)/(n+1) is the
-    printed constant, which matches only when lam/c = 2.  base_coeff is
-    kept in both circulating forms, the jet-derived lam/(2n+2) and the
-    printed c*lam/(2n+2).
+    (P(1+u) = k_leading u^(n+1) + ...), read as P.taylor(1, n + 1);
+    k_quoted = 2^(n+1)/(n+1) is the printed constant, which matches only
+    when lam/c = 2.  base_coeff is kept in both circulating forms, the
+    jet-derived lam/(2n+2) and the printed c*lam/(2n+2).
     """
 
     theta_coeff: Fraction
@@ -190,13 +190,13 @@ def cone_angle(params: FamilyParams) -> Fraction:
     """The cone-angle factor alpha (cone angle along the edge is 2*pi*alpha).
 
     Read off the metric at the edge: alpha = c P'(r1) / (2 (r1^2-1)^n),
-    with P'(r1) taken from P in one integer pass (LaurentPoly.derivative_at).
+    with P'(r1) = P.taylor(r1, 1), the u^1 coefficient of P(r1 + u).
     Its closed forms (c|Lambda|/(2 r1)) (r1^2-1) + lam/(2 r1) and
     (c|Lambda|/2) r1 + (lam - c|Lambda|) / (2 r1) are checked in the tests.
     """
     if params.is_conic:
         raise ConicCase("r1 = 1 has no edge; use conic_model")
-    pp = solve_profile(params).derivative_at(params.r1)
+    pp = solve_profile(params).taylor(params.r1, 1)
     return params.c * pp / (2 * _w(params.r1) ** params.n)
 
 
@@ -213,7 +213,7 @@ def edge_model(params: FamilyParams, p: LaurentPoly) -> EdgeModel:
     alpha = cone_angle(params)
     beta_sq_derived = alpha * w / 2
     return EdgeModel(
-        scale=4 * w**params.n / p.derivative_at(params.r1),
+        scale=4 * w**params.n / p.taylor(params.r1, 1),
         alpha=alpha,
         beta_sq_derived=beta_sq_derived,
         beta_sq_paper=alpha * beta_sq_derived,
@@ -223,14 +223,15 @@ def edge_model(params: FamilyParams, p: LaurentPoly) -> EdgeModel:
 def expand_at_edge(params: FamilyParams, p: LaurentPoly) -> tuple[Fraction, Fraction, Fraction]:
     """Exact jet expansion of the metric at r = r1 + s^2; the arbiter.
 
-    Reads P'(r1) off the Taylor shift P(r1 + w), keeps the leading order
-    in w = r - r1, substitutes dr^2 = 4 w ds^2, and factors
-    the model scale * (ds^2 + alpha_sq s^2 theta^2 + beta_sq ghat).
+    Reads P'(r1) = P.taylor(r1, 1), the u^1 coefficient of P(r1 + u)
+    (the u^0 one is P(r1) = 0), keeps the leading order in w = r - r1,
+    substitutes dr^2 = 4 w ds^2, and factors the model
+    scale * (ds^2 + alpha_sq s^2 theta^2 + beta_sq ghat).
     Returns (scale, alpha_sq, beta_sq).
     """
     if params.is_conic:
         raise ConicCase("r1 = 1 has no edge; use conic_model")
-    pp = p.shift(params.r1).coefficient(1)
+    pp = p.taylor(params.r1, 1)
     n0 = _r2m1(params.n)(params.r1)
     # dr^2 slot: (r^2-1)^n / P ~ n0/(pp w); times 4w gives the ds^2 coefficient
     scale = 4 * n0 / pp
@@ -242,7 +243,7 @@ def expand_at_edge(params: FamilyParams, p: LaurentPoly) -> tuple[Fraction, Frac
 
 
 def conic_model(params: FamilyParams, p: LaurentPoly) -> ConicModel:
-    """Exact conic model at r1 = 1 via the Taylor shift P(1 + u) of P.
+    """Exact conic model at r1 = 1 from the Taylor coefficient of order n + 1 of P at r = 1.
 
     P(1+u) = K u^(n+1) + ... with K = (lam/c) 2^n / (n+1) (the vanishing
     order and K are checked in the tests); substituting
@@ -252,7 +253,7 @@ def conic_model(params: FamilyParams, p: LaurentPoly) -> ConicModel:
     if not params.is_conic:
         raise EdgeCase("r1 > 1 has an edge; use edge_model")
     n = params.n
-    k_leading = p.shift(1).coefficient(n + 1)
+    k_leading = p.taylor(1, n + 1)
     ck = params.c * k_leading / 2 ** (n + 1)
     return ConicModel(
         theta_coeff=ck**2,

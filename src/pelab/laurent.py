@@ -6,9 +6,11 @@ exact rationals, stored as a map {exponent: Fraction}.  Zero
 coefficients are never stored, so the representation is canonical and
 structural equality coincides with mathematical equality.
 
-All arithmetic (+, -, *, integer powers, derivative, antiderivative,
-Taylor shift, evaluation at rational points) is exact; nothing here rounds.
-Values are immutable after construction and safe to share.
+All arithmetic (+, -, *, integer powers, derivative, antiderivative) is
+exact, and so is the one expansion: `taylor(x, j)` reads any Taylor
+coefficient P^(j)(x)/j! at a rational point, and P(x) is its j = 0 read.
+Nothing here rounds.  Values are immutable after construction and safe
+to share.
 """
 
 from __future__ import annotations
@@ -164,40 +166,23 @@ class LaurentPoly:
             raise NonIntegrableTerm("r^-1 term integrates to a logarithm")
         return LaurentPoly({e + 1: c / (e + 1) for e, c in self._coeffs.items()})
 
-    def shift(self, a) -> "LaurentPoly":
-        """P(a + u) as a polynomial in u, by the binomial theorem.
-
-        The exact Taylor expansion at r = a: the u^j coefficient is
-        P^(j)(a)/j!.  Negative exponents have no finite expansion here and
-        raise ValueError.
-        """
-        if self._coeffs and min(self._coeffs) < 0:
-            raise ValueError("Taylor shift needs a genuine polynomial")
-        a = _coerce(a)
-        out: dict[int, Fraction] = {}
-        for e, c in self._coeffs.items():
-            for j in range(e + 1):
-                out[j] = out.get(j, Fraction(0)) + c * math.comb(e, j) * a ** (e - j)
-        return LaurentPoly(out)
-
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation at a rational point (x != 0 if negative exponents)."""
-        return self._horner(x, 0)
+        return self.taylor(x, 0)
 
-    def derivative_at(self, x) -> Fraction:
-        """P'(x), exactly, without building the derivative polynomial (x != 0 if negative exponents)."""
-        return self._horner(x, 1)
+    def taylor(self, x, j: int) -> Fraction:
+        """The u^j coefficient of P(x + u), that is P^(j)(x)/j!, in one integer Horner pass.
 
-    def _horner(self, x, order: int) -> Fraction:
-        """The one evaluation pass: sum w_e c_e x^(e - order), with w_e = 1 for P (order 0) and e for P' (order 1).
-
-        In integers: with x = p/q and A_e = D w_e c_e (D the lcm of the
-        denominators), Horner's rule sums S = sum A_e p^(e-lo) q^(hi-e), and
-        the value S p^(lo-order) / (D q^(hi-order)) is reduced by a single gcd.
-        In P' the r^0 term of P has weight 0 and drops out of S; at x = 0 only
-        the term with e = order survives, c_0 for P and c_1 for P'.
+        Each term c_e r^e contributes C(e, j) c_e x^(e - j), with the
+        integer weight C(e, j): the ordinary binomial for e >= 0 (0 when
+        e < j) and (-1)^j C(j - e - 1, j) for e < 0.  In integers: with
+        x = p/q and A_e = D C(e, j) c_e (D the lcm of the denominators),
+        Horner's rule sums S = sum A_e p^(e-lo) q^(hi-e), and the value
+        S p^(lo-j) / (D q^(hi-j)) is reduced by a single gcd.  At x = 0 the
+        expansion is P itself: the r^j coefficient, or ZeroBase when P has a
+        negative exponent.
         """
         x = _coerce(x)
         coeffs = self._coeffs
@@ -208,16 +193,17 @@ class LaurentPoly:
         if p == 0:
             if lo < 0:
                 raise ZeroBase("negative exponents cannot be evaluated at 0")
-            return self.coefficient(order)
+            return self.coefficient(j)
         d = math.lcm(*(c.denominator for c in coeffs.values()))
         total, q_power = 0, 1
         for e in range(hi, lo - 1, -1):
             c = coeffs.get(e)
             total *= p
             if c is not None:
-                total += (e if order else 1) * c.numerator * (d // c.denominator) * q_power
+                weight = math.comb(e, j) if e >= 0 else (-1) ** j * math.comb(j - e - 1, j)
+                total += weight * c.numerator * (d // c.denominator) * q_power
             q_power *= q
-        lo, hi = lo - order, hi - order
+        lo, hi = lo - j, hi - j
         num, den = (total, d * p**-lo) if lo < 0 else (total * p**lo, d)
         return Fraction(num * q**-hi, den) if hi < 0 else Fraction(num, den * q**hi)
 

@@ -9,7 +9,9 @@ chart points reproduce, the conditioning guard that runs the SVD on
 every metric, and the Kaehler defects of a fibration's form.  The
 engine reports batches only; curvature_at reads one point as a batch of one.
 exact_page_pope_chart and fractions give the engine's exact route, on
-Fractions, that the float reports are held against.  pytest puts tests/
+Fractions, that the float reports are held against, and shift_reference
+expands P(a + u) by repeated products of (u + a), the exact reference for
+LaurentPoly.taylor and the family's arbiters.  pytest puts tests/
 on sys.path, so a test reads them with `from oracles import ...`.
 """
 
@@ -32,6 +34,15 @@ class DegeneratePlane(ValueError):
 
 class StepTooLarge(ValueError):
     """Finite-difference stencil would leave the chart domain."""
+
+
+def shift_reference(p: LaurentPoly, a) -> LaurentPoly:
+    """P(a + u) as a polynomial in u: sum c (u + a)^e by repeated products of (u + a), for a P without negative exponents."""
+    u_plus_a = LaurentPoly({1: 1, 0: a})
+    out = LaurentPoly()
+    for e, c in p.items():
+        out = out + c * u_plus_a**e
+    return out
 
 
 def sample_points(seed: int, count: int, lower: float, upper: float) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import shift_reference
 from pelab import family as fam
 from pelab.audits import AuditRow
 from pelab.cli import main
@@ -75,7 +76,7 @@ def alpha_of_r1(params):
 
 
 def profile_slope(params):
-    """P'(r1) from the derivative polynomial of P: the reference for the one-pass read of cone_angle and edge_model."""
+    """P'(r1) from the derivative polynomial of P: the reference for the Taylor read of cone_angle, edge_model and expand_at_edge."""
     return solve_profile(params).derivative()(params.r1)
 
 
@@ -93,7 +94,7 @@ def closed_form_cone_angles(params):
 
 @given(params=st.one_of(EDGE_TUPLES, CONIC_TUPLES))
 def test_profile_slope_matches_its_closed_form(params):
-    assert solve_profile(params).derivative_at(params.r1) == profile_slope(params) == closed_form_slope(params)
+    assert solve_profile(params).taylor(params.r1, 1) == profile_slope(params) == closed_form_slope(params)
 
 
 @given(params=EDGE_TUPLES)
@@ -105,18 +106,24 @@ def test_cone_angle_matches_its_closed_forms(params):
 @given(params=EDGE_TUPLES)
 def test_taylor_shift_at_r1_reads_the_root_and_the_derivative(params):
     p = solve_profile(params)
-    shifted = p.shift(params.r1)
-    assert shifted.coefficient(0) == 0
-    assert shifted.coefficient(1) == p.derivative()(params.r1)
+    shifted = shift_reference(p, params.r1)
+    assert p.taylor(params.r1, 0) == shifted.coefficient(0) == 0
+    assert p.taylor(params.r1, 1) == shifted.coefficient(1) == p.derivative()(params.r1)
 
 
 @given(params=CONIC_TUPLES)
 def test_conic_jet_vanishing_order_and_leading_constant(params):
     n = params.n
     p = solve_profile(params)
-    shifted = p.shift(1)
-    assert [shifted.coefficient(j) for j in range(n + 1)] == [0] * (n + 1)
-    assert shifted.coefficient(n + 1) == (params.lam / params.c) * F(2**n, n + 1)
+    shifted, orders = shift_reference(p, 1), range(n + 2)
+    assert [p.taylor(1, j) for j in orders] == [shifted.coefficient(j) for j in orders]
+    assert [p.taylor(1, j) for j in range(n + 1)] == [0] * (n + 1)
+    k_leading = p.taylor(1, n + 1)
+    assert k_leading == (params.lam / params.c) * F(2**n, n + 1)
+    derivative = p
+    for _ in range(n + 1):
+        derivative = derivative.derivative()
+    assert k_leading == derivative(1) / math.factorial(n + 1)
     assert conic_model(params, p).theta_coeff == (params.lam / (2 * n + 2)) ** 2
 
 

@@ -1,11 +1,13 @@
 """Exact arithmetic on Laurent polynomials: examples and ring properties."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import shift_reference
 from pelab.laurent import LaurentPoly, NonIntegrableTerm, ZeroBase
 
 R = LaurentPoly({1: 1})
@@ -76,16 +78,20 @@ def test_derivative():
     assert LaurentPoly({3: 1, 0: 5, -2: 1}).derivative() == LaurentPoly({2: 3, -3: -2})
 
 
-def test_derivative_at_examples():
+def test_taylor_examples():
+    # the conic fixture P = r^4 - 4r + 3 vanishes to second order at r = 1: P(1 + u) = 6u^2 + 4u^3 + u^4
+    assert [LaurentPoly({4: 1, 1: -4, 0: 3}).taylor(1, j) for j in range(6)] == [0, 0, 6, 4, 1, 0]
+    assert [R2M1.taylor(2, j) for j in range(4)] == [3, 4, 1, 0]
     p = LaurentPoly({3: 1, 0: 5, -2: 1})
-    assert p.derivative_at(2) == 3 * 4 - F(2, 8) == p.derivative()(2)
-    assert LaurentPoly({4: 1, 1: -4, 0: 3}).derivative_at(1) == 0
-    # at 0 the slope is the r^1 coefficient, not the constant term
-    assert LaurentPoly({2: 1, 1: F(-3, 2), 0: 5}).derivative_at(0) == F(-3, 2)
-    assert LaurentPoly.constant(7).derivative_at(F(3, 5)) == 0
-    assert LaurentPoly().derivative_at(0) == 0
+    assert p.taylor(2, 1) == 3 * 4 - F(2, 8) == p.derivative()(2)
+    # r^-2 at 1: C(-2, j) = (-1)^j (j + 1)
+    assert [LaurentPoly({-2: 1}).taylor(1, j) for j in range(4)] == [1, -2, 3, -4]
+    assert LaurentPoly.constant(7).taylor(F(3, 5), 1) == 0
+    # at 0 the expansion is P itself: the r^j coefficient, not the constant term
+    assert [LaurentPoly({2: 1, 1: F(-3, 2), 0: 5}).taylor(0, j) for j in range(4)] == [5, F(-3, 2), 1, 0]
+    assert LaurentPoly().taylor(0, 0) == LaurentPoly().taylor(5, 3) == 0
     with pytest.raises(ZeroBase):
-        LaurentPoly({1: 1, -1: 1}).derivative_at(0)
+        LaurentPoly({1: 1, -1: 1}).taylor(0, 1)
 
 
 def test_text_form():
@@ -164,55 +170,48 @@ def test_eval_matches_termwise_sum(p, x):
     assert p.derivative()(x) == _termwise(p.derivative(), x)
 
 
-def _shift_reference(p, a):
-    """sum c (u + a)^e by repeated products of (u + a)."""
-    u_plus_a = LaurentPoly({1: 1, 0: a})
-    out = LaurentPoly()
-    for e, c in p.items():
-        out = out + c * u_plus_a**e
-    return out
-
-
 genuine = st.dictionaries(st.integers(min_value=0, max_value=10), coeffs, max_size=6).map(LaurentPoly)
 centres = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 constants = coeffs.map(LaurentPoly.constant)
+orders = st.integers(min_value=0, max_value=5)
 
 
-@given(p=st.one_of(st.just(LaurentPoly()), constants, polys, negative_only, huge_entries), x=signed_points | huge_fractions)
-def test_derivative_at_matches_the_derivative_polynomial(p, x):
-    # the one-pass read of P'(x) against the derivative polynomial, the reference
-    value = p.derivative_at(x)
-    assert type(value) is F and value == p.derivative()(x)
+def _degree(p):
+    return max((e for e, _ in p.items()), default=0)
 
 
-@given(p=st.one_of(st.just(LaurentPoly()), constants, genuine, polys, negative_only))
-def test_derivative_at_zero_is_the_linear_coefficient(p):
+@given(p=st.one_of(st.just(LaurentPoly()), constants, polys, negative_only, huge_entries), x=signed_points | huge_fractions, j=orders)
+def test_taylor_matches_the_repeated_derivative(p, x, j):
+    # P^(j)(x)/j! with the j-fold derivative polynomial as the reference, negative exponents included
+    reference = p
+    for _ in range(j):
+        reference = reference.derivative()
+    value = p.taylor(x, j)
+    assert type(value) is F and value == reference(x) / math.factorial(j)
+
+
+@given(p=st.one_of(st.just(LaurentPoly()), constants, genuine, polys, negative_only), j=orders)
+def test_taylor_at_zero_is_the_coefficient(p, j):
     if p and min(e for e, _ in p.items()) < 0:
         with pytest.raises(ZeroBase):
-            p.derivative_at(0)
+            p.taylor(0, j)
     else:
-        assert p.derivative_at(0) == p.coefficient(1) == p.derivative()(0)
-
-
-def test_shift_examples():
-    # the conic fixture P = r^4 - 4r + 3 vanishes to second order at r = 1
-    assert LaurentPoly({4: 1, 1: -4, 0: 3}).shift(1) == LaurentPoly({4: 1, 3: 4, 2: 6})
-    assert R2M1.shift(2) == LaurentPoly({2: 1, 1: 4, 0: 3})
-    assert LaurentPoly().shift(5) == LaurentPoly()
-    with pytest.raises(ValueError):
-        LaurentPoly({2: 1, -1: 1}).shift(1)
+        assert p.taylor(0, j) == p.coefficient(j)
 
 
 @given(p=genuine, a=centres)
-def test_shift_matches_binomial_composition(p, a):
-    assert p.shift(a) == _shift_reference(p, a)
+def test_taylor_matches_the_binomial_composition(p, a):
+    reference, orders = shift_reference(p, a), range(_degree(p) + 2)
+    assert [p.taylor(a, j) for j in orders] == [reference.coefficient(j) for j in orders]
 
 
 @given(p=genuine, a=centres, u=centres)
-def test_shift_evaluates_at_a_plus_u(p, a, u):
-    assert p.shift(a)(u) == p(a + u)
+def test_taylor_coefficients_sum_to_p_at_a_plus_u(p, a, u):
+    assert sum(p.taylor(a, j) * u**j for j in range(_degree(p) + 1)) == p(a + u)
 
 
 @given(p=genuine, a=centres)
-def test_shift_round_trip(p, a):
-    assert p.shift(a).shift(-a) == p
+def test_taylor_round_trip(p, a):
+    # expanding at a, then expanding that polynomial at -a, gives back P
+    shifted = LaurentPoly({j: p.taylor(a, j) for j in range(_degree(p) + 1)})
+    assert LaurentPoly({j: shifted.taylor(-a, j) for j in range(_degree(p) + 1)}) == p

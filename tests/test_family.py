@@ -115,8 +115,8 @@ def test_taylor_shift_at_r1_reads_the_root_and_the_derivative(params):
 def test_conic_jet_vanishing_order_and_leading_constant(params):
     n = params.n
     p = solve_profile(params)
-    shifted, orders = shift_reference(p, 1), range(n + 2)
-    assert [p.taylor(1, j) for j in orders] == [shifted.coefficient(j) for j in orders]
+    shifted, js = shift_reference(p, 1), range(n + 2)
+    assert [p.taylor(1, j) for j in js] == [shifted.coefficient(j) for j in js]
     assert [p.taylor(1, j) for j in range(n + 1)] == [0] * (n + 1)
     k_leading = p.taylor(1, n + 1)
     assert k_leading == (params.lam / params.c) * F(2**n, n + 1)

@@ -201,8 +201,8 @@ def test_taylor_at_zero_is_the_coefficient(p, j):
 
 @given(p=genuine, a=centres)
 def test_taylor_matches_the_binomial_composition(p, a):
-    reference, orders = shift_reference(p, a), range(_degree(p) + 2)
-    assert [p.taylor(a, j) for j in orders] == [reference.coefficient(j) for j in orders]
+    reference, js = shift_reference(p, a), range(_degree(p) + 2)
+    assert [p.taylor(a, j) for j in js] == [reference.coefficient(j) for j in js]
 
 
 @given(p=genuine, a=centres, u=centres)

@@ -78,20 +78,29 @@ def test_derivative():
     assert LaurentPoly({3: 1, 0: 5, -2: 1}).derivative() == LaurentPoly({2: 3, -3: -2})
 
 
-def test_taylor_examples():
+def test_derivative_at_examples():
+    # taylor(x, 1) is the slope P'(x)
+    p = LaurentPoly({3: 1, 0: 5, -2: 1})
+    assert p.taylor(2, 1) == 3 * 4 - F(2, 8) == p.derivative()(2)
+    assert LaurentPoly({4: 1, 1: -4, 0: 3}).taylor(1, 1) == 0
+    # at 0 the slope is the r^1 coefficient, not the constant term
+    assert LaurentPoly({2: 1, 1: F(-3, 2), 0: 5}).taylor(0, 1) == F(-3, 2)
+    assert LaurentPoly.constant(7).taylor(F(3, 5), 1) == 0
+    assert LaurentPoly().taylor(0, 1) == 0
+    with pytest.raises(ZeroBase):
+        LaurentPoly({1: 1, -1: 1}).taylor(0, 1)
+
+
+def test_shift_examples():
+    # the coefficients of P(a + u) in u, read one order at a time through taylor(a, j)
     # the conic fixture P = r^4 - 4r + 3 vanishes to second order at r = 1: P(1 + u) = 6u^2 + 4u^3 + u^4
     assert [LaurentPoly({4: 1, 1: -4, 0: 3}).taylor(1, j) for j in range(6)] == [0, 0, 6, 4, 1, 0]
     assert [R2M1.taylor(2, j) for j in range(4)] == [3, 4, 1, 0]
-    p = LaurentPoly({3: 1, 0: 5, -2: 1})
-    assert p.taylor(2, 1) == 3 * 4 - F(2, 8) == p.derivative()(2)
     # r^-2 at 1: C(-2, j) = (-1)^j (j + 1)
     assert [LaurentPoly({-2: 1}).taylor(1, j) for j in range(4)] == [1, -2, 3, -4]
-    assert LaurentPoly.constant(7).taylor(F(3, 5), 1) == 0
     # at 0 the expansion is P itself: the r^j coefficient, not the constant term
     assert [LaurentPoly({2: 1, 1: F(-3, 2), 0: 5}).taylor(0, j) for j in range(4)] == [5, F(-3, 2), 1, 0]
     assert LaurentPoly().taylor(0, 0) == LaurentPoly().taylor(5, 3) == 0
-    with pytest.raises(ZeroBase):
-        LaurentPoly({1: 1, -1: 1}).taylor(0, 1)
 
 
 def test_text_form():

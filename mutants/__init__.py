@@ -307,4 +307,22 @@ MUTANTS = [
         "from . import cmd_sweep, family as fam",
         "command modules: family imports the sweep module at its top, so a family op compiles another command's code",
     ),
+    (
+        "src/pelab/family.py",
+        "1 + _coerce(t)",
+        "1 + 2 * _coerce(t)",
+        "smooth-cone member: r1 = 1 + 2t instead of 1 + t, so limit and audit build another member than g_t",
+    ),
+    (
+        "src/pelab/family.py",
+        "if lam <= 0:",
+        "if lam < 0:",
+        "base check of FamilyParams and RescaledProfile: lam = 0 accepted by both records",
+    ),
+    (
+        "src/pelab/cli.py",
+        "except OSError as exc:",
+        "except (OSError if path else ()) as exc:",
+        "write path: a failed stdout write left unmapped, so a closed pipe ends in a traceback and exit 1, not exit 2",
+    ),
 ]

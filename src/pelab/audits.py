@@ -26,8 +26,8 @@ from .family import (
     conic_model,
     edge_model,
     expand_at_edge,
-    smooth_c,
     smooth_c_printed,
+    smooth_cone_member,
     solve_profile,
 )
 from .limits import rho1_limit
@@ -44,20 +44,10 @@ class AuditRow:
     oracle_desc: str
 
     @property
-    def derived_matches_oracle(self) -> bool:
-        return self.derived == self.oracle
-
-    @property
-    def printed_matches_oracle(self) -> bool:
-        return self.printed == self.oracle
-
-    @property
     def verdict(self) -> str:
-        if self.derived_matches_oracle and not self.printed_matches_oracle:
-            return "derived confirmed; printed form fails"
-        if self.derived_matches_oracle and self.printed_matches_oracle:
-            return "both forms agree here"
-        return "UNRESOLVED"
+        if self.derived != self.oracle:
+            return "UNRESOLVED"
+        return "both forms agree here" if self.printed == self.oracle else "derived confirmed; printed form fails"
 
     def as_dict(self) -> dict:
         return {
@@ -96,21 +86,19 @@ def _beta_sq_rows() -> list[AuditRow]:
 
 def _smooth_c_rows() -> list[AuditRow]:
     rows = []
-    for n, lam, t in [(1, Fraction(2), Fraction(1)), (2, Fraction(2), Fraction(1, 2))]:
-        r1 = 1 + t
-        Lambda = Fraction(-(2 * n + 1))
-        derived = smooth_c(n, lam, Lambda, r1)
-        printed = smooth_c_printed(n, lam, t)
+    for n, t in [(1, Fraction(1)), (2, Fraction(1, 2))]:
+        member = smooth_cone_member(n, t)
+        printed = smooth_c_printed(n, 2, t)
         # the oracle value is the c that actually achieves alpha == 1;
         # report alpha at each candidate so the failure is visible
-        alpha_printed = cone_angle(FamilyParams(n=n, lam=lam, c=printed, Lambda=Lambda, r1=r1))
+        alpha_printed = cone_angle(FamilyParams(n=n, lam=member.lam, c=printed, Lambda=member.Lambda, r1=member.r1))
         rows.append(
             AuditRow(
                 quantity=f"smooth-cone c (alpha at printed candidate = {alpha_printed})",
-                tuple_desc=f"n={n} lam={lam} t={t} Lambda={Lambda}",
+                tuple_desc=f"n={n} lam={member.lam} t={t} Lambda={member.Lambda}",
                 printed=printed,
-                derived=derived,
-                oracle=derived,
+                derived=member.c,
+                oracle=member.c,
                 oracle_desc="unique root of alpha(c) = 1 (exact round trip)",
             )
         )
@@ -143,8 +131,7 @@ def _rho1_rows() -> list[AuditRow]:
     for n in (1, 2, 3):
         lim = rho1_limit(n)
         t = Fraction(1, 100)
-        c_t = smooth_c(n, 2, -(2 * n + 1), 1 + t)
-        exact_inner = c_t * (t + 2)
+        exact_inner = smooth_cone_member(n, t).c * (t + 2)
         rows.append(
             AuditRow(
                 quantity="rho1^2 (rescaled-limit inner radius squared)",

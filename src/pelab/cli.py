@@ -19,7 +19,9 @@ that evaluate curvature, verify and sweep --verify.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import os
 import sys
 from fractions import Fraction
 
@@ -109,18 +111,23 @@ def _csv_chunks(header, rows):
 
 
 def _write_output(text, path: str | None):
-    """Write text, a str or an iterable of str chunks, to path or to stdout."""
+    """Write text, a str or an iterable of str chunks, to path or to stdout.
+
+    Any failed write is a usage error.  A failed stdout write points fd 1 at
+    os.devnull, so the interpreter's final flush of the stream stays silent.
+    """
     chunks = [text] if isinstance(text, str) else text
-    if not path:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
-        return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
             for chunk in chunks:
                 fh.write(chunk)
+            fh.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        if not path:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise UsageError(f"cannot write {path or 'standard output'}: {exc.strerror or exc}") from exc
 
 
 # -- parser ----------------------------------------------------------------

@@ -51,6 +51,14 @@ class NoSmoothMetric(ValueError):
     """No c > 0 gives cone angle 2*pi at this (lam, r1)."""
 
 
+def _check_base(n, lam):
+    """The base (M, ghat) of FamilyParams and limits.RescaledProfile: n a positive int, lam > 0."""
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if lam <= 0:
+        raise ValueError(f"lam must be > 0, got {lam}")
+
+
 @record
 class FamilyParams:
     """One member of the metric family.
@@ -73,10 +81,7 @@ class FamilyParams:
         object.__setattr__(self, "c", _coerce(self.c))
         object.__setattr__(self, "Lambda", _coerce(self.Lambda))
         object.__setattr__(self, "r1", _coerce(self.r1))
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        _check_base(self.n, self.lam)
         if self.c <= 0:
             raise ValueError(f"c must be > 0, got {self.c}")
         if self.Lambda >= 0:
@@ -206,11 +211,9 @@ def cone_angle_conic_limit(params: FamilyParams) -> Fraction:
 
 
 def edge_model(params: FamilyParams, p: LaurentPoly) -> EdgeModel:
-    """Closed-form near-edge model data for r1 > 1 (see EdgeModel)."""
-    if params.is_conic:
-        raise ConicCase("r1 = 1 has no edge; use conic_model")
-    w = _w(params.r1)
+    """Closed-form near-edge model data for r1 > 1 (see EdgeModel); cone_angle refuses r1 = 1."""
     alpha = cone_angle(params)
+    w = _w(params.r1)
     beta_sq_derived = alpha * w / 2
     return EdgeModel(
         scale=4 * w**params.n / p.taylor(params.r1, 1),
@@ -281,6 +284,12 @@ def smooth_c(n: int, lam, Lambda, r1) -> Fraction:
     if check != 1:
         raise AuditMismatch(f"smooth_c round trip gave alpha = {check}")
     return c
+
+
+def smooth_cone_member(n: int, t) -> FamilyParams:
+    """The member g_t of the paper's smooth-cone subfamily: lam = 2, Lambda = -(2n+1), r1 = 1 + t, c = smooth_c."""
+    lam, Lambda, r1 = Fraction(2), Fraction(-(2 * n + 1)), 1 + _coerce(t)
+    return FamilyParams(n=n, lam=lam, c=smooth_c(n, lam, Lambda, r1), Lambda=Lambda, r1=r1)
 
 
 def smooth_c_printed(n: int, lam, t) -> Fraction:

@@ -29,7 +29,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .family import AuditMismatch, FamilyParams, scaling_action, smooth_c, solve_profile
+from .family import AuditMismatch, _check_base, scaling_action, smooth_cone_member, solve_profile
 from .laurent import LaurentPoly, _coerce
 from .records import record
 
@@ -53,10 +53,7 @@ class RescaledProfile:
     def __post_init__(self):
         object.__setattr__(self, "lam", _coerce(self.lam))
         object.__setattr__(self, "rho1_sq", _coerce(self.rho1_sq))
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        _check_base(self.n, self.lam)
         if self.rho1_sq < 0:
             raise ValueError(f"rho1_sq must be >= 0, got {self.rho1_sq}")
 
@@ -93,7 +90,7 @@ class Rho1Limit:
 def rho1_limit(n: int) -> Rho1Limit:
     """rho1^2 = c_t (t+2) for the lam = 2 family, checked exactly t-independent."""
     ts = [Fraction(1, 10**k) for k in (4, 6, 8)]
-    values = tuple(smooth_c(n, 2, -(2 * n + 1), 1 + t) * (t + 2) for t in ts)
+    values = tuple(smooth_cone_member(n, t).c * (t + 2) for t in ts)
     if len(set(values)) != 1:
         raise AuditMismatch(f"rho1^2 = c_t (t+2) depends on t: {values}")
     return Rho1Limit(derived_sq=values[0], paper_sq=Fraction(4, 2 * n + 1))
@@ -152,7 +149,7 @@ def _loglog_slope(xs, ys) -> float:
 def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
     """Compare the 1/t-rescaled smooth-cone metrics against g_inf (lam = 2).
 
-    For each t: r1 = 1+t, c = smooth_c(n, 2, -(2n+1), r1), then
+    For each t: the smooth-cone member g_t (r1 = 1+t, c = smooth_c), then
     (c, Lambda) -> (c/t, t Lambda).  In the rho variable the ghat
     coefficient equals rho^2 identically; the drho^2 coefficient is
     1/(U_t(rho) r(rho)^2) and the theta^2 coefficient is U_t(rho) rho^2,
@@ -171,17 +168,15 @@ def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
     grid = [_coerce(rho) for rho in rho_grid]
     if not grid:
         raise ValueError("rho_grid must not be empty")
-    lam = Fraction(2)
     rho1 = rho1_limit(n)
-    u_inf_poly = RescaledProfile(n, lam, rho1.derived_sq).as_laurent()
+    u_inf_poly = RescaledProfile(n, 2, rho1.derived_sq).as_laurent()
     for rho in grid:  # C t (t+2) = c_t (t+2) = rho1^2 at every t, so the inner radius is rho1
         if rho <= 0 or rho**2 <= rho1.derived_sq:
             raise DomainError(f"rho = {rho} is below the inner radius for t = {ts[0]}")
     u_inf = [u_inf_poly(rho) for rho in grid]
     rows = []
     for t in ts:
-        base_params = FamilyParams(n=n, lam=lam, c=smooth_c(n, lam, -(2 * n + 1), 1 + t), Lambda=Fraction(-(2 * n + 1)), r1=1 + t)
-        scaled = scaling_action(base_params, Fraction(1) / t)
+        scaled = scaling_action(smooth_cone_member(n, t), Fraction(1) / t)
         # P is r times an antiderivative of the even ODE right-hand side, so C P(r) =
         # A(r^2) + B r; times the common denominator d, B and A's coefficients are integers
         cp = scaled.c * solve_profile(scaled)

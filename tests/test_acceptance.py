@@ -22,6 +22,7 @@ from pelab.family import (
     scaling_action,
     smooth_c,
     smooth_c_printed,
+    smooth_cone_member,
     solve_profile,
 )
 from pelab.geom import curvature_reports, page_pope_chart, rescaled_chart
@@ -180,15 +181,15 @@ def test_criterion_09_formula_audit():
     for expected in ("beta_sq", "smooth-cone c", "conic base", "rho1^2"):
         assert any(expected in q for q in quantities), f"missing audit row {expected}"
     for row in rows:
-        assert row.derived_matches_oracle, row
-        assert not row.printed_matches_oracle, row
+        assert row.derived == row.oracle, row
+        assert row.printed != row.oracle, row
     # printed smooth-cone candidate concretely fails the alpha = 1 identity
     printed = smooth_c_printed(1, F(2), F(1))
     alpha_printed = cone_angle(FamilyParams(n=1, lam=F(2), c=printed, Lambda=F(-3), r1=F(2)))
     assert alpha_printed != 1
     # printed rho1^2 fails the exact inner-radius identity the derived value satisfies
     t = F(1, 100)
-    inner = smooth_c(1, 2, -3, 1 + t) * (t + 2)
+    inner = smooth_cone_member(1, t).c * (t + 2)
     assert inner == rho1_limit(1).derived_sq
     assert inner != rho1_limit(1).paper_sq
 
@@ -203,7 +204,7 @@ def test_criterion_10_limit_comparison():
     # as exact rational functions of r: the two quotients cross-multiply to the same polynomial
     r2m1 = LaurentPoly({2: 1, 0: -1})
     for t in ts:
-        scaled = scaling_action(FamilyParams(n=1, lam=F(2), c=smooth_c(1, 2, -3, 1 + t), Lambda=F(-3), r1=1 + t), 1 / t)
+        scaled = scaling_action(smooth_cone_member(1, t), 1 / t)
         p = solve_profile(scaled)
         assert scaled.c**2 * p * r2m1**2 == scaled.c**2 * p * r2m1 * r2m1
     for key in ("dev_drho2", "dev_theta2"):

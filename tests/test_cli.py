@@ -512,6 +512,36 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+# A failed stdout write points fd 1 at os.devnull, so each command runs in
+# an interpreter of its own, whose exit flushes the broken stream.
+@pytest.mark.parametrize(
+    "command",
+    [
+        "family --n 1 --k 1 --r1 1",
+        "sweep --param r1 --start 2 --stop 3 --count 2 --n 1 --k 1",
+        "verify --n 1 --k 1 --r1 2 --points 5 --format csv",
+    ],
+)
+def test_a_closed_stdout_pipe_is_a_usage_error(command):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the first write: every write raises EPIPE
+    try:
+        done = subprocess.run([sys.executable, "-m", "pelab", *command.split()], env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: cannot write standard output: Broken pipe\n")
+
+
+def test_a_full_disk_on_stdout_is_a_usage_error():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "pelab", "audit"], env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (2, "error: cannot write standard output: No space left on device\n")
+
+
 def _forbid_sampling(monkeypatch, why):
     import pelab.cmd_verify as verify_mod
 

@@ -29,11 +29,12 @@ from pelab.family import (
     scaling_action,
     smooth_c,
     smooth_c_printed,
+    smooth_cone_member,
     solve_profile,
     z_scale,
 )
 from pelab.laurent import LaurentPoly
-from pelab.limits import _loglog_slope
+from pelab.limits import RescaledProfile, _loglog_slope
 
 HYPERBOLIC = FamilyParams(n=1, lam=F(4), c=F(1), Lambda=F(-3), r1=F(1))
 CONIC = FamilyParams(n=1, lam=F(2), c=F(1, 3), Lambda=F(-3), r1=F(1))
@@ -101,6 +102,28 @@ def test_profile_slope_matches_its_closed_form(params):
 def test_cone_angle_matches_its_closed_forms(params):
     f1, f3 = closed_form_cone_angles(params)
     assert f1 == f3 == cone_angle(params)
+
+
+# The edge constants in closed form, without P: with W1 = r1^2 - 1,
+# P'(r1) = W1^n (|Lambda| W1 + lam/c)/r1 gives each of them.
+@given(params=EDGE_TUPLES)
+def test_edge_model_matches_its_closed_forms(params):
+    p = solve_profile(params)
+    em = edge_model(params, p)
+    w1, abs_Lambda = params.r1**2 - 1, params.abs_Lambda
+    assert em.alpha == (params.c * abs_Lambda * w1 + params.lam) / (2 * params.r1)
+    assert em.scale == 4 * params.r1 / (abs_Lambda * w1 + params.lam / params.c) == expand_at_edge(params, p)[0]
+    assert em.alpha * em.scale == 2 * params.c
+    assert em.beta_sq_derived == em.alpha * w1 / 2
+
+
+@pytest.mark.parametrize("r1", [F(1), F(3, 2), F(2), F(7, 3)])
+def test_catalogue_profiles_in_closed_form(r1):
+    # lam/c = 2n + 2 and |Lambda| = 2n + 1 at every k, so P = (r^2 - 1)^(n+1) - (r/r1) (r1^2 - 1)^(n+1)
+    for n in range(1, 6):
+        expected = fam._r2m1(n + 1) - LaurentPoly.term((r1**2 - 1) ** (n + 1) / r1, 1)
+        for k in range(1, 5):
+            assert solve_profile(cpn_catalogue(n, k, r1)) == expected, (n, k)
 
 
 @given(params=EDGE_TUPLES)
@@ -322,6 +345,14 @@ def test_smooth_c_round_trip_random():
         Lambda = -F(rng.randint(1, 7), rng.randint(1, 3))
         c = smooth_c(n, lam, Lambda, r1)
         assert cone_angle(FamilyParams(n=n, lam=lam, c=c, Lambda=Lambda, r1=r1)) == 1
+
+
+@pytest.mark.parametrize("n, t", [(1, F(1)), (2, F(1, 2)), (3, F(1, 100)), (10, F(1, 10**6))])
+def test_smooth_cone_member_is_the_t_family(n, t):
+    member = smooth_cone_member(n, t)
+    r1 = 1 + t
+    assert member == FamilyParams(n=n, lam=F(2), c=smooth_c(n, 2, -(2 * n + 1), r1), Lambda=F(-(2 * n + 1)), r1=r1)
+    assert cone_angle(member) == 1
 
 
 def test_smooth_c_printed_differs_by_half_t():
@@ -557,3 +588,18 @@ def test_params_validation():
         FamilyParams(n=1, lam=F(2), c=F(1), Lambda=F(1), r1=F(1))
     with pytest.raises(ValueError):
         FamilyParams(n=1, lam=F(2), c=F(1), Lambda=F(-1), r1=F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda n, lam: FamilyParams(n=n, lam=lam, c=1, Lambda=-3, r1=2), lambda n, lam: RescaledProfile(n, lam, 1)],
+    ids=["FamilyParams", "RescaledProfile"],
+)
+def test_both_records_check_their_base_alike(build):
+    with pytest.raises(ValueError, match="^n must be a positive integer, got 0$"):
+        build(0, 0)  # n is checked before lam
+    with pytest.raises(ValueError, match="^lam must be > 0, got 0$"):
+        build(1, 0)
+    with pytest.raises(ValueError, match="^lam must be > 0, got -1/2$"):
+        build(1, "-1/2")  # coerced before it is checked
+    build(1, F(1, 10**9))

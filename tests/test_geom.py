@@ -28,7 +28,7 @@ from oracles import (
     uv_inverted_chart,
 )
 from pelab.cmd_verify import _sample_points
-from pelab.family import FamilyParams, cpn_catalogue, scaling_action, smooth_c
+from pelab.family import FamilyParams, cpn_catalogue, scaling_action, smooth_cone_member
 from pelab.geom import (
     ChartMetric,
     CurvatureCheckError,
@@ -244,7 +244,7 @@ APPROACH_RATIO = (9.8, 10.0)
 
 
 def _rescaled_member_defects(t):
-    member = scaling_action(FamilyParams(n=1, lam=F(2), c=smooth_c(1, 2, -3, 1 + t), Lambda=F(-3), r1=1 + t), 1 / t)
+    member = scaling_action(smooth_cone_member(1, t), 1 / t)
     c = float(member.c)  # rho^2 = c (r^2 - 1), and rho1^2 = c (r1^2 - 1)
     points = _sample_points(0, 200, math.sqrt(1 + 1.21 * float(member.r1**2 - 1)), math.sqrt(1 + 16 / c))
     # the fibre coefficient c as a jet with zero derivatives

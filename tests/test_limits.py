@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pelab.cmd_limit import _default_rho_grid
-from pelab.family import AuditMismatch, FamilyParams, _r2m1, cpn_catalogue, scaling_action, smooth_c, solve_profile
+from pelab.family import AuditMismatch, FamilyParams, _r2m1, cpn_catalogue, scaling_action, smooth_cone_member, solve_profile
 from pelab.laurent import LaurentPoly
 from pelab.limits import DomainError, RescaledProfile, limit_comparison, rho1_limit
 
@@ -92,13 +92,13 @@ def test_rho1_limit():
 
 
 def test_rho1_limit_rejects_any_t_dependence(monkeypatch, capsys):
-    import pelab.limits as limits
+    import pelab.family as family
     from pelab.cli import main
 
-    exact = limits.smooth_c
+    exact = family.smooth_c
     # c_t (1 + t^2) spreads the three samples by about 1e-8 relative, which a
     # 1e-6 extrapolation tolerance would accept; the exact check must not
-    monkeypatch.setattr(limits, "smooth_c", lambda n, lam, Lambda, r1: exact(n, lam, Lambda, r1) * (1 + (r1 - 1) ** 2))
+    monkeypatch.setattr(family, "smooth_c", lambda n, lam, Lambda, r1: exact(n, lam, Lambda, r1) * (1 + (r1 - 1) ** 2))
     with pytest.raises(AuditMismatch):
         rho1_limit(1)
     assert main(["limit", "--n", "1"]) == 3
@@ -169,8 +169,7 @@ def test_limit_comparison():
 
 def rescaled_member(n, t):
     """The lam = 2 smooth-cone member at r1 = 1 + t after (c, Lambda) -> (c/t, t Lambda)."""
-    base = FamilyParams(n=n, lam=F(2), c=smooth_c(n, 2, -(2 * n + 1), 1 + t), Lambda=F(-(2 * n + 1)), r1=1 + t)
-    return scaling_action(base, 1 / t)
+    return scaling_action(smooth_cone_member(n, t), 1 / t)
 
 
 # The summary's "theta_identity_exact": c'^2 P (r^2-1)^-n equals

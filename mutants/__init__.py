@@ -325,4 +325,16 @@ MUTANTS = [
         "except (OSError if path else ()) as exc:",
         "write path: a failed stdout write left unmapped, so a closed pipe ends in a traceback and exit 1, not exit 2",
     ),
+    (
+        "src/pelab/cli.py",
+        "_write_output(output, args.output)",
+        "_write_output(output, None)",
+        "write site: main writes every command's output to stdout, so --output is ignored",
+    ),
+    (
+        "src/pelab/cli.py",
+        "return code",
+        "return 0",
+        "write site: main returns 0 whatever code the command returned, so a failed verification exits 0",
+    ),
 ]

@@ -14,7 +14,9 @@ that evaluate curvature, verify and sweep --verify.
 # (The docstring is the --help text.)  This module holds the parser, main
 # and what several commands share.  Each command's code is its own module,
 # pelab.cmd_<command>, which main imports once the command is known, so
-# an op compiles only the code of the command it runs.
+# an op compiles only the code of the command it runs.  cmd_<command>(args)
+# returns (exit code, output), output a str or an iterable of str chunks,
+# and main writes the output to stdout or --output.
 
 from __future__ import annotations
 
@@ -219,7 +221,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     command = importlib.import_module(f".cmd_{args.command}", __package__)
     try:
-        return getattr(command, f"cmd_{args.command}")(args)
+        code, output = getattr(command, f"cmd_{args.command}")(args)
+        _write_output(output, args.output)
+        return code
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR

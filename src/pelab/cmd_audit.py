@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from . import audits
-from .cli import _json_text, _write_output
+from .cli import _json_text
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args):
     rows = audits.run_audits()
     if args.format == "json":
-        _write_output(_json_text([r.as_dict() for r in rows]), args.output)
-    else:
-        _write_output(audits.render_table(rows) + "\n", args.output)
-    return 0
+        return 0, _json_text([r.as_dict() for r in rows])
+    return 0, audits.render_table(rows) + "\n"

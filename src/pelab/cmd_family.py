@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from . import family as fam
-from .cli import _json_text, _params_from_args, _write_output
+from .cli import _json_text, _params_from_args
 
 
-def cmd_family(args) -> int:
+def cmd_family(args):
     params = _params_from_args(args)
     report = fam.family_report(params)
     if args.format == "json":
-        _write_output(_json_text(report), args.output)
-        return 0
+        return 0, _json_text(report)
     lines = [
         f"params: n={params.n} lambda={params.lam} c={params.c} Lambda={params.Lambda} r1={params.r1}",
         f'P = "{report["P_text"]}"',
@@ -41,5 +40,4 @@ def cmd_family(args) -> int:
         f"z_scale = {report['z_scale']}",
         f"positivity: {report['positivity'].upper()}",
     ]
-    _write_output("\n".join(lines) + "\n", args.output)
-    return 0
+    return 0, "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ def _default_rho_grid(n: int):
     return [Fraction(repr(round(rho1 * (1.2 + 1.8 * j / 24), 9))) for j in range(25)]
 
 
-def cmd_limit(args) -> int:
+def cmd_limit(args):
     if args.summary_output and args.format != "csv":
         raise UsageError("--summary-output needs --format csv")
     ts = [_rat(v, "--t-list") for v in args.t_list.split(",") if v]
@@ -48,9 +48,8 @@ def cmd_limit(args) -> int:
             ],
             "summary": comparison.summary(),
         }
-        _write_output(_json_text(payload), args.output)
-        return 0
-    _write_output(_csv_chunks(["t", "rho", "dev_drho2", "dev_theta2", "dev_base"], comparison.rows), args.output)
+        return 0, _json_text(payload)
+    # the summary is written first: a failed summary write leaves stdout and --output untouched
     if args.summary_output:
         _write_output(_json_text(comparison.summary()), args.summary_output)
-    return 0
+    return 0, _csv_chunks(["t", "rho", "dev_drho2", "dev_theta2", "dev_base"], comparison.rows)

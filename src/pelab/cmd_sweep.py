@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from . import family as fam
-from .cli import _MAX_COUNT, UsageError, _csv_chunks, _fmt, _json_text, _params_from_args, _write_output
+from .cli import _MAX_COUNT, UsageError, _csv_chunks, _fmt, _json_text, _params_from_args
 from .family import FamilyParams
 
 
@@ -85,7 +85,7 @@ def _sweep_row(args, value) -> tuple[FamilyParams, list]:
     return params, [params.r1, params.c, alpha, beta_sq, fam.conformal_infinity(params), fam.z_scale(params)]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     if args.param in ("r1", "t") and args.r1 is not None:
         raise UsageError(f"--r1 conflicts with sweeping {args.param}")
     if args.verify:
@@ -114,7 +114,5 @@ def cmd_sweep(args) -> int:
 
     if args.format == "json":
         payload = [{name: _fmt(v) if not isinstance(v, float) else v for name, v in zip(header, row)} for row in rows]
-        _write_output(_json_text(payload), args.output)
-    else:
-        _write_output(_csv_chunks(header, rows), args.output)
-    return 0
+        return 0, _json_text(payload)
+    return 0, _csv_chunks(header, rows)

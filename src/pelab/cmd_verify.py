@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cli import _MAX_COUNT, VERIFY_ERROR, UsageError, _csv_chunks, _fmt, _json_text, _params_from_args, _rat, _write_output
+from .cli import _MAX_COUNT, VERIFY_ERROR, UsageError, _csv_chunks, _fmt, _json_text, _params_from_args, _rat
 from .family import FamilyParams
 
 # geom and the jets it imports are compiled before numpy loads; compiled
@@ -91,7 +91,7 @@ def _float_rows(*arrays):
         yield from np.hstack([a[start : start + 4096] for a in arrays]).tolist()
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     _check_points(args.points)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError(f"--tol must be a finite number > 0, got {args.tol!r}")
@@ -135,9 +135,9 @@ def cmd_verify(args) -> int:
             "pass": ok,
             "worst_point": list(worst_point),
         }
-        _write_output(_json_text(payload), args.output)
+        output = _json_text(payload)
     elif args.format == "csv":
-        _write_output(_csv_chunks([*chart.coords, *geom.SCALAR_COLUMNS], _float_rows(points, columns)), args.output)
+        output = _csv_chunks([*chart.coords, *geom.SCALAR_COLUMNS], _float_rows(points, columns))
     else:
         lines = [
             f"chart: {label}",
@@ -147,8 +147,8 @@ def cmd_verify(args) -> int:
             f"max symmetry: {max_sym!r}",
             "PASS" if ok else f"FAIL at point {worst_point}",
         ]
-        _write_output("\n".join(lines) + "\n", args.output)
-    return 0 if ok else VERIFY_ERROR
+        output = "\n".join(lines) + "\n"
+    return (0 if ok else VERIFY_ERROR), output
 
 
 def _resolve_rho1_sq(args) -> Fraction:

@@ -5,8 +5,9 @@ curvature that uses no jets, sectional curvature, a Cholesky test of positive
 definiteness, the residual of the connection equation dA = -2 omega, four
 model charts (the base sphere, flat space, a constant multiple of a chart and
 the (u, v) inversion of a chart), the numpy.random draw that the seeded
-chart points reproduce, the conditioning guard that runs the SVD on
-every metric, and the Kaehler defects of a fibration's form.  The
+chart points reproduce, one chart point drawn from a random.Random, the
+conditioning guard that runs the SVD on every metric, and the Kaehler
+defects of a fibration's form.  The
 engine reports batches only; curvature_at reads one point as a batch of one.
 exact_page_pope_chart and fractions give the engine's exact route, on
 Fractions, that the float reports are held against, and shift_reference
@@ -17,6 +18,7 @@ on sys.path, so a test reads them with `from oracles import ...`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -51,6 +53,13 @@ def sample_points(seed: int, count: int, lower: float, upper: float) -> np.ndarr
     disk_r = 0.9 * np.sqrt(draw[:, 2])
     draw[:, 2], draw[:, 3] = disk_r * np.cos(draw[:, 3]), disk_r * np.sin(draw[:, 3])
     return draw
+
+
+def chart_point(rng, r_low, r_high) -> tuple[float, float, float, float]:
+    """One chart point (radial, psi, u, v) drawn from the random.Random rng, (u, v) inside the disk of radius 0.9."""
+    disk = 0.9 * math.sqrt(rng.uniform(0, 1))
+    ang = rng.uniform(0, 2 * math.pi)
+    return (rng.uniform(r_low, r_high), rng.uniform(0.1, 6.1), disk * math.cos(ang), disk * math.sin(ang))
 
 
 def inverse_by_cond(G: np.ndarray, points) -> np.ndarray:

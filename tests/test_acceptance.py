@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from oracles import curvature_at, fd_oracle, scaled_chart, sectional
+from oracles import chart_point, curvature_at, fd_oracle, scaled_chart, sectional
 from pelab.audits import run_audits
 from pelab.family import (
     FamilyParams,
@@ -60,12 +60,6 @@ def _random_params(rng, n_max=4):
     )
 
 
-def _chart_point(rng, r_low, r_high):
-    disk = 0.9 * math.sqrt(rng.uniform(0, 1))
-    ang = rng.uniform(0, 2 * math.pi)
-    return (rng.uniform(r_low, r_high), rng.uniform(0.1, 6.1), disk * math.cos(ang), disk * math.sin(ang))
-
-
 @criterion(1, "exact profile ODE identity for 100 random tuples in < 5 s")
 def test_criterion_01_exact_ode_identity():
     start = time.perf_counter()
@@ -99,7 +93,7 @@ def test_criterion_03_einstein_verification():
         lam = float(params.Lambda)
         r1f = float(params.r1)
         for _ in range(20):
-            pt = _chart_point(rng, r1f + 0.1, 10.0)
+            pt = chart_point(rng, r1f + 0.1, 10.0)
             worst = max(worst, curvature_at(chart, pt, lam=lam).einstein_residual)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-6, f"worst residual {worst:.3e}"
@@ -111,7 +105,7 @@ def test_criterion_04_hyperbolic_sectional():
     chart = page_pope_chart(FamilyParams(n=1, lam=F(4), c=F(1), Lambda=F(-3), r1=F(1)))
     rng = random.Random(104)
     for _ in range(10):
-        pt = _chart_point(rng, 1.1, 9.0)
+        pt = chart_point(rng, 1.1, 9.0)
         for _ in range(5):
             x = [rng.gauss(0, 1) for _ in range(4)]
             y = [rng.gauss(0, 1) for _ in range(4)]
@@ -123,7 +117,7 @@ def test_criterion_05_flat_recovery():
     chart = rescaled_chart(RescaledProfile(1, 4, 0))
     rng = random.Random(105)
     for _ in range(20):
-        pt = _chart_point(rng, 0.5, 3.0)
+        pt = chart_point(rng, 0.5, 3.0)
         assert np.max(np.abs(curvature_at(chart, pt).riemann)) <= 1e-12
 
 
@@ -134,7 +128,7 @@ def test_criterion_06_ricci_flat_limit():
     rho1 = profile.rho1
     rng = random.Random(106)
     for _ in range(20):
-        pt = _chart_point(rng, 1.1 * rho1, 5.0 * rho1)
+        pt = chart_point(rng, 1.1 * rho1, 5.0 * rho1)
         assert curvature_at(chart, pt, lam=0.0).einstein_residual <= 1e-6
 
 
@@ -240,7 +234,7 @@ def test_criterion_12_cross_scheme():
         (page_pope_chart(FamilyParams(n=1, lam=F(2), c=F(2, 9), Lambda=F(-3), r1=F(2))), 2.2),
     ]
     for chart, r_low in charts:
-        pts = [_chart_point(rng, r_low, 6.0) for _ in range(50)]
+        pts = [chart_point(rng, r_low, 6.0) for _ in range(50)]
         batch = curvature_reports(chart, pts)
         for i, pt in enumerate(pts):
             jet_riemann, jet_christoffel = batch.riemann[..., i], batch.christoffel[..., i]

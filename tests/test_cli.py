@@ -501,15 +501,45 @@ def test_output_files_written(tmp_path, capsys):
     [
         ("family", "--n", "1", "--k", "1", "--r1", "1", "--output"),
         ("limit", "--n", "1", "--t-list", "0.1", "--rho-grid", "1,2", "--summary-output"),
+        ("limit", "--n", "1", "--t-list", "0.1", "--rho-grid", "1,2", "--output", "table.csv", "--summary-output"),
     ],
-    ids=["output", "summary-output"],
+    ids=["output", "summary-output", "summary-output-with-output"],
 )
-def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+def test_unwritable_output_path_exits_2(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # a relative --output lands in tmp_path
     path = tmp_path / "missing" / "x"
-    code, _, err = run(capsys, *argv, str(path))
-    assert code == 2
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {path}: ")
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# One case per command and format, and a failing verify: what --output gets
+# is what stdout gets, under the same exit code.
+OUTPUT_CASES = [
+    "family --n 1 --k 1 --r1 5/2",
+    "family --n 1 --k 1 --r1 5/2 --format json",
+    "audit",
+    "audit --format json",
+    "sweep --param r1 --start 2 --stop 3 --count 3 --n 1 --k 1",
+    "sweep --param r1 --start 2 --stop 3 --count 3 --n 1 --k 1 --format json",
+    "limit --n 1 --t-list 0.1,0.01 --rho-grid 1,2",
+    "limit --n 1 --t-list 0.1,0.01 --rho-grid 1,2 --format json",
+    "verify --n 1 --k 1 --r1 2 --points 5",
+    "verify --n 1 --k 1 --r1 2 --points 5 --format json",
+    "verify --n 1 --k 1 --r1 2 --points 5 --format csv",
+    "verify --n 1 --k 1 --r1 2 --points 5 --tol 1e-30",
+]
+
+
+@pytest.mark.parametrize("command", OUTPUT_CASES)
+def test_output_file_gets_the_bytes_of_stdout(tmp_path, capsys, command):
+    path = tmp_path / "out"
+    code, out, err = run(capsys, *command.split())
+    assert out and err == "" and code == (1 if "--tol" in command else 0)
+    assert run(capsys, *command.split(), "--output", str(path)) == (code, "", "")
+    assert path.read_bytes() == out.encode()
 
 
 # A failed stdout write points fd 1 at os.devnull, so each command runs in

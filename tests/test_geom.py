@@ -13,6 +13,7 @@ import oracles
 from oracles import (
     DegeneratePlane,
     StepTooLarge,
+    chart_point,
     connection_curvature_residual,
     curvature_at,
     euclidean_chart,
@@ -46,12 +47,6 @@ from pelab.limits import RescaledProfile, rho1_limit
 HYPERBOLIC = FamilyParams(n=1, lam=F(4), c=F(1), Lambda=F(-3), r1=F(1))
 EDGE_SMOOTH = FamilyParams(n=1, lam=F(2), c=F(2, 9), Lambda=F(-3), r1=F(2))
 HYP_POINT = (1.7, 0.4, 0.2, 0.1)
-
-
-def sample_point(rng, r_low, r_high):
-    disk = 0.9 * math.sqrt(rng.uniform(0, 1))
-    ang = rng.uniform(0, 2 * math.pi)
-    return (rng.uniform(r_low, r_high), rng.uniform(0.1, 6.1), disk * math.cos(ang), disk * math.sin(ang))
 
 
 def test_euclidean_flat():
@@ -114,14 +109,14 @@ def test_metric_positive_definite():
     rng = random.Random(4)
     chart = page_pope_chart(EDGE_SMOOTH)
     for _ in range(100):
-        assert is_positive_definite(chart, sample_point(rng, 2.1, 9.0))
+        assert is_positive_definite(chart, chart_point(rng, 2.1, 9.0))
 
 
 def test_hyperbolic_einstein_and_sectional():
     chart = page_pope_chart(HYPERBOLIC)
     rng = random.Random(8)
     for _ in range(10):
-        pt = sample_point(rng, 1.1, 9.0)
+        pt = chart_point(rng, 1.1, 9.0)
         assert curvature_at(chart, pt, lam=-3.0).einstein_residual < 1e-6
         x = [rng.gauss(0, 1) for _ in range(4)]
         y = [rng.gauss(0, 1) for _ in range(4)]
@@ -139,7 +134,7 @@ def test_einstein_random_family_members():
             r1=1 + F(rng.randint(0, 6), 4),
         )
         chart = page_pope_chart(params)
-        pt = sample_point(rng, float(params.r1) + 0.2, 8.0)
+        pt = chart_point(rng, float(params.r1) + 0.2, 8.0)
         assert curvature_at(chart, pt, lam=float(params.Lambda)).einstein_residual < 1e-6
 
 
@@ -147,7 +142,7 @@ def test_rescaled_chart_flat():
     chart = rescaled_chart(RescaledProfile(1, 4, 0))
     rng = random.Random(16)
     for _ in range(10):
-        pt = sample_point(rng, 0.5, 3.0)
+        pt = chart_point(rng, 0.5, 3.0)
         assert np.max(np.abs(curvature_at(chart, pt).riemann)) < 1e-12
 
 
@@ -157,7 +152,7 @@ def test_rescaled_chart_ricci_flat():
     rho1 = profile.rho1
     rng = random.Random(17)
     for _ in range(10):
-        pt = sample_point(rng, 1.1 * rho1, 5.0 * rho1)
+        pt = chart_point(rng, 1.1 * rho1, 5.0 * rho1)
         assert curvature_at(chart, pt, lam=0.0).einstein_residual < 1e-6
     # both circulating rho1 values give a Ricci-flat metric
     chart_paper = rescaled_chart(RescaledProfile(1, 2, rho1_limit(1).paper_sq))
@@ -272,7 +267,7 @@ def test_fd_oracle_agreement_two_charts():
     rng = random.Random(19)
     for chart, r_low in ((page_pope_chart(HYPERBOLIC), 1.2), (page_pope_chart(EDGE_SMOOTH), 2.2)):
         for _ in range(5):
-            pt = sample_point(rng, r_low, 6.0)
+            pt = chart_point(rng, r_low, 6.0)
             jet = curvature_at(chart, pt)
             fd = fd_oracle(chart, pt)
             scale = np.max(np.abs(jet.riemann))
@@ -405,7 +400,7 @@ def test_uv_inverted_metric_is_the_pullback():
         base = page_pope_chart(params)
         inv = uv_inverted_chart(base)
         for _ in range(6):
-            x0, x1, u, v = sample_point(rng, float(params.r1) + 0.1, 9.0)
+            x0, x1, u, v = chart_point(rng, float(params.r1) + 0.1, 9.0)
             q = u * u + v * v
             w = np.array([u / q, v / q])
             big_q = float(w @ w)

@@ -269,7 +269,7 @@ MUTANTS = [
         "src/pelab/geom.py",
         "class SingularMetric(VerificationFailure):",
         "class SingularMetric(ValueError):",
-        "verification failures: a singular metric no longer a VerificationFailure, so the CLI reports it as a usage error (exit 2), not exit 1",
+        "verification failures: a singular metric no longer a VerificationFailure, so the CLI ends in a traceback, not exit 1",
     ),
     (
         "src/pelab/geom.py",
@@ -336,5 +336,17 @@ MUTANTS = [
         "return code",
         "return 0",
         "write site: main returns 0 whatever code the command returned, so a failed verification exits 0",
+    ),
+    (
+        "src/pelab/cli.py",
+        "except UsageError as exc:",
+        "except ValueError as exc:",
+        "exit codes: main maps every ValueError to exit 2 again, so an internal defect reads as a usage error",
+    ),
+    (
+        "src/pelab/family.py",
+        'raise UsageError(f"c must be > 0, got {self.c}")',
+        'raise ValueError(f"c must be > 0, got {self.c}")',
+        "exit codes: c <= 0 raised as a plain ValueError, so family --c 0 ends in a traceback, not exit 2",
     ),
 ]

@@ -21,9 +21,9 @@ Tier-1 first runs once on the unmutated copy: a mutant that only meets a
 suite that already fails has not been killed.  `tests/test_mutants.py`,
 which reads the sources and this record on purpose, is left out of these
 runs.
-One pytest runs at a time.  For the 54 mutants listed on 2026-10-22, 12
-of them killed first by a golden, the baseline and 66 mutant runs took
-8.0 minutes on a 2-vCPU machine.  SIGTERM ends the run as an exception
+One pytest runs at a time.  For the 56 mutants listed on 2026-10-22, 12
+of them killed first by a golden, the baseline and 68 mutant runs took
+10.4 minutes on a 2-vCPU machine whose other core was partly busy.  SIGTERM ends the run as an exception
 does: the running pytest is killed and the temporary tree removed.
 """
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 # Every command is a fresh interpreter, so limits and audits are imported
 # by the command modules that run them, and json and csv where used.
-from . import VerificationFailure, family as fam
+from . import UsageError, VerificationFailure, family as fam
 from .family import AuditMismatch, FamilyParams
 
 USAGE_ERROR = 2
@@ -39,10 +39,6 @@ AUDIT_ERROR = 3
 # sweep --count, limit --rho-grid and the --points of verify and sweep --verify
 # build every value (every point of a row) before the first row is written
 _MAX_COUNT = 100_000
-
-
-class UsageError(ValueError, argparse.ArgumentTypeError):
-    """Exit 2.  Raised by a flag's type function, argparse reports it against the flag."""
 
 
 def _rat(text: str, flag: str | None = None) -> Fraction:
@@ -230,7 +226,7 @@ def main(argv=None) -> int:
     except AuditMismatch as exc:
         print(f"audit mismatch: {exc}", file=sys.stderr)
         return AUDIT_ERROR
-    except ValueError as exc:  # UsageError and the domain errors of family and limits
+    except UsageError as exc:  # exit 2's one class: any other exception is a defect, a traceback and exit 1
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

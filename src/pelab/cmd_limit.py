@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import limits
-from .cli import _MAX_COUNT, UsageError, _csv_chunks, _json_text, _rat, _write_output
+from . import UsageError, limits
+from .cli import _MAX_COUNT, _csv_chunks, _json_text, _rat, _write_output
 
 
 def _parse_rho_grid(text: str):

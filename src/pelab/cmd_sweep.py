@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import family as fam
-from .cli import _MAX_COUNT, UsageError, _csv_chunks, _fmt, _json_text, _params_from_args
+from . import UsageError, family as fam
+from .cli import _MAX_COUNT, _csv_chunks, _fmt, _json_text, _params_from_args
 from .family import FamilyParams
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cli import _MAX_COUNT, VERIFY_ERROR, UsageError, _csv_chunks, _fmt, _json_text, _params_from_args, _rat
+from . import UsageError
+from .cli import _MAX_COUNT, VERIFY_ERROR, _csv_chunks, _fmt, _json_text, _params_from_args, _rat
 from .family import FamilyParams
 
 # geom and the jets it imports are compiled before numpy loads; compiled

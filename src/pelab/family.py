@@ -31,6 +31,7 @@ import functools
 from fractions import Fraction
 from math import comb
 
+from . import UsageError
 from .laurent import LaurentPoly, _coerce
 from .records import record
 
@@ -39,24 +40,12 @@ class AuditMismatch(AssertionError):
     """Two exact routes to the same quantity disagreed (implementation bug)."""
 
 
-class ConicCase(ValueError):
-    """Operation requires r1 > 1 but the family is conic (r1 = 1)."""
-
-
-class EdgeCase(ValueError):
-    """Operation requires r1 = 1 but the family has an edge (r1 > 1)."""
-
-
-class NoSmoothMetric(ValueError):
-    """No c > 0 gives cone angle 2*pi at this (lam, r1)."""
-
-
 def _check_base(n, lam):
     """The base (M, ghat) of FamilyParams and limits.RescaledProfile: n a positive int, lam > 0."""
     if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+        raise UsageError(f"n must be a positive integer, got {n!r}")
     if lam <= 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
+        raise UsageError(f"lam must be > 0, got {lam}")
 
 
 @record
@@ -83,11 +72,11 @@ class FamilyParams:
         object.__setattr__(self, "r1", _coerce(self.r1))
         _check_base(self.n, self.lam)
         if self.c <= 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
+            raise UsageError(f"c must be > 0, got {self.c}")
         if self.Lambda >= 0:
-            raise ValueError(f"Lambda must be < 0, got {self.Lambda}")
+            raise UsageError(f"Lambda must be < 0, got {self.Lambda}")
         if self.r1 < 1:
-            raise ValueError(f"r1 must be >= 1, got {self.r1}")
+            raise UsageError(f"r1 must be >= 1, got {self.r1}")
 
     @property
     def abs_Lambda(self) -> Fraction:
@@ -200,7 +189,7 @@ def cone_angle(params: FamilyParams) -> Fraction:
     (c|Lambda|/2) r1 + (lam - c|Lambda|) / (2 r1) are checked in the tests.
     """
     if params.is_conic:
-        raise ConicCase("r1 = 1 has no edge; use conic_model")
+        raise ValueError("r1 = 1 has no edge; use conic_model")
     pp = solve_profile(params).taylor(params.r1, 1)
     return params.c * pp / (2 * _w(params.r1) ** params.n)
 
@@ -233,7 +222,7 @@ def expand_at_edge(params: FamilyParams, p: LaurentPoly) -> tuple[Fraction, Frac
     Returns (scale, alpha_sq, beta_sq).
     """
     if params.is_conic:
-        raise ConicCase("r1 = 1 has no edge; use conic_model")
+        raise ValueError("r1 = 1 has no edge; use conic_model")
     pp = p.taylor(params.r1, 1)
     n0 = _r2m1(params.n)(params.r1)
     # dr^2 slot: (r^2-1)^n / P ~ n0/(pp w); times 4w gives the ds^2 coefficient
@@ -254,7 +243,7 @@ def conic_model(params: FamilyParams, p: LaurentPoly) -> ConicModel:
     theta_coeff = (c K / 2^(n+1))^2 and base coefficient c K / 2^(n+1).
     """
     if not params.is_conic:
-        raise EdgeCase("r1 > 1 has an edge; use edge_model")
+        raise ValueError("r1 > 1 has an edge; use edge_model")
     n = params.n
     k_leading = p.taylor(1, n + 1)
     ck = params.c * k_leading / 2 ** (n + 1)
@@ -276,9 +265,9 @@ def smooth_c(n: int, lam, Lambda, r1) -> Fraction:
     """
     lam, Lambda, r1 = _coerce(lam), _coerce(Lambda), _coerce(r1)
     if r1 == 1:
-        raise ConicCase("r1 = 1 is the conic case; no edge to smooth")
+        raise ValueError("r1 = 1 is the conic case; no edge to smooth")
     if 2 * r1 <= lam:
-        raise NoSmoothMetric(f"need 2*r1 > lam, got 2*{r1} <= {lam}")
+        raise ValueError(f"need 2*r1 > lam, got 2*{r1} <= {lam}")
     c = (2 * r1 - lam) / ((-Lambda) * (r1**2 - 1))
     check = cone_angle(FamilyParams(n=n, lam=lam, c=c, Lambda=Lambda, r1=r1))
     if check != 1:
@@ -334,7 +323,7 @@ def z_scale(params: FamilyParams) -> Fraction:
 def cpn_catalogue(n: int, k: int, r1=1) -> FamilyParams:
     """Degree -k bundle over CP^n: lam = (2n+2)/k, c = 1/k, Lambda = -(2n+1)."""
     if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+        raise UsageError(f"k must be a positive integer, got {k!r}")
     return FamilyParams(
         n=n,
         lam=Fraction(2 * n + 2, k),

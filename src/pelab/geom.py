@@ -42,7 +42,7 @@ from .jets import Jet2, _array, _zeros, laurent_eval, seed_point
 
 import numpy as np
 
-from . import VerificationFailure
+from . import UsageError, VerificationFailure
 from .family import solve_profile
 from .records import record
 
@@ -55,25 +55,17 @@ class SingularMetric(VerificationFailure):
     """Metric matrix not invertible (or hopelessly ill-conditioned) at the point."""
 
 
-class UnsupportedDimension(ValueError):
-    """Chart constructor called with a base dimension it does not provide."""
-
-
 class CurvatureCheckError(VerificationFailure):
     """Riemann symmetries or first Bianchi identity failed at construction."""
 
 
-class BeyondFloatRange(ValueError):
-    """An exact value of a chart, or a float the engine computes from it, does not fit in a float."""
-
-
 @contextlib.contextmanager
 def _rounding_to_floats(source: str):
-    """Round the exact data of a chart to floats; a value beyond the float range is a domain error."""
+    """Round the exact data of a chart to floats; a value beyond the float range raises pelab.UsageError."""
     try:
         yield
     except OverflowError:
-        raise BeyondFloatRange(f"{source}: an exact value lies beyond the float range") from None
+        raise UsageError(f"{source}: an exact value lies beyond the float range") from None
 
 
 @record
@@ -331,7 +323,7 @@ def point_scalars(chart: ChartMetric, points, lam: float | np.ndarray) -> np.nda
     A chart or lam with one value per point (:func:`page_pope_block`)
     describes one block, so it takes at most BLOCK_POINTS points.
 
-    A float fault (overflow, division by zero, invalid) raises BeyondFloatRange.
+    A float fault (overflow, division by zero, invalid) raises pelab.UsageError.
     """
     pts = np.asarray(points, dtype=float)
     out = np.empty((len(pts), len(SCALAR_COLUMNS)))
@@ -342,7 +334,7 @@ def point_scalars(chart: ChartMetric, points, lam: float | np.ndarray) -> np.nda
                 rep = curvature_reports(chart, pts[start:stop], lam)
                 out[start:stop] = np.stack([getattr(rep, name) for name in SCALAR_COLUMNS], axis=-1)
     except FloatingPointError as exc:
-        raise BeyondFloatRange(f"{chart.label}: a float of the curvature engine leaves the float range ({exc})") from None
+        raise UsageError(f"{chart.label}: a float of the curvature engine leaves the float range ({exc})") from None
     return out
 
 
@@ -408,9 +400,9 @@ def _base_blocks(lam: float, u, v):
 def _check_fibration(n: int, lam: float, label: str):
     """The charts cover the base dimension n = 1, and ghat needs a float lam > 0."""
     if n != 1:
-        raise UnsupportedDimension("the chart verification covers n = 1")
+        raise UsageError("the chart verification covers n = 1")
     if lam == 0.0:  # ghat divides by lam; an exact lam > 0 can underflow
-        raise BeyondFloatRange(f"{label}: lambda > 0 rounds to 0.0 as a float")
+        raise UsageError(f"{label}: lambda > 0 rounds to 0.0 as a float")
 
 
 def _fibration_chart(coords: tuple, inner, radial: Callable, lam, label: str, data: tuple = ()) -> ChartMetric:

@@ -29,13 +29,10 @@ import math
 import sys
 from fractions import Fraction
 
+from . import UsageError
 from .family import AuditMismatch, _check_base, scaling_action, smooth_cone_member, solve_profile
 from .laurent import LaurentPoly, _coerce
 from .records import record
-
-
-class DomainError(ValueError):
-    """A grid point fell outside the admissible rho range, or a value outside the float range."""
 
 
 @record
@@ -156,23 +153,24 @@ def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
     with U_t(rho) = C t P_t(r)/(r^2-1)^(n+1) and C = c/t.  Deviations
     from the g_inf coefficients are measured on rho_grid, whose points
     must be positive and above the inner radius sqrt(C t (t+2)) = rho1; the
-    fitted order is the log-log slope of the sup deviation against t.
+    fitted order is the log-log slope of the sup deviation against t, None
+    where the float logs of all t are equal or a sup deviation is 0.
     """
     ts = [_coerce(t) for t in t_values]
     if not ts:
-        raise ValueError("t_values must not be empty")
+        raise UsageError("t_values must not be empty")
     if any(t <= 0 for t in ts) or any(later >= t for t, later in zip(ts, ts[1:])):
-        raise ValueError("t_values must be positive and decreasing")
+        raise UsageError("t_values must be positive and decreasing")
     if ts[-1] < sys.float_info.min or ts[0] > sys.float_info.max:
-        raise DomainError("t_values must lie in the float range, where the fitted order takes log t")
+        raise UsageError("t_values must lie in the float range, where the fitted order takes log t")
     grid = [_coerce(rho) for rho in rho_grid]
     if not grid:
-        raise ValueError("rho_grid must not be empty")
+        raise UsageError("rho_grid must not be empty")
     rho1 = rho1_limit(n)
     u_inf_poly = RescaledProfile(n, 2, rho1.derived_sq).as_laurent()
     for rho in grid:  # C t (t+2) = c_t (t+2) = rho1^2 at every t, so the inner radius is rho1
         if rho <= 0 or rho**2 <= rho1.derived_sq:
-            raise DomainError(f"rho = {rho} is below the inner radius for t = {ts[0]}")
+            raise UsageError(f"rho = {rho} is below the inner radius for t = {ts[0]}")
     u_inf = [u_inf_poly(rho) for rho in grid]
     rows = []
     for t in ts:
@@ -196,15 +194,14 @@ def limit_comparison(n: int, t_values, rho_grid) -> LimitComparison:
                 dev_drho2 = _surd_float(z * wd * un * x - ud * sn * k, -z * wd * un * y, m, sn * k * un)
                 dev_theta2 = _surd_float((x * ud - un * z) * pn, y * ud * pn, m, z * ud * pd)
             except OverflowError:
-                raise DomainError(f"t = {t}, rho = {rho}: a deviation lies beyond the float range") from None
+                raise UsageError(f"t = {t}, rho = {rho}: a deviation lies beyond the float range") from None
             rows.append((t, rho, dev_drho2, dev_theta2, 0.0))  # dev_base: C (r^2-1) = rho^2 by definition of w
     blocks = [rows[i : i + len(grid)] for i in range(0, len(rows), len(grid))]
     sups = {key: [max(row[col] for row in block) for block in blocks] for col, key in enumerate(("dev_drho2", "dev_theta2", "dev_base"), 2)}
 
-    orders = {
-        key: None if any(v == 0 for v in values) or len(ts) < 2 else _loglog_slope(ts, values)
-        for key, values in sups.items()
-    }
+    # the slope takes log t in floats: one t, or exact ts of one float log, fit no order
+    one_log_t = len({math.log(float(t)) for t in ts}) == 1
+    orders = {key: None if one_log_t or any(v == 0 for v in values) else _loglog_slope(ts, values) for key, values in sups.items()}
     return LimitComparison(
         rows=tuple(rows),
         sup_deviations=sups,

@@ -12,22 +12,34 @@ engine reports batches only; curvature_at reads one point as a batch of one.
 exact_page_pope_chart and fractions give the engine's exact route, on
 Fractions, that the float reports are held against, and shift_reference
 expands P(a + u) by repeated products of (u + a), the exact reference for
-LaurentPoly.taylor and the family's arbiters.  pytest puts tests/
-on sys.path, so a test reads them with `from oracles import ...`.
+LaurentPoly.taylor and the family's arbiters.  raises_caller_bug checks
+that a guard only a caller bug can reach raises a plain ValueError, not
+the CLI's exit-2 pelab.UsageError.  pytest puts tests/ on sys.path, so a
+test reads them with `from oracles import ...`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from pelab.family import FamilyParams, solve_profile
-from pelab.geom import ChartMetric, CurvatureReport, SingularMetric, UnsupportedDimension, _base_blocks, _check_domain, _page_pope, _report, curvature_reports
+from pelab.geom import ChartMetric, CurvatureReport, SingularMetric, _base_blocks, _check_domain, _page_pope, _report, curvature_reports
 from pelab.jets import Jet2, seed_point
 from pelab.laurent import LaurentPoly
+
+
+@contextlib.contextmanager
+def raises_caller_bug(match: str | None = None):
+    """The block raises a plain ValueError, which the CLI leaves to a traceback, not its exit-2 pelab.UsageError."""
+    with pytest.raises(ValueError, match=match) as exc:
+        yield
+    assert type(exc.value) is ValueError, repr(exc.value)
 
 
 class DegeneratePlane(ValueError):
@@ -234,7 +246,7 @@ def uv_inverted_chart(chart: ChartMetric) -> ChartMetric:
     points; the new domain is the exterior Q > 1 of the unit circle.
     """
     if chart.dim != 4:
-        raise UnsupportedDimension("uv inversion expects a 4-dimensional chart")
+        raise ValueError("uv inversion expects a 4-dimensional chart")
 
     def metric(x):
         x0, x1, U, V = x

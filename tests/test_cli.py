@@ -3,10 +3,12 @@
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -179,9 +181,20 @@ def test_no_command_builds_a_derivative_polynomial(monkeypatch, capsys, command)
 
 FLOAT_FAULT = "a float of the curvature engine leaves the float range"
 
-# Domain and validation errors raised below the CLI reach the user as
-# "error: <message>" with exit code 2 and nothing on stdout.
+# Every check that an argv can trip raises pelab.UsageError, in the CLI or
+# in a layer below it, and reaches the user as "error: <message>" with exit
+# code 2 and nothing on stdout.  Each check has a row here: a check that
+# raised any other exception would end in a traceback.
 USAGE_ERRORS = [
+    ("family --n 1 --lambda 2 --c 0 --Lambda -3 --r1 2", "c must be > 0, got 0"),
+    ("sweep --param c --start 0 --stop 1 --count 3 --lambda 2 --Lambda -3 --r1 2", "c must be > 0, got 0"),
+    ("family --n 1 --lambda 2", "missing required flags: --c, --Lambda, --r1"),
+    ("family --n 1 --k 1 --c 2 --r1 1", "--k replaces --lambda/--c/--Lambda; do not combine them"),
+    ("sweep --param r1 --start 2 --stop 3 --count 1 --n 1 --k 1", "--count must be >= 2"),
+    ("sweep --param r1 --start 3 --stop 2 --count 5 --n 1 --k 1", "--start must be < --stop"),
+    ("sweep --param r1 --start 2 --stop 3 --count 2 --n 1 --k 1 --r1 5", "--r1 conflicts with sweeping r1"),
+    ("verify --n 1 --k 1 --r1 1 --points 0", "--points must be >= 1"),
+    ("limit --n 1 --t-list ,,", "t_values must not be empty"),
     ("family --n 1 --lambda 2 --c 1 --Lambda 3 --r1 1", "Lambda must be < 0, got 3"),
     ("family --n 1 --lambda 2 --c 1 --Lambda -3 --r1 1/2", "r1 must be >= 1, got 1/2"),
     ("family --n 0 --k 1 --r1 1", "n must be a positive integer, got 0"),
@@ -285,6 +298,36 @@ def test_float_fault_prints_one_line_in_a_fresh_interpreter(command):
     env.pop("PYTHONWARNINGS", None)
     done = subprocess.run([sys.executable, "-m", "pelab", *command.split()], env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {dict(USAGE_ERRORS)[command]}\n")
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        ("geom", "assemble_curvature", "verify --n 1 --k 1 --r1 2 --points 3"),
+        ("family", "family_report", "family --n 1 --k 1 --r1 2"),
+        ("limits", "rho1_limit", "limit --n 1"),
+    ],
+)
+def test_an_internal_defect_is_not_a_usage_error(monkeypatch, capsys, module, name, argv):
+    # a plain ValueError from a layer is a defect: it leaves main as a traceback, never exit 2
+    monkeypatch.setattr(importlib.import_module(f"pelab.{module}"), name, lambda *args: np.zeros(3) + np.zeros(4))
+    with pytest.raises(ValueError, match="could not be broadcast together") as exc:
+        main(argv.split())
+    assert type(exc.value) is ValueError
+    assert capsys.readouterr().err == ""
+
+
+def test_one_exception_class_per_exit_code():
+    # exit 1 is pelab.VerificationFailure and exit 2 pelab.UsageError, the one
+    # ValueError subclass in pelab: no module grows an exit-2 class of its own
+    modules = [pelab, *(importlib.import_module(f"pelab.{info.name}") for info in pkgutil.iter_modules(pelab.__path__))]
+    value_errors = {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, ValueError) and obj.__module__.split(".")[0] == "pelab"
+    }
+    assert value_errors == {pelab.UsageError}
 
 
 def test_missing_subcommand_exits_2():
@@ -459,6 +502,14 @@ def test_limit_small_t_fits_first_order(capsys):
     orders = json.loads(out)["summary"]["fitted_order_per_coefficient"]
     assert orders["dev_drho2"] == pytest.approx(1, abs=1e-3)
     assert orders["dev_theta2"] == pytest.approx(1, abs=1e-3)
+
+
+@pytest.mark.parametrize("t_list", ["0.1,0.09999999999999999999999", "1e-300,9.999999999999999e-301"])
+def test_limit_ts_of_one_float_log_fit_no_order(capsys, t_list):
+    # the ts decrease exactly, but their float logs are equal (the second pair's floats differ)
+    code, out, err = run(capsys, "limit", "--n", "1", "--t-list", t_list, "--rho-grid", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["summary"]["fitted_order_per_coefficient"] == {"dev_drho2": None, "dev_theta2": None, "dev_base": None}
 
 
 @pytest.mark.parametrize("t_list", ["0.1,0.1", ",,"])

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import curvature_at, exact_page_pope_chart, inverse_by_cond
+from oracles import curvature_at, exact_page_pope_chart, inverse_by_cond, raises_caller_bug
 from pelab import geom
 from pelab.cli import main
 from pelab.cmd_verify import _sample_points
@@ -102,9 +102,9 @@ def test_jet_derivatives_carry_the_batch_axis():
 
 def test_points_must_be_a_batch_of_chart_points():
     chart = page_pope_chart(HYPERBOLIC)
-    with pytest.raises(ValueError):
+    with raises_caller_bug(r"^points must have shape \(N, 4\), got \(4,\)$"):
         curvature_reports(chart, (1.7, 0.4, 0.2, 0.1))
-    with pytest.raises(ValueError, match="outside chart domain"):
+    with raises_caller_bug("outside chart domain"):
         curvature_reports(chart, [(1.7, 0.4, 0.2, 0.1), (0.5, 0.4, 0.2, 0.1)])
 
 

@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import shift_reference
+from oracles import raises_caller_bug, shift_reference
+from pelab import UsageError
 from pelab import family as fam
 from pelab.audits import AuditRow
 from pelab.cli import main
 from pelab.family import (
     AuditMismatch,
-    ConicCase,
-    EdgeCase,
     FamilyParams,
-    NoSmoothMetric,
     cone_angle,
     cone_angle_conic_limit,
     conformal_infinity,
@@ -223,7 +221,7 @@ def test_cone_angle_fixture():
 
 
 def test_cone_angle_conic_raises():
-    with pytest.raises(ConicCase):
+    with raises_caller_bug("^r1 = 1 has no edge; use conic_model$"):
         cone_angle(HYPERBOLIC)
 
 
@@ -292,7 +290,7 @@ def test_conic_model_fixture():
     assert cm.theta_coeff == F(1, 4)
     assert cm.base_coeff_derived == F(1, 2)
     assert cm.base_coeff_paper == F(1, 6)
-    with pytest.raises(EdgeCase):
+    with raises_caller_bug("^r1 > 1 has an edge; use edge_model$"):
         conic_model(EDGE, solve_profile(EDGE))
 
 
@@ -301,7 +299,7 @@ def test_the_edge_models_refuse_the_conic_case(model):
     # P'(1) = 0 and (r1^2 - 1)^n = 0 at r1 = 1: the scale of expand_at_edge would be 0/0
     p = solve_profile(CONIC)
     assert p.derivative()(CONIC.r1) == 0
-    with pytest.raises(ConicCase, match="^r1 = 1 has no edge; use conic_model$"):
+    with raises_caller_bug("^r1 = 1 has no edge; use conic_model$"):
         model(CONIC, p)
 
 
@@ -330,9 +328,9 @@ def test_smooth_c_limit():
 
 
 def test_smooth_c_errors():
-    with pytest.raises(NoSmoothMetric):
+    with raises_caller_bug(r"^need 2\*r1 > lam, got 2\*3/2 <= 4$"):
         smooth_c(1, F(4), F(-3), F(3, 2))
-    with pytest.raises(ConicCase):
+    with raises_caller_bug("^r1 = 1 is the conic case; no edge to smooth$"):
         smooth_c(1, F(2), F(-3), F(1))
 
 
@@ -378,7 +376,7 @@ def test_scaling_action():
 
 @pytest.mark.parametrize("a", [0, -1, F(-1, 2)])
 def test_scaling_action_rejects_a_factor_that_is_not_positive(a):
-    with pytest.raises(ValueError, match=f"^a must be > 0, got {a}$"):
+    with raises_caller_bug(f"^a must be > 0, got {a}$"):
         scaling_action(CONIC, a)
 
 
@@ -580,13 +578,13 @@ def test_an_audit_row_states_its_verdict(printed, derived, verdict):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         FamilyParams(n=0, lam=F(2), c=F(1), Lambda=F(-1), r1=F(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         FamilyParams(n=1, lam=F(-2), c=F(1), Lambda=F(-1), r1=F(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         FamilyParams(n=1, lam=F(2), c=F(1), Lambda=F(1), r1=F(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         FamilyParams(n=1, lam=F(2), c=F(1), Lambda=F(-1), r1=F(1, 2))
 
 
@@ -596,10 +594,10 @@ def test_params_validation():
     ids=["FamilyParams", "RescaledProfile"],
 )
 def test_both_records_check_their_base_alike(build):
-    with pytest.raises(ValueError, match="^n must be a positive integer, got 0$"):
+    with pytest.raises(UsageError, match="^n must be a positive integer, got 0$"):
         build(0, 0)  # n is checked before lam
-    with pytest.raises(ValueError, match="^lam must be > 0, got 0$"):
+    with pytest.raises(UsageError, match="^lam must be > 0, got 0$"):
         build(1, 0)
-    with pytest.raises(ValueError, match="^lam must be > 0, got -1/2$"):
+    with pytest.raises(UsageError, match="^lam must be > 0, got -1/2$"):
         build(1, "-1/2")  # coerced before it is checked
     build(1, F(1, 10**9))

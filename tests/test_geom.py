@@ -23,11 +23,13 @@ from oracles import (
     is_positive_definite,
     kaehler_defects,
     metric_values,
+    raises_caller_bug,
     scaled_chart,
     sectional,
     sphere_chart,
     uv_inverted_chart,
 )
+from pelab import UsageError
 from pelab.cmd_verify import _sample_points
 from pelab.family import FamilyParams, cpn_catalogue, scaling_action, smooth_cone_member
 from pelab.geom import (
@@ -35,7 +37,6 @@ from pelab.geom import (
     CurvatureCheckError,
     CurvatureReport,
     SingularMetric,
-    UnsupportedDimension,
     curvature_reports,
     page_pope_block,
     page_pope_chart,
@@ -317,7 +318,7 @@ def test_chart_domain_checks():
     chart = page_pope_chart(EDGE_SMOOTH)
     assert not chart.in_domain((1.5, 1.0, 0.0, 0.0))
     assert not chart.in_domain((3.0, 1.0, 0.8, 0.7))
-    with pytest.raises(ValueError, match="outside chart domain"):
+    with raises_caller_bug("outside chart domain"):
         curvature_at(chart, (1.5, 1.0, 0.0, 0.0))
 
 
@@ -325,7 +326,7 @@ def test_domain_check_names_the_first_point_outside():
     chart = page_pope_chart(EDGE_SMOOTH)
     points = [(3.0, 1.0, 0.1, 0.1), (1.5, 1.0, 0.0, 0.0), (3.0, 1.0, 0.8, 0.7)]
     assert chart.in_domain(np.array(points)).tolist() == [True, False, False]
-    with pytest.raises(ValueError, match=r"^point \(1\.5, 1\.0, 0\.0, 0\.0\) outside chart domain$"):
+    with raises_caller_bug(r"^point \(1\.5, 1\.0, 0\.0, 0\.0\) outside chart domain$"):
         curvature_reports(chart, points)
 
 
@@ -335,7 +336,7 @@ def test_a_nan_coordinate_lies_outside_the_domain(axis):
     point = [3.0, 1.0, 0.1, 0.1]
     point[axis] = math.nan
     assert not chart.in_domain(point)
-    with pytest.raises(ValueError, match=r"^point \(.*nan.*\) outside chart domain$"):
+    with raises_caller_bug(r"^point \(.*nan.*\) outside chart domain$"):
         curvature_reports(chart, [(3.0, 1.0, 0.1, 0.1), point])
 
 
@@ -345,15 +346,16 @@ def test_a_block_chart_tests_each_point_against_its_own_inner_radius():
 
 
 def test_christoffel_checks_the_domain():
-    with pytest.raises(ValueError, match="outside chart domain"):
+    with raises_caller_bug("outside chart domain"):
         curvature_at(page_pope_chart(EDGE_SMOOTH), (3.0, 1.0, 0.8, 0.7)).christoffel
 
 
 def test_unsupported_dimension():
     params = FamilyParams(n=2, lam=F(2), c=F(1), Lambda=F(-5), r1=F(1))
-    with pytest.raises(UnsupportedDimension):
+    # an argv reaches both: the CLI's exit 2
+    with pytest.raises(UsageError, match="^the chart verification covers n = 1$"):
         page_pope_chart(params)
-    with pytest.raises(UnsupportedDimension):
+    with pytest.raises(UsageError, match="^the chart verification covers n = 1$"):
         rescaled_chart(RescaledProfile(2, 2, F(1, 2)))
 
 

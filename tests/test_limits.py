@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from pelab.cmd_limit import _default_rho_grid
 from pelab.family import AuditMismatch, FamilyParams, _r2m1, cpn_catalogue, scaling_action, smooth_cone_member, solve_profile
 from pelab.laurent import LaurentPoly
-from pelab.limits import DomainError, RescaledProfile, limit_comparison, rho1_limit
+from pelab import UsageError
+from pelab.limits import RescaledProfile, limit_comparison, rho1_limit
 
 HYPERBOLIC = FamilyParams(n=1, lam=F(4), c=F(1), Lambda=F(-3), r1=F(1))
 CONIC = FamilyParams(n=1, lam=F(2), c=F(1, 3), Lambda=F(-3), r1=F(1))
@@ -213,17 +214,17 @@ def test_limit_comparison_matches_a_200_digit_reference(n):
 
 
 def test_limit_comparison_domain_error():
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError, match="^rho = 1/2 is below the inner radius for t = 1/10$"):
         limit_comparison(1, [F(1, 10)], [F(1, 2)])
     # rho^2 lies above the inner radius, but rho itself is negative
-    with pytest.raises(DomainError, match="rho = -2 is below"):
+    with pytest.raises(UsageError, match="rho = -2 is below"):
         limit_comparison(1, [F(1, 10)], [F(-2), F(2)])
 
 
 def test_limit_comparison_validates_t():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         limit_comparison(1, [F(1, 100), F(1, 10)], _default_grid())
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         limit_comparison(1, [F(1, 10), F(1, 10)], _default_grid())
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         limit_comparison(1, [], _default_grid())

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import raises_caller_bug
+from pelab import UsageError
 from pelab import family as fam
 from pelab import geom, limits
 from pelab.audits import run_audits
@@ -140,22 +142,21 @@ def test_equal_params_share_one_profile_cache_entry():
     ],
 )
 def test_family_params_validation(kwargs, message):
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(UsageError) as exc:
         FamilyParams(**{"n": 1, "lam": 2, "c": 1, "Lambda": -3, "r1": 1, **kwargs})
     assert str(exc.value) == message
 
 
 def test_limit_profile_validation():
-    with pytest.raises(ValueError) as exc:
+    with raises_caller_bug("^rho1_sq must be >= 0, got -1$"):
         RescaledProfile(1, 2, -1)
-    assert str(exc.value) == "rho1_sq must be >= 0, got -1"
     assert RescaledProfile(1, 2, "2/3") == PROFILE
 
 
 @pytest.mark.parametrize("lam", [0, -2])
 def test_limit_profile_rejects_a_non_positive_lambda(lam):
     # U = (lam/(2n+2)) (1 - (rho1/rho)^(2n+2)) is not a metric coefficient for lam <= 0
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(UsageError) as exc:
         RescaledProfile(1, lam, F(2, 3))
     assert str(exc.value) == f"lam must be > 0, got {lam}"
 
